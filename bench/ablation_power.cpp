@@ -83,8 +83,8 @@ int main() {
       "Ablation: energy-aware scheduling", "energy vs JCT under power caps",
       std::to_string(grid.policies.size()) + " policies x " +
           std::to_string(grid.powers.size()) + " cap levels = " +
-          std::to_string(cells.size()) + " cells, Venus, scale=" +
-          std::to_string(scale));
+          std::to_string(cells.size()) + " cells, Venus",
+      scale);
 
   sweep::EngineConfig cfg;
   cfg.priority_provider = sweep::oracle_gpu_time_provider();

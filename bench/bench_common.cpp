@@ -60,10 +60,10 @@ const trace::Trace& operated_philly_trace() {
 }
 
 void print_header(const std::string& experiment, const std::string& title,
-                  const std::string& notes) {
+                  const std::string& notes, double workload_scale) {
   std::printf("================================================================\n");
   std::printf("%s — %s\n", experiment.c_str(), title.c_str());
-  std::printf("synthetic Helios workload, scale=%.3g seed=%llu\n", scale(),
+  std::printf("synthetic Helios workload, scale=%.3g seed=%llu\n", workload_scale,
               static_cast<unsigned long long>(seed()));
   if (!notes.empty()) std::printf("%s\n", notes.c_str());
   std::printf("================================================================\n");

@@ -48,8 +48,11 @@ using TracePtr = sweep::TraceStore::TracePtr;
 
 /// Prints the standard experiment banner:
 ///   experiment id, paper reference, scale/seed, free-form notes.
+/// `workload_scale` is the scale the binary's traces replay at; binaries
+/// with their own scale knob (e.g. HELIOS_POWER_SCALE) pass it.
 void print_header(const std::string& experiment, const std::string& title,
-                  const std::string& notes = "");
+                  const std::string& notes = "",
+                  double workload_scale = scale());
 
 /// Prints a "paper reports vs. we measure" comparison line.
 void print_expectation(const std::string& what, const std::string& paper,

@@ -90,8 +90,8 @@ int main() {
           std::to_string(grid.policies.size()) + " policies x " +
           std::to_string(grid.seeds.size()) + " seeds = " +
           std::to_string(cells.size()) + " cells (" +
-          std::to_string(unique_keys.size()) + " distinct traces), scale=" +
-          std::to_string(scale));
+          std::to_string(unique_keys.size()) + " distinct traces)",
+      scale);
 
   // QSSF cells use the oracle provider: deterministic, model-free, and the
   // same priority in both legs, so parity covers the priority path too.

@@ -34,17 +34,20 @@
 #                      SIMD dispatch forced on, once forced off
 #                      (HELIOS_SIMD=1 then HELIOS_SIMD=0) — the parity
 #                      suites must pass bit-identically either way
+#   ./ci.sh threads    full build + the fast suites at HELIOS_THREADS=1, 2
+#                      and 8, so the parallel ≡ serial parity suites run at
+#                      pool widths other than this machine's
 #
 # Extra args after the mode are passed through to ctest (full/smoke/asan/
-# simd) or to the microbenchmarks (bench).
+# simd/threads) or to the microbenchmarks (bench).
 set -euo pipefail
 cd "$(dirname "$0")"
 
 mode="${1:-full}"
 [ $# -gt 0 ] && shift
 case "$mode" in
-  full|smoke|bench|serve|sweep|docs|asan|simd) ;;
-  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|simd] [args...]" >&2; exit 2 ;;
+  full|smoke|bench|serve|sweep|docs|asan|simd|threads) ;;
+  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|simd|threads] [args...]" >&2; exit 2 ;;
 esac
 
 # Grep-based link/target validator: every backticked repo path, every
@@ -196,6 +199,17 @@ if [ "$mode" = simd ]; then
   HELIOS_SIMD=1 ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
   echo "=== ctest -L smoke with HELIOS_SIMD=0 (dispatch forced off) ==="
   HELIOS_SIMD=0 ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
+  exit 0
+fi
+if [ "$mode" = threads ]; then
+  # The parallel ≡ serial contracts must hold at every pool width, not just
+  # the one this machine happens to have. The per-test timeout turns a pool
+  # deadlock into a failure instead of a hang.
+  for n in 1 2 8; do
+    echo "=== ctest -L smoke with HELIOS_THREADS=$n ==="
+    HELIOS_THREADS=$n ctest -L smoke --output-on-failure --timeout 300 \
+      -j "$(nproc)" "$@"
+  done
   exit 0
 fi
 if [ "$mode" = smoke ]; then

@@ -416,8 +416,12 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
     return 0.0;
   };
 
-  // Dense local copies of the fields the loop touches per event.
+  // Dense local copies of the fields the loop touches per event. The smallest
+  // per-GPU draw bounds every job's draw from below for the backfill headroom
+  // exit; a negative (or NaN) draw breaks that bound and disables the exit.
   std::vector<LocalJob> jobs(n);
+  double min_gpu_watts = std::numeric_limits<double>::infinity();
+  bool headroom_exit = cap_share_ > 0.0;
   for (std::size_t lj = 0; lj < n; ++lj) {
     const JobOutcome& o = outcomes[arrivals[lj]];
     const JobRecord& j = t.jobs()[o.trace_index];
@@ -428,6 +432,11 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
     job.trace_index = o.trace_index;
     job.gpus = o.gpus;
     const double gw = per_gpu_watts(j);
+    if (gw >= 0.0) {
+      min_gpu_watts = std::min(min_gpu_watts, gw);
+    } else {
+      headroom_exit = false;
+    }
     job.watts = gw * j.num_gpus;
     job.priority = base_priority(j, gw);
   }
@@ -482,14 +491,22 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
 
   // Budget-constrained admission: may the projected VC draw grow by
   // `extra_watts` without crossing this VC's share of the cluster cap?
-  // Power changes only on starts, completions, kills, and node power-state
-  // transitions — the exact events that already invalidate the blocked-head
-  // memo, so the memo argument is unchanged by this gate.
+  // Headroom moves only on starts, completions, kills, and node power-state
+  // transitions; every one of them but a start forces a pass. Headroom is no
+  // part of the arrival trigger, though: see the blocked-head memo below.
   auto power_allows = [&](double extra_watts) -> bool {
     if (cap_share_ <= 0.0) return true;
     return state_.baseline_watts(config_->power_profile) + run_watts_ +
                extra_watts <=
            cap_share_;
+  };
+  // Backfill headroom exit: every queued job draws gw × gpus with
+  // gw >= min_gpu_watts >= 0 and gpus >= queued_gpus.min(). IEEE
+  // multiplication and addition are monotone, so when even that product
+  // does not fit, every candidate at every depth fails power_allows too.
+  auto some_draw_fits = [&]() -> bool {
+    return !headroom_exit ||
+           power_allows(static_cast<double>(queued_gpus.min()) * min_gpu_watts);
   };
 
   auto deactivate = [&](std::size_t slot) {
@@ -574,14 +591,19 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
   };
 
   // Blocked-head memo: after a scheduling pass ends with an unplaceable
-  // head, re-running it is provably a no-op until either the state changes
-  // (a completion, preemption, or start frees/claims GPUs) or a new job
-  // outranks the blocked head. Arrivals that merely grow the queue behind a
-  // blocked head skip the pass entirely — under FIFO that is every arrival
-  // while the head waits. (For SRTF, note remaining times of running jobs
-  // only shrink as time advances, so the preemptable set never grows while
-  // the state is untouched; a retry cannot succeed where the original
-  // attempt failed.)
+  // head, arrivals that merely grow the queue behind it skip the pass
+  // entirely — under FIFO that is every arrival while the head waits. A
+  // completion, a fault, an arrival that outranks the head and, with
+  // backfill, an arrival that fits the free GPUs still schedule. Without
+  // backfill a skipped pass is provably a no-op. (For SRTF, remaining times
+  // of running jobs only shrink as time advances, so the preemptable set
+  // never grows while the state is untouched; a retry cannot succeed where
+  // the original attempt failed.) With backfill it is not: once a pass has
+  // started jobs, the next pass's backfill_depth window reaches deeper into
+  // the queue and may start jobs the last pass never visited. The trigger
+  // thus decides which passes run, and the arrival trigger must stay
+  // GPU-only: also requiring the arrival's own draw to fit the cap would
+  // drop passes that start such deeper jobs (tests/test_backfill.cpp).
   bool head_blocked = false;
   std::size_t blocked_local = 0;
 
@@ -655,7 +677,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
       }
       if (!alloc) {
         if (config_->backfill && !queued_gpus.empty() &&
-            queued_gpus.min() <= state_.free_gpus(0)) {
+            queued_gpus.min() <= state_.free_gpus(0) && some_draw_fits()) {
           // Greedy backfill: start any later queued job that fits right now.
           int scanned = 0;
           queue.scan_behind_head([&](std::size_t blj) {
@@ -669,9 +691,10 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
             if (balloc) {
               start_job(blj, std::move(*balloc), now);
               dequeue(blj);
-              // Placements shrink the free pool; bail once nothing left fits.
+              // Placements shrink the free pool and the power headroom; bail
+              // once nothing left fits either.
               if (queued_gpus.empty() ||
-                  queued_gpus.min() > state_.free_gpus(0)) {
+                  queued_gpus.min() > state_.free_gpus(0) || !some_draw_fits()) {
                 return false;
               }
             }
@@ -756,7 +779,8 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
       if (!need_schedule && head_blocked) {
         // Queue growth behind a blocked head: schedule only if this job
         // outranks the head (FIFO arrivals never do) or backfill could
-        // place it on the leftover GPUs.
+        // place it on the leftover GPUs. GPUs only, never the job's draw:
+        // see the blocked-head memo.
         const bool outranks = !fifo && queue.before(lj, blocked_local);
         const bool backfillable =
             config_->backfill && jobs[lj].gpus <= state_.free_gpus(0);

@@ -43,6 +43,36 @@ TEST(Backfill, FillsAroundBlockedHead) {
   EXPECT_EQ(r.outcomes[1].start, 100);  // head waits for the whole node
 }
 
+TEST(Backfill, ArrivalPassReachesPastThePreviousWindow) {
+  // backfill_depth = 1: a pass visits one candidate behind the blocked head.
+  // R holds 6 of 8 GPUs, so the 8-GPU head H blocks at t=1 with the 1-GPU
+  // jobs B and C behind it; that pass starts B and stops, C out of reach.
+  // E arrives at t=3 and fits the last free GPU, but its 2000 W/GPU draw
+  // busts the 4000 W cap. Its arrival must still trigger a pass, whose
+  // window, shifted by B's start, now reaches C. Gating the arrival trigger
+  // on E's draw too would hold C until R ends at t=100.
+  Trace t(one_node());
+  t.add(0, 100, 6, 6, "u", "vc0", "R", JobState::kCompleted);
+  t.add(1, 50, 8, 8, "u", "vc0", "H", JobState::kCompleted);
+  t.add(1, 100, 1, 1, "u", "vc0", "B", JobState::kCompleted);
+  t.add(1, 100, 1, 1, "u", "vc0", "C", JobState::kCompleted);
+  t.add(3, 10, 1, 1, "u", "vc0", "E", JobState::kCompleted);
+  t.sort_by_submit_time();
+
+  SimConfig cfg;
+  cfg.backfill = true;
+  cfg.backfill_depth = 1;
+  cfg.power_cap_watts = 4000.0;  // idle node 800 W + 300 W per GPU
+  cfg.gpu_watts_fn = [](const trace::JobRecord& j) {
+    return j.duration == 10 ? 2000.0 : 300.0;  // E draws 2000 W per GPU
+  };
+  const auto r = ClusterSimulator(t.cluster(), cfg).run(t);
+  EXPECT_EQ(r.outcomes[2].start, 1);    // B: the t=1 pass's one candidate
+  EXPECT_EQ(r.outcomes[3].start, 3);    // C: reached by E's arrival pass
+  EXPECT_EQ(r.outcomes[4].start, 100);  // E: fits the cap once R ends
+  EXPECT_EQ(r.outcomes[1].start, 110);  // H: the whole node, after E
+}
+
 TEST(Backfill, OffPreservesStrictHeadOfLine) {
   const auto r = run(blocked_head_trace(), false);
   EXPECT_EQ(r.outcomes[2].start, 150);  // behind the head, like Algorithm 1

@@ -246,6 +246,79 @@ TEST(PowerCap, BackfillIsPowerProportional) {
   EXPECT_LE(backfilled.max_power_watts, 4500.0);
 }
 
+TEST(PowerCap, HeadroomExitStartsCheapCandidateWhenDrawFrees) {
+  // Two 8-GPU nodes (idle 1600 W), cap 4500 W, backfill_depth 4. A (8 GPUs)
+  // and D (1 GPU) run from t=0 at 4300 W. At t=1 the head H (8 GPUs,
+  // +2400 W) is power-blocked ahead of seven candidates, more than the
+  // depth: six over-budget 2-GPU jobs (+600 W) and one cheap 1-GPU job C
+  // (+300 W), fourth in line. At 4300 W even the cheapest queued draw busts
+  // the cap, so no candidate can start; D's completion at t=50 frees 300 W
+  // and C starts at exactly that second while the 2-GPU jobs keep waiting.
+  const auto spec = one_vc_spec(2);
+  const auto t = make_trace(
+      spec, {{0, 100, 8, "vc0"}, {0, 50, 1, "vc0"},  // A, D
+             {1, 100, 8, "vc0"},                     // H
+             {1, 50, 2, "vc0"}, {1, 50, 2, "vc0"}, {1, 50, 2, "vc0"},
+             {1, 50, 1, "vc0"},                      // C
+             {1, 50, 2, "vc0"}, {1, 50, 2, "vc0"}, {1, 50, 2, "vc0"}});
+  SimConfig cfg;
+  cfg.backfill = true;
+  cfg.backfill_depth = 4;
+  cfg.power_cap_watts = 4500.0;
+  const SimResult r = ClusterSimulator(spec, cfg).run(t);
+
+  EXPECT_EQ(r.outcomes[1].end, 50);     // D frees 300 W
+  EXPECT_EQ(r.outcomes[6].start, 50);   // C, the one cheap candidate
+  EXPECT_EQ(r.outcomes[2].start, 100);  // H once A and C end: 4000 W
+  for (const std::size_t i : {3u, 4u, 5u, 7u}) {
+    EXPECT_EQ(r.outcomes[i].start, 200) << i;  // 1600 + 4 × 600 W
+  }
+  for (const std::size_t i : {8u, 9u}) EXPECT_EQ(r.outcomes[i].start, 250) << i;
+  EXPECT_LE(r.max_power_watts, 4500.0);
+}
+
+TEST(PowerCap, HeadroomExitHandlesZeroAndNegativeDraws) {
+  // One 8-GPU node (idle 800 W), cap 3000 W; the per-GPU draw is keyed on
+  // duration. A (4 GPUs at 500 W) runs from t=0 at 2800 W. At t=1 the head
+  // H (4 GPUs at 300 W, +1200 W) is power-blocked ahead of X (2 GPUs at
+  // 300 W, +600 W: over budget) and Z (2 GPUs). H and X start when A ends.
+  // Window [0, 101): the last second draws 800 + 1200 + 600 = 2600 W.
+  const auto spec = one_vc_spec(1);
+  const auto t = make_trace(spec, {{0, 100, 4, "vc0"},    // A
+                                   {1, 90, 4, "vc0"},     // H
+                                   {1, 30, 2, "vc0"},     // X
+                                   {1, 40, 2, "vc0"}});   // Z
+  auto watts_with_z = [](double z_watts) {
+    return [z_watts](const trace::JobRecord& j) {
+      if (j.duration == 100) return 500.0;
+      if (j.duration == 40) return z_watts;
+      return 300.0;
+    };
+  };
+  SimConfig cfg;
+  cfg.backfill = true;
+  cfg.power_cap_watts = 3000.0;
+
+  // Z at 0 W/GPU: the bound degenerates to 2 × 0 W, which fits, so the scan
+  // runs and Z backfills at t=1 without moving the draw.
+  cfg.gpu_watts_fn = watts_with_z(0.0);
+  const SimResult zero = ClusterSimulator(spec, cfg).run(t);
+  EXPECT_EQ(zero.outcomes[3].start, 1);
+  EXPECT_EQ(zero.outcomes[1].start, 100);
+  EXPECT_EQ(zero.outcomes[2].start, 100);
+  EXPECT_EQ(zero.energy_joules, 2800.0 * 100 + 2600.0);
+
+  // Z at -100 W/GPU: no lower bound exists, so the exit is off. (The
+  // smallest non-negative draw, 2 × 300 W, would bust the cap and wrongly
+  // skip Z.) Z backfills at t=1 and cuts the draw by 200 W for 40 s.
+  cfg.gpu_watts_fn = watts_with_z(-100.0);
+  const SimResult negative = ClusterSimulator(spec, cfg).run(t);
+  EXPECT_EQ(negative.outcomes[3].start, 1);
+  EXPECT_EQ(negative.outcomes[1].start, 100);
+  EXPECT_EQ(negative.outcomes[2].start, 100);
+  EXPECT_EQ(negative.energy_joules, 2800.0 * 100 - 200.0 * 40 + 2600.0);
+}
+
 // The invariant sweep: across every policy × backfill × seed, the modeled
 // draw never exceeds the enforceable bound — each VC stays at or under
 // max(its idle baseline, its capacity-proportional cap share), so the
