@@ -4,14 +4,13 @@
 // counters and power series), then reports modeled energy, peak power, and
 // JCT side by side. The paper characterizes Helios workloads without an
 // energy model; this ablation quantifies what budget-constrained admission
-// (POWERCAP) and energy-weighted QSSF (EQSSF) trade away in JCT for the
-// in-window joules they save.
+// (FIFO under a cap) and energy-weighted QSSF (EQSSF) trade away in JCT for
+// the in-window joules they save.
 //
-// Gates (ISSUE 10 acceptance): capped POWERCAP admission must strictly
-// reduce modeled energy vs uncapped FIFO, and the parallel power-grid sweep
-// must be bit-identical to the serial loop. When HELIOS_POWER_OUT is set the
-// tradeoff table is written there as JSON (ci.sh bench points it at
-// build/BENCH_power.json).
+// Gates: capped FIFO admission must strictly reduce modeled energy vs
+// uncapped FIFO, and the parallel power-grid sweep must be bit-identical to
+// the serial loop. When HELIOS_POWER_OUT is set the tradeoff table is written
+// there as JSON (ci.sh bench points it at build/BENCH_power.json).
 //
 // Knobs: HELIOS_POWER_SCALE (default HELIOS_SCALE, default 0.25),
 // HELIOS_POWER_OUT (JSON path).
@@ -70,7 +69,7 @@ int main() {
 
   sweep::SweepGrid grid;
   grid.clusters = {"Venus"};
-  grid.policies = {sim::SchedulerPolicy::kFifo, sim::SchedulerPolicy::kPowerCap,
+  grid.policies = {sim::SchedulerPolicy::kFifo,
                    sim::SchedulerPolicy::kEnergyQssf};
   grid.backfills = {true};
   grid.scales = {scale};
@@ -138,23 +137,22 @@ int main() {
     std::exit(EXIT_FAILURE);
   };
   const sim::SimResult& fifo = find(sim::SchedulerPolicy::kFifo, "uncapped");
-  const sim::SimResult& capped =
-      find(sim::SchedulerPolicy::kPowerCap, "cap30");
+  const sim::SimResult& capped = find(sim::SchedulerPolicy::kFifo, "cap30");
 
   bench::print_expectation(
       "capped admission saves in-window energy",
-      "POWERCAP@cap30 energy < uncapped FIFO",
+      "FIFO@cap30 energy < uncapped FIFO",
       TextTable::cell(capped.energy_joules / 3.6e6, 1) + " kWh vs " +
           TextTable::cell(fifo.energy_joules / 3.6e6, 1) + " kWh");
   bench::print_expectation(
-      "the saving is paid in JCT", "POWERCAP@cap30 avg JCT > uncapped FIFO",
+      "the saving is paid in JCT", "FIFO@cap30 avg JCT > uncapped FIFO",
       TextTable::cell(capped.avg_jct / 3600.0, 2) + "h vs " +
           TextTable::cell(fifo.avg_jct / 3600.0, 2) + "h");
 
   // Gate: a binding cap must strictly reduce modeled in-window energy
   // relative to uncapped FIFO (deferred work falls past the window edge).
   if (!(capped.energy_joules < fifo.energy_joules))
-    return fail("POWERCAP@cap30 energy not below uncapped FIFO");
+    return fail("FIFO@cap30 energy not below uncapped FIFO");
   // And the cap must actually clamp the observed peak. The enforceable
   // cluster bound is the sum of per-VC max(idle baseline, cap share): a VC
   // whose baseline already exceeds its capacity-proportional share can never
@@ -171,7 +169,7 @@ int main() {
   if (!(capped.max_power_watts <= bound + 1e-6)) {
     std::fprintf(stderr, "  peak %.0f W over enforceable bound %.0f W\n",
                  capped.max_power_watts, bound);
-    return fail("POWERCAP@cap30 peak power exceeds the cap bound");
+    return fail("FIFO@cap30 peak power exceeds the cap bound");
   }
 
   if (!out_path.empty()) {

@@ -1,6 +1,6 @@
 // Scenario-sweep matrix: the acceptance driver for sweep::ScenarioEngine.
 //
-// Expands a multi-cluster grid (clusters × 4 policies × seeds), runs it twice:
+// Expands a multi-cluster grid (clusters × every policy × seeds), runs it twice:
 //   1. parallel engine (two-level cell × VC sharding) on a fresh TraceStore,
 //   2. serial engine — the literal one-cell-at-a-time reference loop — on its
 //      own fresh store (so trace generation is timed in both legs; the

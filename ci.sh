@@ -30,6 +30,9 @@
 #                      running the fast suites (ctest -L smoke) with the SIMD
 #                      dispatch forced on (HELIOS_SIMD=1) so the sanitizers
 #                      sweep the AVX2 kernels, gather tail pads included
+#   ./ci.sh tsan       like asan, under ThreadSanitizer in build-tsan at
+#                      HELIOS_THREADS=4 (pool nesting races for real on any
+#                      machine); ci/tsan.supp covers libstdc++ internals only
 #   ./ci.sh simd       full build + the fast suites twice: once with the
 #                      SIMD dispatch forced on, once forced off
 #                      (HELIOS_SIMD=1 then HELIOS_SIMD=0) — the parity
@@ -39,15 +42,15 @@
 #                      pool widths other than this machine's
 #
 # Extra args after the mode are passed through to ctest (full/smoke/asan/
-# simd/threads) or to the microbenchmarks (bench).
+# tsan/simd/threads) or to the microbenchmarks (bench).
 set -euo pipefail
 cd "$(dirname "$0")"
 
 mode="${1:-full}"
 [ $# -gt 0 ] && shift
 case "$mode" in
-  full|smoke|bench|serve|sweep|docs|asan|simd|threads) ;;
-  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|simd|threads] [args...]" >&2; exit 2 ;;
+  full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads) ;;
+  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads] [args...]" >&2; exit 2 ;;
 esac
 
 # Grep-based link/target validator: every backticked repo path, every
@@ -117,6 +120,19 @@ if [ "$mode" = asan ]; then
   # On hardware without AVX2 the runtime support gate still wins and the
   # scalar forms run instead.
   export HELIOS_SIMD=1
+  exec ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
+fi
+
+if [ "$mode" = tsan ]; then
+  # Same shape as asan: own tree, Debug, library + smoke suites only.
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=OFF \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  cmake --build build-tsan -j "$(nproc)"
+  export TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/ci/tsan.supp"
+  export HELIOS_THREADS="${HELIOS_THREADS:-4}"
+  cd build-tsan
   exec ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
 fi
 

@@ -28,20 +28,17 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  auto future = packaged.get_future();
+void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
-    tasks_.push(std::move(packaged));
+    tasks_.push(std::move(task));
   }
   cv_.notify_one();
-  return future;
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
@@ -49,7 +46,7 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    task();  // packaged_task captures exceptions into the future
+    task();
   }
 }
 
@@ -77,47 +74,21 @@ std::vector<std::pair<std::size_t, std::size_t>> chunk_ranges(
   return chunks;
 }
 
-void parallel_run_chunks(
-    const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (chunks.empty()) return;
-  auto& pool = global_pool();
-  // A single chunk, or a single-threaded pool, gains nothing from dispatch:
-  // run inline on the caller (on a one-core machine the handoff to the lone
-  // worker otherwise costs real wall time on every call).
-  if (chunks.size() == 1 || pool.thread_count() <= 1) {
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      fn(i, chunks[i].first, chunks[i].second);
-    }
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks.size());
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const auto [lo, hi] = chunks[i];
-    futures.push_back(pool.submit([i, lo, hi, &fn] { fn(i, lo, hi); }));
-  }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
+namespace {
 
-void parallel_run_tasks(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (tasks.size() == 1) {
-    tasks[0]();
-    return;
-  }
+// The one driver: runs fn(i) for i in [0, n) on pool helpers *and* the
+// calling thread, which drains the shared index counter itself. It never
+// waits on work it could run, so it cannot deadlock however deeply it nests.
+void parallel_run_indexed(std::size_t n,
+                          const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
   // Shared ownership so helper jobs that outlive the call (they may still be
-  // spinning through the exhausted task list) never touch freed state.
+  // queued when the caller has drained everything) never touch freed state.
+  // They dereference `fn` only after claiming an index below n, which the
+  // caller is still waiting on.
   struct Shared {
-    std::vector<std::function<void()>> tasks;
+    const std::function<void(std::size_t)>* fn;
+    std::size_t n;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex mutex;
@@ -125,28 +96,28 @@ void parallel_run_tasks(std::vector<std::function<void()>> tasks) {
     std::exception_ptr error;
   };
   auto shared = std::make_shared<Shared>();
-  shared->tasks = std::move(tasks);
-  const std::size_t n = shared->tasks.size();
-  auto drain = [shared, n] {
+  shared->fn = &fn;
+  shared->n = n;
+  auto drain = [shared] {
     for (;;) {
       const std::size_t i = shared->next.fetch_add(1);
-      if (i >= n) return;
+      if (i >= shared->n) return;
       try {
-        shared->tasks[i]();
+        (*shared->fn)(i);
       } catch (...) {
         std::lock_guard lock(shared->mutex);
         if (!shared->error) shared->error = std::current_exception();
       }
-      if (shared->done.fetch_add(1) + 1 == n) {
+      if (shared->done.fetch_add(1) + 1 == shared->n) {
         std::lock_guard lock(shared->mutex);
         shared->cv.notify_all();
       }
     }
   };
   auto& pool = global_pool();
-  // A single-threaded pool adds nothing over the caller draining alone, and
-  // on a one-core machine the extra thread only causes context-switch
-  // ping-pong with the caller.
+  // A single item, or a single-threaded pool, gains nothing from dispatch:
+  // the caller drains alone (on a one-core machine the handoff to the lone
+  // worker costs real wall time on every call).
   const std::size_t helpers =
       pool.thread_count() > 1 ? std::min(n - 1, pool.thread_count()) : 0;
   for (std::size_t h = 0; h < helpers; ++h) pool.submit(drain);
@@ -156,10 +127,23 @@ void parallel_run_tasks(std::vector<std::function<void()>> tasks) {
   if (shared->error) std::rethrow_exception(shared->error);
 }
 
+}  // namespace
+
+void parallel_run_chunks(
+    const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+  parallel_run_indexed(chunks.size(), [&](std::size_t i) {
+    fn(i, chunks[i].first, chunks[i].second);
+  });
+}
+
+void parallel_run_tasks(std::vector<std::function<void()>> tasks) {
+  parallel_run_indexed(tasks.size(), [&tasks](std::size_t i) { tasks[i](); });
+}
+
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t grain) {
-  if (begin >= end) return;  // don't spin up the pool for nothing
   parallel_run_chunks(
       chunk_ranges(begin, end, global_pool().thread_count() * 4, grain),
       [&fn](std::size_t, std::size_t lo, std::size_t hi) { fn(lo, hi); });

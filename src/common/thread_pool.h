@@ -1,4 +1,4 @@
-// Minimal fixed-size thread pool with a blocking parallel_for.
+// Minimal fixed-size thread pool with blocking, caller-draining drivers.
 //
 // The heavy kernels (GBDT histogram builds, trace generation per cluster,
 // backtests) are embarrassingly parallel over ranges; parallel_for splits
@@ -6,15 +6,20 @@
 // shared process-wide via global_pool() so nested code reuses threads instead
 // of oversubscribing the (possibly small) machine.
 //
+// Every driver here (parallel_for*, parallel_run_chunks, parallel_run_tasks,
+// parallel_map_reduce) is a thin wrapper over one loop: the items go on a
+// shared index counter, up to thread_count() pool helpers are enqueued to
+// drain it, and the *calling thread drains it too*. The caller never waits
+// on an item it could run itself, so the drivers nest freely — a driver
+// called from inside a pool task finishes even when every other worker is
+// blocked (trace generation under the sweep engine, GBDT fits under the
+// forecaster fan-out). A single item or a 1-thread pool runs on the caller
+// alone.
+//
 // Thread-safety: every member and free function here is safe to call from
-// any thread, including pool workers — submit() is internally locked, and
-// the blocking drivers (parallel_for*, parallel_run_chunks,
-// parallel_map_reduce) run chunks on the calling thread when the range is
-// small, so they never deadlock on a saturated pool. parallel_run_tasks
-// goes further: the caller drains the shared task list itself, making it
-// safe even when every other worker is blocked (the VC-sharded simulator
-// nests on it). The *callbacks* handed to these drivers run concurrently —
-// they must synchronize any shared mutable state themselves.
+// any thread, including pool workers. The *callbacks* handed to the drivers
+// run concurrently — they must synchronize any shared mutable state
+// themselves.
 //
 // Determinism: the drivers fix only *which* chunks exist ([begin, end) split
 // by grain/thread-count) and, for parallel_map_reduce, the left-to-right
@@ -27,7 +32,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -48,14 +52,15 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Enqueue a task; returns a future for its completion.
-  std::future<void> submit(std::function<void()> task);
+  /// Enqueue a fire-and-forget task. It must not throw: the drivers below
+  /// catch inside the task and hand the exception to their caller.
+  void submit(std::function<void()> task);
 
  private:
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
@@ -66,8 +71,8 @@ class ThreadPool {
 ThreadPool& global_pool();
 
 /// Runs fn(i) for i in [begin, end) across the global pool and blocks until
-/// done. Chunks are contiguous; `grain` is the minimum chunk size. Exceptions
-/// from fn propagate to the caller (first one wins).
+/// done. Chunks are contiguous; `grain` is the minimum chunk size. Every
+/// chunk runs; the first exception from fn then propagates to the caller.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1024);
@@ -86,20 +91,15 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
     std::size_t grain = 1);
 
 /// Runs fn(chunk_index, lo, hi) for each range on the global pool and blocks
-/// until done. A single chunk runs inline. Exceptions from fn propagate to
-/// the caller (first one wins).
+/// until done. Exceptions propagate as for parallel_for.
 void parallel_run_chunks(
     const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
-/// Runs a set of heterogeneous tasks to completion, using pool workers *and*
-/// the calling thread, then blocks until every task finished. Unlike waiting
-/// on per-task futures, the caller drains the shared task list itself, so
-/// this is safe to call from inside a pool worker even when every other
-/// worker is blocked — the caller alone guarantees forward progress. Used by
-/// the VC-sharded simulator, whose shards are uneven and may themselves run
-/// under a parallel driver. The first exception propagates after all tasks
-/// have finished.
+/// Runs a set of heterogeneous tasks to completion on the global pool and
+/// blocks until every task finished. Used by the VC-sharded simulator, whose
+/// shards are uneven and may themselves run under a parallel driver. The
+/// first exception propagates after all tasks have finished.
 void parallel_run_tasks(std::vector<std::function<void()>> tasks);
 
 /// Chunked map-reduce over [begin, end): `make(lo, hi)` produces one partial

@@ -47,8 +47,8 @@
 // anything; the const members (predict, predict_many, accessors) are safe to
 // call concurrently from any number of threads once training/loading has
 // completed. fit() and predict_many() internally parallelize on the shared
-// global_pool(), so they must not be called from inside a pool task that
-// blocks on them (use parallel_run_tasks for such nesting).
+// global_pool(); its drivers let the caller drain its own chunks, so both
+// may also be called from inside pool tasks (see common/thread_pool.h).
 #pragma once
 
 #include <cstdint>
@@ -160,17 +160,6 @@ std::size_t gbdt_set_packed_row_limit(std::size_t limit) noexcept;
 /// shard-path tests prove the wide representation actually ran.
 [[nodiscard]] std::uint64_t gbdt_wide_histogram_builds() noexcept;
 
-/// Contiguous SoA flattening of a fitted forest for batched inference: all
-/// trees' nodes live in four parallel arrays indexed by a global node id, so
-/// the SIMD walk gathers split/child/value with single indexed loads instead
-/// of chasing 36-byte Node structs.
-///
-/// Encoding: split[i] = (feature << 8) | split_bin for interior nodes; a
-/// leaf stores split_bin = 255 with feature 0 and children pointing at
-/// itself — since bin ids are uint8, every row compares <= 255 and
-/// self-loops, which makes a fixed-depth walk branchless (depth[t] is the
-/// tree's maximum leaf depth; walking exactly that many steps parks every
-/// row in its leaf).
 /// Implicit-heap SoA layout of a fitted forest for the SIMD predict walk.
 ///
 /// Every tree is padded to the forest-wide depth `levels` (leaves shallower

@@ -26,8 +26,6 @@ std::string_view to_string(SchedulerPolicy p) noexcept {
       return "SRTF";
     case SchedulerPolicy::kQssf:
       return "QSSF";
-    case SchedulerPolicy::kPowerCap:
-      return "POWERCAP";
     case SchedulerPolicy::kEnergyQssf:
       return "EQSSF";
   }
@@ -36,9 +34,8 @@ std::string_view to_string(SchedulerPolicy p) noexcept {
 
 std::span<const SchedulerPolicy> all_policies() noexcept {
   static constexpr SchedulerPolicy kAll[] = {
-      SchedulerPolicy::kFifo,     SchedulerPolicy::kSjf,
-      SchedulerPolicy::kSrtf,     SchedulerPolicy::kQssf,
-      SchedulerPolicy::kPowerCap, SchedulerPolicy::kEnergyQssf};
+      SchedulerPolicy::kFifo, SchedulerPolicy::kSjf, SchedulerPolicy::kSrtf,
+      SchedulerPolicy::kQssf, SchedulerPolicy::kEnergyQssf};
   return kAll;
 }
 

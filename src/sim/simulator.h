@@ -2,15 +2,12 @@
 //
 // Reproduces the evaluation methodology of §4.2.3: jobs flow through
 // arrival -> per-VC queue -> gang placement -> completion, with no backfill
-// and no cross-VC sharing. Six policies:
+// and no cross-VC sharing. Five policies:
 //   * kFifo — submission order (the paper's production baseline),
 //   * kSjf  — oracle shortest-job-first, non-preemptive,
 //   * kSrtf — oracle shortest-remaining-time-first with free preemption,
 //   * kQssf — Quasi-Shortest-Service-First: jobs ordered by *predicted* GPU
 //             time supplied by a PriorityFn (see core/qssf_service.h),
-//   * kPowerCap    — FIFO order with budget-constrained admission: the head
-//                    waits while its projected power draw would push the VC
-//                    over its share of SimConfig::power_cap_watts,
 //   * kEnergyQssf  — energy-aware QSSF: jobs ordered by *predicted energy*
 //                    (predicted GPU time × the job's per-GPU draw), so
 //                    cheap-to-run jobs clear the queue first.
@@ -48,17 +45,16 @@ enum class SchedulerPolicy {
   kSjf,
   kSrtf,
   kQssf,
-  kPowerCap,    ///< FIFO order + budget-constrained power admission
   kEnergyQssf,  ///< QSSF ordered by predicted energy (GPU time × watts)
 };
 
 [[nodiscard]] std::string_view to_string(SchedulerPolicy p) noexcept;
 
-/// All six policies in declaration order — the policy axis a scenario sweep
+/// All five policies in declaration order — the policy axis a scenario sweep
 /// iterates (sweep/scenario.h).
 [[nodiscard]] std::span<const SchedulerPolicy> all_policies() noexcept;
 
-/// Parse "FIFO" / "SJF" / "SRTF" / "QSSF" / "POWERCAP" / "EQSSF"
+/// Parse "FIFO" / "SJF" / "SRTF" / "QSSF" / "EQSSF"
 /// (case-insensitive). Throws std::invalid_argument on anything else.
 [[nodiscard]] SchedulerPolicy policy_from_string(std::string_view name);
 
@@ -118,8 +114,8 @@ struct SimConfig {
   /// capacity-proportional share (cap × VC GPUs / cluster GPUs): no VC ever
   /// exceeds its share, hence the cluster never exceeds the cap. With the
   /// cap set, every policy's placements are power-gated and backfill becomes
-  /// power-proportional (kPowerCap is FIFO ordering with this gate as its
-  /// defining behaviour).
+  /// power-proportional (kFifo under a cap is budget-constrained FIFO
+  /// admission).
   double power_cap_watts = 0.0;
 };
 

@@ -136,8 +136,7 @@ class OrderedBitmap {
 class PolicyQueue {
  public:
   PolicyQueue(SchedulerPolicy policy, bool backfill)
-      : backend_(policy == SchedulerPolicy::kFifo ||
-                         policy == SchedulerPolicy::kPowerCap
+      : backend_(policy == SchedulerPolicy::kFifo
                      ? Backend::kBitmap
                      : (backfill ? Backend::kSet : Backend::kHeap)) {}
 
@@ -384,9 +383,8 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
                                        std::vector<JobOutcome>& outcomes) {
   Counters counters;
   const bool srtf = config_->policy == SchedulerPolicy::kSrtf;
-  // FIFO-order policies: arrivals behind a blocked head can never outrank it.
-  const bool fifo = config_->policy == SchedulerPolicy::kFifo ||
-                    config_->policy == SchedulerPolicy::kPowerCap;
+  // FIFO order: arrivals behind a blocked head can never outrank it.
+  const bool fifo = config_->policy == SchedulerPolicy::kFifo;
   const std::size_t n = arrivals.size();
 
   // `per_gpu_watts` is the job's running draw per GPU; `base_priority` folds
@@ -399,7 +397,6 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
   auto base_priority = [&](const JobRecord& j, double gpu_watts) -> double {
     switch (config_->policy) {
       case SchedulerPolicy::kFifo:
-      case SchedulerPolicy::kPowerCap:
         return 0.0;  // submit-time tie-break gives FIFO order
       case SchedulerPolicy::kSjf:
       case SchedulerPolicy::kSrtf:

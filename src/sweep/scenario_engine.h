@@ -11,8 +11,12 @@
 //             trace into a preassigned result slot. Cells fan out through
 //             parallel_run_tasks and each cell's simulator shards per VC
 //             through the same primitive, giving two-level (cell × VC)
-//             sharding; parallel_run_tasks lets the caller drain the task
-//             list itself, so the nesting cannot deadlock the pool.
+//             sharding.
+//
+// Nesting: level-0 tasks generate traces with their own parallel_for, and
+// level-1 tasks shard again per VC. Every pool driver lets its caller drain
+// its own items (common/thread_pool.h), so neither nesting can deadlock the
+// pool, however many keys or cells share it.
 //
 // Determinism: common::ExecMode::kParallel and kSerial produce bit-identical
 // SweepResults — cell slots are preassigned in expand() order, each cell's

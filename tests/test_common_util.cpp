@@ -3,8 +3,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <latch>
 #include <memory_resource>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/arena.h"
@@ -98,6 +101,42 @@ TEST(ThreadPool, PropagatesExceptions) {
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
   parallel_for(10, 10, [](std::size_t) { FAIL(); });
+}
+
+// More tasks than pool threads, and the first task each participant (every
+// worker plus the caller) claims parks on a latch until all of them hold
+// one. So every nested parallel_for below starts while no worker is free:
+// it finishes only if its caller drains its own chunks. A driver that waits
+// on queued chunks instead hangs here every time.
+TEST(ThreadPool, NestedDriversFinishWhenEveryWorkerIsBusy) {
+  const std::size_t threads = global_pool().thread_count();
+  const std::size_t participants = threads > 1 ? threads + 1 : 1;
+  const std::size_t n_tasks = 2 * participants + 1;
+  std::latch all_busy(static_cast<std::ptrdiff_t>(participants));
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<std::size_t> hits{0};
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    tasks.push_back([&] {
+      if (arrived.fetch_add(1) < participants) all_busy.arrive_and_wait();
+      parallel_for(0, 64, [&](std::size_t) { ++hits; }, 1);
+    });
+  }
+  parallel_run_tasks(std::move(tasks));
+  EXPECT_EQ(hits.load(), n_tasks * 64);
+}
+
+TEST(ThreadPool, EveryTaskRunsBeforeTheFirstExceptionPropagates) {
+  std::atomic<int> ran{0};
+  std::vector<std::function<void()>> tasks;
+  for (int t = 0; t < 16; ++t) {
+    tasks.push_back([&ran, t] {
+      ++ran;
+      if (t == 3) throw std::runtime_error("boom");
+    });
+  }
+  EXPECT_THROW(parallel_run_tasks(std::move(tasks)), std::runtime_error);
+  EXPECT_EQ(ran.load(), 16);
 }
 
 TEST(MonotonicArena, BumpAllocatesAndAligns) {

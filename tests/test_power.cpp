@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/power_model.h"
@@ -49,6 +51,20 @@ Trace make_trace(const trace::ClusterSpec& spec,
   return t;
 }
 
+// The all-active idle baseline plus ~30% of the GPUs at the default draw:
+// binding under load spikes, loose enough that work still flows.
+double binding_cap(const trace::ClusterSpec& spec) {
+  std::int64_t nodes = 0;
+  std::int64_t gpus = 0;
+  for (const auto& vc : spec.vcs) {
+    nodes += vc.nodes;
+    gpus += static_cast<std::int64_t>(vc.nodes) * vc.gpus_per_node;
+  }
+  const core::PowerProfile profile;
+  return profile.idle_node_watts * static_cast<double>(nodes) +
+         profile.gpu_watts * static_cast<double>(gpus) * 0.3;
+}
+
 // ---------------------------------------------------------------------------
 // PowerProfile / policy registry
 // ---------------------------------------------------------------------------
@@ -65,11 +81,11 @@ TEST(PowerProfile, BaselineWattsBillsEveryPowerState) {
 }
 
 TEST(PowerPolicies, RegistryRoundTripsTheEnergyFamily) {
-  EXPECT_EQ(all_policies().size(), 6u);
-  EXPECT_EQ(to_string(SchedulerPolicy::kPowerCap), "POWERCAP");
+  EXPECT_EQ(all_policies().size(), 5u);
   EXPECT_EQ(to_string(SchedulerPolicy::kEnergyQssf), "EQSSF");
-  EXPECT_EQ(policy_from_string("powercap"), SchedulerPolicy::kPowerCap);
   EXPECT_EQ(policy_from_string("EQSSF"), SchedulerPolicy::kEnergyQssf);
+  // Budget-constrained FIFO is kFifo on a capped config, not a policy.
+  EXPECT_THROW((void)policy_from_string("POWERCAP"), std::invalid_argument);
   for (SchedulerPolicy p : all_policies()) {
     EXPECT_EQ(policy_from_string(to_string(p)), p);
   }
@@ -136,12 +152,14 @@ TEST(EnergyAccounting, PerVcEnergiesSumToClusterEnergyOnRealWorkloads) {
   const auto cfg_gen =
       trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 7, 0.02);
   const Trace t = trace::SyntheticTraceGenerator(cfg_gen).generate();
-  for (SchedulerPolicy policy :
-       {SchedulerPolicy::kFifo, SchedulerPolicy::kSrtf,
-        SchedulerPolicy::kPowerCap}) {
+  for (const auto& [policy, cap_watts] :
+       {std::pair{SchedulerPolicy::kFifo, 0.0},
+        std::pair{SchedulerPolicy::kSrtf, 0.0},
+        std::pair{SchedulerPolicy::kFifo, binding_cap(t.cluster())}}) {
     SimConfig cfg;
     cfg.policy = policy;
     cfg.backfill = true;
+    cfg.power_cap_watts = cap_watts;
     const SimResult r = ClusterSimulator(t.cluster(), cfg).run(t);
     ASSERT_GT(r.energy_joules, 0.0);
     double sum = 0.0;
@@ -192,8 +210,7 @@ TEST(PowerCap, AdmissionDelaysWorkAndCutsInWindowEnergy) {
   // Window [0, 101): baseline 1600 × 101 + two jobs × 2400 × 100.
   EXPECT_EQ(uncapped.energy_joules, 1600.0 * 101 + 2 * 2400.0 * 100);
 
-  cfg.policy = SchedulerPolicy::kPowerCap;
-  cfg.power_cap_watts = 4500.0;
+  cfg.power_cap_watts = 4500.0;  // kFifo: budget-constrained admission
   const SimResult capped = ClusterSimulator(spec, cfg).run(t);
   EXPECT_EQ(capped.outcomes[0].start, 0);
   EXPECT_EQ(capped.outcomes[1].start, 100);  // waited for power headroom
@@ -206,7 +223,7 @@ TEST(PowerCap, AdmissionDelaysWorkAndCutsInWindowEnergy) {
   EXPECT_GT(capped.avg_jct, uncapped.avg_jct);
 }
 
-TEST(PowerCap, GateAppliesToEveryPolicyNotJustPowerCap) {
+TEST(PowerCap, GateAppliesToEveryPolicy) {
   const auto spec = one_vc_spec(2);
   const auto t = make_trace(spec, {{0, 100, 8, "vc0"}, {0, 100, 8, "vc0"}});
   for (SchedulerPolicy policy : all_policies()) {
@@ -233,7 +250,7 @@ TEST(PowerCap, BackfillIsPowerProportional) {
       spec, {{0, 100, 8, "vc0"}, {0, 100, 8, "vc0"}, {0, 50, 1, "vc0"}});
 
   SimConfig cfg;
-  cfg.policy = SchedulerPolicy::kPowerCap;
+  cfg.policy = SchedulerPolicy::kFifo;
   cfg.power_cap_watts = 4500.0;
   const SimResult head_of_line = ClusterSimulator(spec, cfg).run(t);
   EXPECT_EQ(head_of_line.outcomes[2].start, 100);  // stuck behind blocked B
@@ -331,15 +348,12 @@ TEST(PowerCap, CapIsRespectedAcrossPoliciesBackfillSeeds) {
     const Trace t = trace::SyntheticTraceGenerator(cfg_gen).generate();
     const auto& spec = t.cluster();
 
-    std::int64_t nodes = 0;
     std::int64_t gpus = 0;
     for (const auto& vc : spec.vcs) {
-      nodes += vc.nodes;
       gpus += static_cast<std::int64_t>(vc.nodes) * vc.gpus_per_node;
     }
     const core::PowerProfile profile;
-    const double cap = profile.idle_node_watts * static_cast<double>(nodes) +
-                       profile.gpu_watts * static_cast<double>(gpus) * 0.3;
+    const double cap = binding_cap(spec);
     double bound = 0.0;  // sum over VCs of max(baseline, cap share)
     for (const auto& vc : spec.vcs) {
       const double share =

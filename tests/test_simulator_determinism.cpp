@@ -5,7 +5,7 @@
 // outcomes, counters, per-VC stats, the busy-nodes/GPUs series, and the
 // energy accounting (cumulative joules, per-VC energy, mean/peak power
 // series) — is *identical* (exact doubles, not approximately equal) to the
-// retained serial reference (common::ExecMode::kSerial) across all six
+// retained serial reference (common::ExecMode::kSerial) across all five
 // policies, backfill on/off, power caps on/off, and several synthetic-trace
 // seeds.
 #include <gtest/gtest.h>
@@ -182,6 +182,7 @@ INSTANTIATE_TEST_SUITE_P(AllPoliciesBackfillCapsSeeds, ShardedDeterminismTest,
 struct FaultCase {
   SchedulerPolicy policy;
   bool backfill;
+  bool capped;
   double mtbf_days;  ///< 0 = no fault plan attached
   FaultRestart restart;
   std::uint64_t seed;
@@ -207,9 +208,7 @@ TEST_P(FaultShardedDeterminismTest, ShardedMatchesSerialUnderFaults) {
   }
   // Power-gated admission through the fault path: kills and recoveries move
   // the baseline and the run draw, so the cap check must stay deterministic.
-  if (c.policy == SchedulerPolicy::kPowerCap) {
-    cfg.power_cap_watts = binding_cap(t.cluster());
-  }
+  if (c.capped) cfg.power_cap_watts = binding_cap(t.cluster());
   if (c.mtbf_days > 0.0) {
     FaultPlanConfig fp;
     fp.mtbf_days = c.mtbf_days;
@@ -236,28 +235,28 @@ TEST_P(FaultShardedDeterminismTest, ShardedMatchesSerialUnderFaults) {
     // A churn-level plan over a months-long window must actually exercise
     // the fault path, or this sweep tests nothing. Under the binding power
     // cap few enough jobs run that failures may only ever hit idle nodes, so
-    // the kill expectation applies to the uncapped policies.
+    // the kill expectation applies to the uncapped cases.
     EXPECT_GT(serial.node_failures, 0);
-    if (c.policy != SchedulerPolicy::kPowerCap) {
-      EXPECT_GT(serial.job_kills, 0);
-    }
+    if (!c.capped) EXPECT_GT(serial.job_kills, 0);
   }
 }
 
 std::vector<FaultCase> fault_cases() {
   std::vector<FaultCase> cases;
-  for (const auto policy : all_policies()) {
+  auto add = [&cases](SchedulerPolicy policy, bool capped) {
     for (const bool backfill : {false, true}) {
       for (const double mtbf : {30.0, 7.0}) {
         for (const std::uint64_t seed : {7ull, 19ull}) {
           const auto restart = (seed % 2 == 1) == backfill
                                    ? FaultRestart::kResume
                                    : FaultRestart::kRestart;
-          cases.push_back({policy, backfill, mtbf, restart, seed});
+          cases.push_back({policy, backfill, capped, mtbf, restart, seed});
         }
       }
     }
-  }
+  };
+  for (const auto policy : all_policies()) add(policy, false);
+  add(SchedulerPolicy::kFifo, true);  // budget-constrained FIFO admission
   return cases;
 }
 
@@ -265,7 +264,8 @@ INSTANTIATE_TEST_SUITE_P(
     PoliciesBackfillRatesSeeds, FaultShardedDeterminismTest,
     ::testing::ValuesIn(fault_cases()), [](const auto& info) {
       return std::string(to_string(info.param.policy)) +
-             (info.param.backfill ? "Backfill" : "") + "Mtbf" +
+             (info.param.backfill ? "Backfill" : "") +
+             (info.param.capped ? "Capped" : "") + "Mtbf" +
              std::to_string(static_cast<int>(info.param.mtbf_days)) +
              (info.param.restart == FaultRestart::kResume ? "Resume"
                                                           : "Restart") +

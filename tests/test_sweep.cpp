@@ -7,6 +7,8 @@
 //     backfill, and fault injection;
 //   * repeat-run stability — rerunning a grid on the same store reproduces
 //     every cell without regenerating any trace;
+//   * a cold store with more trace keys than pool threads completes: trace
+//     generation nests its own parallel_for under the engine's fan-out;
 //   * TraceStore generates each distinct key exactly once and shares the
 //     materialized trace by pointer;
 //   * the Alibaba-PAI workload family hits its calibration marginals (short
@@ -18,6 +20,7 @@
 #include <set>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "stats/summary.h"
 #include "sweep/scenario_engine.h"
 #include "trace/synthetic.h"
@@ -129,7 +132,8 @@ TEST(ScenarioEngine, RepeatRunIsStableAndRegeneratesNothing) {
 SweepGrid power_grid() {
   SweepGrid grid;
   grid.clusters = {"Venus"};
-  grid.policies = {sim::SchedulerPolicy::kFifo, sim::SchedulerPolicy::kPowerCap,
+  // FIFO on the cap30 power spec is budget-constrained FIFO admission.
+  grid.policies = {sim::SchedulerPolicy::kFifo,
                    sim::SchedulerPolicy::kEnergyQssf};
   grid.backfills = {false, true};
   grid.scales = {kScale};
@@ -154,7 +158,7 @@ TEST(ScenarioEngine, PowerAxisExpandsInnermostAndLabels) {
   const SweepGrid grid = power_grid();
   const auto cells = grid.expand();
   EXPECT_EQ(cells.size(), grid.cell_count());
-  EXPECT_EQ(cells.size(), 1u * 1u * 3u * 2u * 1u * 2u);  // ...×fault×power
+  EXPECT_EQ(cells.size(), 1u * 1u * 2u * 2u * 1u * 2u);  // ...×fault×power
   // Power is the innermost axis: adjacent cells differ only in power.
   EXPECT_EQ(cells[0].power.name, "uncapped");
   EXPECT_EQ(cells[1].power.name, "cap30");
@@ -204,7 +208,7 @@ TEST(ScenarioEngine, ComparisonReportSlicesPowerAndReportsEnergy) {
   const std::string report = comparison_report(sweep);
   EXPECT_NE(report.find("Energy (kWh)"), std::string::npos);
   EXPECT_NE(report.find("power=cap30"), std::string::npos);
-  EXPECT_NE(report.find("POWERCAP"), std::string::npos);
+  EXPECT_NE(report.find("FIFO"), std::string::npos);
   EXPECT_NE(report.find("EQSSF"), std::string::npos);
 }
 
@@ -216,6 +220,31 @@ TEST(ScenarioEngine, QssfWithoutProviderThrows) {
   TraceStore store;
   const ScenarioEngine engine(store);  // no priority_provider
   EXPECT_THROW((void)engine.run(grid), std::invalid_argument);
+}
+
+// Level 0 runs TraceStore::get on pool helpers, and trace generation fans
+// out per VC with its own parallel_for. With more distinct keys than pool
+// threads every worker generates at once, so each nested fan-out must be
+// drained by its own caller or the pool deadlocks.
+TEST(ScenarioEngine, ColdStoreWithMoreKeysThanThreadsCompletes) {
+  SweepGrid grid;
+  grid.clusters = {"Venus", "PAI"};
+  grid.policies = {sim::SchedulerPolicy::kFifo};
+  grid.scales = {kScale};
+  grid.seeds.clear();
+  for (std::size_t i = 0; i < global_pool().thread_count() + 2; ++i) {
+    grid.seeds.push_back(100 + i);
+  }
+  TraceStore store;
+  const SweepResult par =
+      ScenarioEngine(store, engine_config(common::ExecMode::kParallel))
+          .run(grid);
+  EXPECT_EQ(store.generations(), 2 * grid.seeds.size());
+  TraceStore ser_store;
+  const SweepResult ser =
+      ScenarioEngine(ser_store, engine_config(common::ExecMode::kSerial))
+          .run(grid);
+  expect_cells_identical(par, ser);
 }
 
 TEST(TraceStore, GeneratesEachKeyExactlyOnce) {
