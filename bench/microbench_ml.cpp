@@ -9,6 +9,9 @@
 // parity — histogram-vs-reference models (same trees, same training RMSE)
 // and chunked-vs-serial evaluator priorities — so a perf run against a
 // broken trainer fails loudly instead of reporting a meaningless speedup.
+// BM_SnapshotPublish / BM_RollingObserve time the QSSF service state at the
+// size the perfbench `serve` workload reaches, after a gate that a published
+// snapshot prices every streamed job shape exactly like the live service.
 // See BENCH_ml.json for recorded before/after numbers.
 #include <benchmark/benchmark.h>
 
@@ -17,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <sstream>
 #include <string>
 
 #include "common/rng.h"
@@ -27,6 +31,7 @@
 #include "ml/gbdt_kernels.h"
 #include "ml/levenshtein.h"
 #include "serialize/binary.h"
+#include "svc/prediction_server.h"
 #include "trace/synthetic.h"
 
 namespace {
@@ -273,6 +278,101 @@ BENCHMARK(BM_OnlineEvaluator)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnlineEvaluatorSerial)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
+// Serving state (svc::PredictionServer at the perfbench `serve` size)
+// ---------------------------------------------------------------------------
+
+/// Venus at scale 1.0 (seed 42): the stream is the trace's tail holding the
+/// last 10k GPU jobs, and the service is fit on the rows holding the 80k GPU
+/// jobs before it — the state perfbench's `serve` workload serves from.
+struct ServeFixture {
+  static constexpr std::size_t kStreamGpuJobs = 10'000;
+  static constexpr std::size_t kTrainGpuJobs = 80'000;
+
+  trace::Trace train;
+  trace::Trace stream;
+  core::QssfService fitted;
+  core::QssfService live;  ///< fitted, then fed the whole stream in order
+  std::string stream_csv;
+
+  ServeFixture() {
+    auto cfg = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"),
+                                              42, 1.0);
+    const trace::Trace full = trace::SyntheticTraceGenerator(cfg).generate();
+    const std::size_t stream_begin =
+        back_gpu_jobs(full, full.size(), kStreamGpuJobs);
+    const UnixTime cut = full.jobs()[stream_begin].submit_time;
+    const UnixTime first =
+        full.jobs()[back_gpu_jobs(full, stream_begin, kTrainGpuJobs)]
+            .submit_time;
+    train = full.between(first, cut);
+    stream = full.between(cut, trace::helios_trace_end());
+    fitted.fit(train);
+    live = fitted;
+    core::EvalOptions opts;
+    opts.execution = helios::common::ExecMode::kSerial;
+    const core::OnlinePriorityEvaluator evaluator(live, stream, opts);
+    std::ostringstream rows;
+    stream.save_csv_rows(rows, 0, stream.size());
+    stream_csv = std::move(rows).str();
+  }
+
+  /// A server over the fitted service that has ingested the whole stream in
+  /// one batch (one publish), so its service equals `live`.
+  [[nodiscard]] svc::PredictionServer fed_server() const {
+    svc::PredictionServer server(fitted, train);
+    server.ingest_csv(stream_csv);
+    return server;
+  }
+
+  static const ServeFixture& instance() {
+    static const ServeFixture fx;
+    return fx;
+  }
+
+ private:
+  /// Index of the row holding the `count`-th GPU job counted back from row
+  /// `end` (exclusive); 0 when fewer GPU jobs precede it.
+  static std::size_t back_gpu_jobs(const trace::Trace& t, std::size_t end,
+                                   std::size_t count) {
+    while (end > 0 && count > 0) {
+      --end;
+      count -= t.jobs()[end].is_gpu_job() ? 1 : 0;
+    }
+    return end;
+  }
+};
+
+/// One PredictionServer::publish: a Snapshot copy of the service (GBDT, name
+/// buckets, rolling estimator with its ~90k-id dedupe set) and interners.
+void BM_SnapshotPublish(benchmark::State& state) {
+  svc::PredictionServer server = ServeFixture::instance().fed_server();
+  for (auto _ : state) {
+    server.publish();
+    benchmark::DoNotOptimize(server.snapshot().get());
+  }
+}
+BENCHMARK(BM_SnapshotPublish)->Unit(benchmark::kMillisecond);
+
+/// RollingEstimator::observe over the stream's GPU jobs, on a copy of the
+/// fitted estimator (the copy is untimed).
+void BM_RollingObserve(benchmark::State& state) {
+  const auto& fx = ServeFixture::instance();
+  std::int64_t observed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::RollingEstimator rolling = fx.fitted.rolling();
+    const std::int64_t before = rolling.observed_jobs();
+    state.ResumeTiming();
+    for (const auto& j : fx.stream.jobs()) rolling.observe(fx.stream, j);
+    observed = rolling.observed_jobs() - before;
+    benchmark::DoNotOptimize(observed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          observed);
+}
+BENCHMARK(BM_RollingObserve)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
 // Model persistence (serialize:: frame round trip, docs/FORMATS.md)
 // ---------------------------------------------------------------------------
 
@@ -460,6 +560,43 @@ void verify_parity() {
                  "FATAL: chunked OnlinePriorityEvaluator diverges from the "
                  "serial reference\n");
     std::exit(1);
+  }
+
+  // Serving gate: a published snapshot must price every streamed job shape
+  // bit-identically to the live service it was copied from (otherwise
+  // BM_SnapshotPublish times a copy that drops state).
+  {
+    const auto& fx = ServeFixture::instance();
+    const svc::PredictionServer server = fx.fed_server();
+    const auto snap = server.snapshot();
+    std::size_t shapes = 0;
+    for (const auto& j : fx.stream.jobs()) {
+      if (!j.is_gpu_job()) continue;
+      svc::QueryRequest req;
+      req.user = fx.stream.user_name(j);
+      req.vc = fx.stream.vc_name(j);
+      req.job_name = fx.stream.job_name(j);
+      req.num_gpus = j.num_gpus;
+      req.num_cpus = j.num_cpus;
+      req.submit_time = j.submit_time;
+      const core::JobQuery q = snap->resolve(req);
+      const svc::QueryResult got = snap->query(req);
+      if (got.priority != fx.live.priority(q) ||
+          got.expected_duration != fx.live.predict_duration(q)) {
+        std::fprintf(stderr,
+                     "FATAL: published snapshot prices job %llu differently "
+                     "from the live service\n",
+                     static_cast<unsigned long long>(j.job_id));
+        std::exit(1);
+      }
+      ++shapes;
+    }
+    if (shapes < ServeFixture::kStreamGpuJobs ||
+        server.priority_log().size() != shapes) {
+      std::fprintf(stderr, "FATAL: serving fixture priced %zu of %zu jobs\n",
+                   server.priority_log().size(), shapes);
+      std::exit(1);
+    }
   }
 
   // Persistence gate: a model restored from its own snapshot must predict

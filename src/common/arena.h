@@ -1,12 +1,13 @@
 // Monotonic bump-pointer arena exposed as a std::pmr::memory_resource.
 //
 // Built for the windowed evaluator's per-window snapshot state
-// (core::RollingOverlay): each overlay delta performs thousands of small
-// node-at-a-time allocations (hash-map nodes, dedupe-set nodes, bucket
-// arrays) that all die together when the window is dropped. A monotonic
-// arena turns each of those mallocs into a pointer bump and the teardown
-// into a handful of chunk frees, and keeps a window's nodes contiguous in
-// memory instead of scattered across the heap.
+// (core::RollingOverlay): each overlay delta makes thousands of small
+// node-at-a-time allocations (user-map nodes) plus a few growing arrays
+// (bucket arrays, the dedupe set's slots), all of which die together when
+// the window is dropped. A monotonic arena turns each of those mallocs into
+// a pointer bump and the teardown into a handful of chunk frees, and keeps
+// a window's nodes contiguous in memory instead of scattered across the
+// heap.
 //
 // Semantics: allocations never free individually (do_deallocate is a no-op);
 // everything is released at once when the arena is destroyed. Chunks double

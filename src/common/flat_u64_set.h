@@ -1,0 +1,120 @@
+// Open-addressing hash set of 64-bit keys, stored in one flat slot array.
+//
+// Built for core::RollingEstimator's observe-dedupe set: tens of thousands of
+// content-hash keys that are only inserted and probed, never erased, and
+// that travel with every copy of the estimator (each svc snapshot publish,
+// each QssfService copy, RollingOverlay::materialize). A node-based set pays
+// one allocation per key on insert and again on every copy; here a copy is
+// one contiguous array copy and an insert allocates only when it rehashes.
+//
+// Layout: linear probing over a power-of-two std::pmr::vector of slots, 0
+// marking an empty slot; the key 0 itself lives in a flag beside the array.
+// Capacity doubles before the load factor would pass 1/2. There is no
+// erase. Slot positions come from a 64-bit finalizer mix of the key, so keys
+// that share their low or their high bits still spread across the table.
+// for_each visits keys in slot order, which depends on the insert history;
+// callers that need canonical order sort (RollingEstimator::save does).
+//
+// Allocation: slots live on the resource given at construction. A plain copy
+// lands on the default resource (select_on_container_copy_construction); the
+// allocator-extended copy rebinds to the given one, which is how an overlay
+// delta keeps its slots on its window arena.
+//
+// Thread-safety: like the standard containers — const members may be called
+// concurrently, anything else needs exclusive access.
+#pragma once
+
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <memory_resource>
+#include <utility>
+#include <vector>
+
+namespace helios::common {
+
+class FlatU64Set {
+ public:
+  using allocator_type = std::pmr::polymorphic_allocator<std::uint64_t>;
+
+  FlatU64Set() = default;
+  explicit FlatU64Set(allocator_type alloc) : slots_(alloc) {}
+  FlatU64Set(const FlatU64Set& other, allocator_type alloc)
+      : slots_(other.slots_, alloc),
+        in_slots_(other.in_slots_),
+        has_zero_(other.has_zero_) {}
+
+  /// Adds `key`; returns true if it was not already present.
+  bool insert(std::uint64_t key) {
+    if (key == 0) return !std::exchange(has_zero_, true);
+    if (2 * (in_slots_ + 1) > slots_.size()) {
+      rehash(slots_.empty() ? kMinCapacity : 2 * slots_.size());
+    }
+    std::uint64_t& slot = slots_[find_slot(key)];
+    if (slot == key) return false;
+    slot = key;
+    ++in_slots_;
+    return true;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
+    if (key == 0) return has_zero_;
+    return !slots_.empty() && slots_[find_slot(key)] == key;
+  }
+
+  /// Sizes the table so `n` keys fit without a rehash.
+  void reserve(std::size_t n) {
+    const std::size_t want = std::bit_ceil(std::max(kMinCapacity, 2 * n));
+    if (want > slots_.size()) rehash(want);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return in_slots_ + (has_zero_ ? 1 : 0);
+  }
+
+  /// Calls fn(key) once per key, key 0 first, then in slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    if (has_zero_) fn(std::uint64_t{0});
+    for (const std::uint64_t k : slots_) {
+      if (k != 0) fn(k);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kMinCapacity = 16;
+
+  /// The slot holding `key`, or the empty slot where it would go. Needs a
+  /// non-empty table with at least one empty slot (load factor <= 1/2).
+  [[nodiscard]] std::size_t find_slot(std::uint64_t key) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(mix(key)) & mask;
+    while (slots_[i] != 0 && slots_[i] != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  /// MurmurHash3's 64-bit finalizer: every input bit reaches every output bit.
+  [[nodiscard]] static std::uint64_t mix(std::uint64_t k) noexcept {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ULL;
+    k ^= k >> 33;
+    return k;
+  }
+
+  void rehash(std::size_t capacity) {
+    std::pmr::vector<std::uint64_t> old(capacity, 0, slots_.get_allocator());
+    old.swap(slots_);  // slots_ is now the empty table, old the full one
+    for (const std::uint64_t k : old) {
+      if (k != 0) slots_[find_slot(k)] = k;
+    }
+  }
+
+  std::pmr::vector<std::uint64_t> slots_;
+  std::size_t in_slots_ = 0;  // keys held in slots_ (all but key 0)
+  bool has_zero_ = false;
+};
+
+}  // namespace helios::common

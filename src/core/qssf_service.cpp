@@ -69,7 +69,7 @@ void RollingEstimator::observe(const Trace& t, const JobRecord& job) {
   // Dedupe: the Model Update Engine may be fed cumulative traces
   // (QssfService::update), and re-observing a job would double-count the
   // global/user sums and re-decay the name EWMAs.
-  if (!observed_ids_.insert(dedupe_key(job)).second) return;
+  if (!observed_ids_.insert(dedupe_key(job))) return;
   const double dur = static_cast<double>(job.duration);
   ++observe_counter_;
 
@@ -239,8 +239,10 @@ RollingEstimator RollingOverlay::materialize() const {
   out.global_jobs_ = delta_->global_jobs_;
   out.observe_counter_ = delta_->observe_counter_;
   for (const auto& [user, hist] : delta_->users_) out.users_[user] = hist;
-  out.observed_ids_.insert(delta_->observed_ids_.begin(),
-                           delta_->observed_ids_.end());
+  out.observed_ids_.reserve(out.observed_ids_.size() +
+                            delta_->observed_ids_.size());
+  delta_->observed_ids_.for_each(
+      [&out](std::uint64_t id) { out.observed_ids_.insert(id); });
   return out;
 }
 
@@ -322,7 +324,9 @@ void RollingEstimator::save(serialize::Writer& w) const {
     }
   }
 
-  std::vector<std::uint64_t> ids(observed_ids_.begin(), observed_ids_.end());
+  std::vector<std::uint64_t> ids;
+  ids.reserve(observed_ids_.size());
+  observed_ids_.for_each([&ids](std::uint64_t id) { ids.push_back(id); });
   std::sort(ids.begin(), ids.end());
   w.vec_u64(ids);
   w.end_section();
@@ -366,7 +370,7 @@ void RollingEstimator::load(serialize::Reader& r) {
 
   const std::vector<std::uint64_t> ids = s.vec_u64();
   out.observed_ids_.reserve(ids.size());
-  out.observed_ids_.insert(ids.begin(), ids.end());
+  for (const std::uint64_t id : ids) out.observed_ids_.insert(id);
   s.close("rolling");
   *this = std::move(out);
 }

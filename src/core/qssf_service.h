@@ -43,11 +43,11 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/exec_mode.h"
+#include "common/flat_u64_set.h"
 #include "core/framework.h"
 #include "ml/gbdt.h"
 #include "ml/levenshtein.h"
@@ -103,11 +103,11 @@ class RollingEstimator {
 
   /// Construct with the per-user map and dedupe set backed by `mr` — the
   /// RollingOverlay points its delta at a per-window MonotonicArena so the
-  /// many short-lived node allocations of a snapshot bump-allocate instead
-  /// of hitting the global heap. The default constructor (and the plain
-  /// copies below, via select_on_container_copy_construction) stay on the
-  /// default resource, so estimators that outlive a window never reference
-  /// an arena.
+  /// many short-lived map nodes and the dedupe slot array of a snapshot
+  /// bump-allocate instead of hitting the global heap. The default
+  /// constructor (and the plain copies below, via
+  /// select_on_container_copy_construction) stay on the default resource,
+  /// so estimators that outlive a window never reference an arena.
   explicit RollingEstimator(std::pmr::memory_resource* mr)
       : users_(mr), observed_ids_(mr) {}
 
@@ -184,17 +184,18 @@ class RollingEstimator {
   [[nodiscard]] static std::uint64_t dedupe_key(
       const trace::JobRecord& job) noexcept;
 
-  // The two node-heavy containers are pmr so an overlay delta can point
-  // them at its window arena; everything reachable from UserHistory
+  // The per-user map and the dedupe set are pmr so an overlay delta can
+  // point them at its window arena; everything reachable from UserHistory
   // (strings, inner maps, name vectors) stays on the default heap — the
-  // arena absorbs the map nodes and bucket arrays, which dominate the
-  // allocation count of a snapshot.
+  // arena absorbs the user-map nodes and bucket array and the dedupe slot
+  // array, which dominate the allocation count of a snapshot. The dedupe
+  // set is one flat array, so copying the estimator copies it in one piece.
   std::pmr::unordered_map<std::string, UserHistory> users_;
   std::unordered_map<int, std::pair<double, std::int64_t>> global_by_gpus_;
   double global_duration_sum_ = 0.0;
   std::int64_t global_jobs_ = 0;
   std::uint64_t observe_counter_ = 0;
-  std::pmr::unordered_set<std::uint64_t> observed_ids_;  // content-hash keys
+  common::FlatU64Set observed_ids_;  // content-hash keys
 };
 
 /// Copy-on-write view over an immutable shared RollingEstimator. Reads fall

@@ -96,20 +96,16 @@ void PredictionServer::publish() {
 }
 
 void PredictionServer::append_rows(std::string_view csv_rows) {
+  // Every row parses into shard traces before stream_ is touched, so a
+  // malformed row rejects the whole batch and leaves the server as it was.
+  // Large batches shard-parse on the pool; the rest are one inline chunk.
+  // Merging the shards in input order assigns the same interner ids as
+  // appending the rows one by one (trace::ParallelLoader's invariant).
   const std::size_t threads = global_pool().thread_count();
-  const auto chunks =
-      csv_rows.size() >= config_.parallel_parse_bytes && threads > 1
-          ? trace::ParallelLoader::split_chunks(csv_rows, threads,
-                                                config_.parallel_parse_bytes)
-          : std::vector<std::pair<std::size_t, std::size_t>>{};
-  if (chunks.size() <= 1) {
-    for_each_line(csv_rows, [this](std::string_view line) {
-      stream_.append_csv_row(line);
-    });
-    return;
-  }
-  // Shard-parse on the pool, merge in input order — id assignment identical
-  // to the serial loop above (trace::ParallelLoader's invariant).
+  const bool sharded =
+      csv_rows.size() >= config_.parallel_parse_bytes && threads > 1;
+  const auto chunks = trace::ParallelLoader::split_chunks(
+      csv_rows, sharded ? threads : 1, config_.parallel_parse_bytes);
   std::vector<trace::Trace> shards(chunks.size());
   parallel_run_chunks(chunks, [&shards, csv_rows](std::size_t c, std::size_t lo,
                                                   std::size_t hi) {

@@ -90,6 +90,11 @@ struct QueryResult {
 /// to the feature ids the GBDT was trained on. All members are const after
 /// construction; query() never mutates (frozen name bucketing), so one
 /// Snapshot may serve any number of threads.
+///
+/// A publish copies, per snapshot: the GBDT model, the name buckets, the
+/// rolling estimator (per-user histories, cluster fallbacks and its observe
+/// dedupe set, one flat array) and the user and VC interners. The streamed
+/// rows, the pending-finish queue and the priority log stay behind.
 class Snapshot {
  public:
   Snapshot(const core::QssfService& service, const trace::Trace& stream,
@@ -136,7 +141,9 @@ class PredictionServer {
   /// header) and apply each job in order: drain due finish events into the
   /// rolling estimator, price, log, queue. Returns the number of rows
   /// ingested. Publishes at the end of every non-empty batch; checkpoints /
-  /// publishes mid-batch on the configured cadences.
+  /// publishes mid-batch on the configured cadences. The whole batch is
+  /// parsed before any of it is applied: a malformed row throws and leaves
+  /// the server (stream, counters, log, snapshot) as it was.
   std::size_t ingest_csv(std::string_view csv_rows);
 
   /// Write checkpoint file "<prefix>.<seq>" (serialize::save_file) and

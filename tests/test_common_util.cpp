@@ -9,10 +9,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/csv.h"
 #include "common/env.h"
+#include "common/flat_u64_set.h"
 #include "common/interner.h"
 #include "common/simd.h"
 #include "common/text_table.h"
@@ -181,6 +184,118 @@ TEST(MonotonicArena, BacksPmrContainers) {
   // The map's destructor "freed" into the arena (a no-op); only the arena's
   // destruction releases the chunks.
   EXPECT_GT(arena.bytes_reserved(), 0u);
+}
+
+TEST(FlatU64Set, KeyZeroIsAnOrdinaryMember) {
+  common::MonotonicArena arena;
+  common::FlatU64Set set(&arena);
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_EQ(arena.bytes_used(), 0u);  // key 0 never takes a slot
+  EXPECT_TRUE(set.insert(7));
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_TRUE(set.contains(7));
+  EXPECT_FALSE(set.contains(8));
+}
+
+TEST(FlatU64Set, DuplicateInsertsReportFalseAndKeepTheSize) {
+  common::FlatU64Set set;
+  for (std::uint64_t k = 1; k <= 100; ++k) EXPECT_TRUE(set.insert(k * 977));
+  for (std::uint64_t k = 1; k <= 100; ++k) EXPECT_FALSE(set.insert(k * 977));
+  EXPECT_EQ(set.size(), 100u);
+}
+
+TEST(FlatU64Set, GrowsThroughRehashesWithClusteredKeys) {
+  // Keys that share their low 32 bits, keys that share their high 32 bits,
+  // and a dense run: each family would pile into a few slots without the
+  // mix. 9000 keys take the table from 16 slots through ten doublings.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t i = 1; i <= 3000; ++i) keys.push_back(i << 32);
+  for (std::uint64_t i = 1; i <= 3000; ++i) {
+    keys.push_back((std::uint64_t{0xdeadbeef} << 32) | i);
+  }
+  for (std::uint64_t i = 1; i <= 3000; ++i) keys.push_back(~i);
+  common::FlatU64Set set;
+  for (std::size_t n = 0; n < keys.size(); ++n) {
+    ASSERT_TRUE(set.insert(keys[n])) << keys[n];
+    ASSERT_EQ(set.size(), n + 1);
+  }
+  for (const std::uint64_t k : keys) ASSERT_TRUE(set.contains(k)) << k;
+  for (std::uint64_t i = 3001; i <= 3100; ++i) {
+    EXPECT_FALSE(set.contains(i << 32));
+    EXPECT_FALSE(set.contains((std::uint64_t{0xdeadbeef} << 32) | i));
+  }
+}
+
+TEST(FlatU64Set, ReserveSizesForHalfLoadAndAvoidsRehashing) {
+  common::MonotonicArena arena;
+  common::FlatU64Set set(&arena);
+  set.reserve(1000);
+  const std::size_t used = arena.bytes_used();
+  EXPECT_GE(used, 2000 * sizeof(std::uint64_t));  // load factor <= 1/2
+  for (std::uint64_t k = 1; k <= 1000; ++k) set.insert(k);
+  EXPECT_EQ(arena.bytes_used(), used);  // no rehash allocated
+  set.reserve(10);                      // never shrinks
+  EXPECT_EQ(arena.bytes_used(), used);
+  EXPECT_EQ(set.size(), 1000u);
+}
+
+TEST(FlatU64Set, CopiesAreIndependent) {
+  common::FlatU64Set a;
+  for (std::uint64_t k = 0; k < 50; ++k) a.insert(k);
+  common::FlatU64Set b = a;
+  EXPECT_TRUE(b.insert(1000));
+  EXPECT_FALSE(a.contains(1000));
+  EXPECT_EQ(a.size(), 50u);
+  EXPECT_EQ(b.size(), 51u);
+  a = b;
+  EXPECT_TRUE(a.contains(1000));
+  EXPECT_TRUE(a.insert(2000));
+  EXPECT_FALSE(b.contains(2000));
+}
+
+TEST(FlatU64Set, AllocatorExtendedCopyLandsOnTheArena) {
+  common::FlatU64Set source;
+  for (std::uint64_t k = 0; k < 500; ++k) source.insert(k * 31);
+  common::MonotonicArena arena;
+  common::FlatU64Set copy(source, &arena);
+  const std::size_t used = arena.bytes_used();
+  EXPECT_GE(used, 1000 * sizeof(std::uint64_t));
+  EXPECT_EQ(copy.size(), source.size());
+  for (std::uint64_t k = 0; k < 500; ++k) EXPECT_TRUE(copy.contains(k * 31));
+  // Growth keeps allocating from the arena, and the source stays put.
+  for (std::uint64_t k = 500; k < 2000; ++k) copy.insert(k * 31);
+  EXPECT_GT(arena.bytes_used(), used);
+  EXPECT_FALSE(source.contains(1999 * 31));
+  EXPECT_EQ(source.size(), 500u);
+  // A plain copy of an arena-backed set goes back to the default heap.
+  const std::size_t before_plain = arena.bytes_used();
+  const common::FlatU64Set plain = copy;
+  EXPECT_EQ(arena.bytes_used(), before_plain);
+  EXPECT_EQ(plain.size(), copy.size());
+}
+
+TEST(FlatU64Set, ForEachVisitsEveryKeyOnce) {
+  common::FlatU64Set set;
+  std::unordered_set<std::uint64_t> want = {0};
+  set.insert(0);
+  for (std::uint64_t i = 1; i < 5000; ++i) {
+    const std::uint64_t k = i * 0x9e3779b97f4a7c15ULL;
+    set.insert(k);
+    set.insert(k);
+    want.insert(k);
+  }
+  std::unordered_map<std::uint64_t, int> seen;
+  set.for_each([&seen](std::uint64_t k) { ++seen[k]; });
+  EXPECT_EQ(seen.size(), want.size());
+  for (const auto& [k, n] : seen) {
+    EXPECT_EQ(n, 1) << k;
+    EXPECT_TRUE(want.contains(k)) << k;
+  }
 }
 
 TEST(Simd, DispatchGatesAreConsistent) {

@@ -225,6 +225,40 @@ TEST(SerializeRoundTrip, RollingEstimatorStateAndDedupe) {
   }
 }
 
+TEST(SerializeRoundTrip, RollingEstimatorAt80kIdsIsByteStable) {
+  // The serve-sized dedupe set: save -> load -> save must reproduce the
+  // bytes exactly. The loaded set is built from sorted ids, so its slot
+  // layout differs from the original's; equal bytes show the ROLL section
+  // does not depend on the in-memory container.
+  trace::Trace t;
+  for (std::uint32_t i = 0; i < 85'000; ++i) {
+    t.add(1'600'000'000 + static_cast<UnixTime>(i) * 7,
+          60 + static_cast<std::int32_t>(i % 5000),
+          1 + static_cast<std::int32_t>(i % 8), 4,
+          "u" + std::to_string(i % 300), "vc" + std::to_string(i % 7),
+          "job_" + std::to_string(i % 4), trace::JobState::kCompleted);
+  }
+  core::QssfConfig cfg;
+  core::RollingEstimator rolling(cfg);
+  for (const auto& job : t.jobs()) rolling.observe(t, job);
+  ASSERT_GE(rolling.observed_jobs(), 80'000);
+
+  serialize::Writer first;
+  rolling.save(first);
+  core::RollingEstimator loaded;
+  serialize::Reader r(first.buffer());
+  loaded.load(r);
+  r.close("rolling");
+  serialize::Writer second;
+  loaded.save(second);
+  EXPECT_EQ(first.buffer(), second.buffer());
+
+  // The restored dedupe set still skips every job it holds.
+  const std::int64_t before = loaded.observed_jobs();
+  for (const auto& job : t.jobs()) loaded.observe(t, job);
+  EXPECT_EQ(loaded.observed_jobs(), before);
+}
+
 TEST(SerializeRoundTrip, QssfServiceWarmRestart) {
   const trace::Trace t = venus_trace(13);
   const auto train =

@@ -8,6 +8,8 @@
 //    state;
 //  * frozen queries — Snapshot::query must reproduce the Trace-based
 //    priority path bitwise for jobs the service could price;
+//  * rejected batch — a batch with a malformed row changes nothing, and a
+//    clean retry and a checkpoint taken after it both stay bit-exact;
 //  * concurrent queries — snapshot reads race ingest without synchronization
 //    (the ASan job of ci.sh runs this suite);
 //  * CsvTailer — header skip, partial-line handling, checkpoint resume.
@@ -186,6 +188,63 @@ TEST(SvcServer, KillAfterCheckpointRestoresAndResumesBitIdentical) {
   for (std::uint64_t i = 0; i < restored.checkpoints_written(); ++i) {
     std::remove((cfg2.checkpoint_prefix + "." + std::to_string(i)).c_str());
   }
+}
+
+TEST(SvcServer, RejectedBatchLeavesServerUntouched) {
+  const Fixture fx;
+  const std::vector<PricedJob> want = fx.batch_log();
+  const std::string prefix =
+      testing::TempDir() + "helios_svc_reject_" + std::to_string(::getpid());
+  ServerConfig cfg;
+  cfg.checkpoint_prefix = prefix;
+  PredictionServer server(fx.fitted, fx.train, cfg);
+
+  // Some clean state first, then a 6-row batch whose 4th row is malformed.
+  const std::string_view rows(fx.rows_csv);
+  const auto end_of_lines = [&rows](std::size_t from, int lines) {
+    for (int i = 0; i < lines; ++i) from = rows.find('\n', from) + 1;
+    return from;
+  };
+  const std::size_t head = end_of_lines(0, 40);
+  server.ingest_csv(rows.substr(0, head));
+  std::string bad(rows.substr(head, end_of_lines(head, 3) - head));
+  bad += "not,a,row\n";
+  const std::size_t after_bad = end_of_lines(head, 4);
+  bad += rows.substr(after_bad, end_of_lines(after_bad, 2) - after_bad);
+
+  const trace::Trace stream_before = server.stream();
+  const std::vector<PricedJob> log_before = server.priority_log();
+  const std::uint64_t rows_before = server.rows_ingested();
+  const std::uint64_t bytes_before = server.bytes_ingested();
+  const std::uint64_t jobs_before = server.gpu_jobs_ingested();
+  const auto snap_before = server.snapshot();
+  EXPECT_THROW(server.ingest_csv(bad), std::runtime_error);
+  EXPECT_TRUE(server.stream().contents_equal(stream_before));
+  EXPECT_EQ(server.stream().size(), stream_before.size());
+  EXPECT_EQ(server.priority_log(), log_before);
+  EXPECT_EQ(server.rows_ingested(), rows_before);
+  EXPECT_EQ(server.bytes_ingested(), bytes_before);
+  EXPECT_EQ(server.gpu_jobs_ingested(), jobs_before);
+  EXPECT_EQ(server.snapshot(), snap_before);
+
+  // A checkpoint after the rejection restores, and both the live server and
+  // the restored one finish on the batch evaluator's log bit for bit.
+  const std::string path = server.checkpoint();
+  server.ingest_csv(rows.substr(head));
+  PredictionServer restored(fx.fitted, fx.train, cfg);
+  serialize::load_file(path, restored);
+  ASSERT_EQ(restored.bytes_ingested(), head);
+  restored.ingest_csv(rows.substr(head));
+  for (const PredictionServer* s : {&server, &restored}) {
+    ASSERT_EQ(s->priority_log().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(s->priority_log()[i], want[i]) << "job #" << i;
+    }
+    EXPECT_EQ(s->rows_ingested(), fx.eval.size());
+    EXPECT_EQ(s->bytes_ingested(), fx.rows_csv.size());
+  }
+  EXPECT_TRUE(restored.stream().contents_equal(server.stream()));
+  std::remove(path.c_str());
 }
 
 TEST(SvcServer, FrozenQueryMatchesTracePathBitwise) {
