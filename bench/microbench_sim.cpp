@@ -5,7 +5,8 @@
 // common::ExecMode::kParallel) over a cached multi-VC Venus trace at scale 0.1;
 // BM_SimulateSerial* runs the retained serial reference for comparison. The
 // *CappedBackfill* benches add greedy backfill under the cap60 power budget,
-// where most backfill candidates fail the power gate rather than the GPU fit.
+// where most backfill candidates fail the power gate rather than the GPU fit;
+// the uncapped *BackfillSjf* benches leave only the GPU fit to skip on.
 // main() first asserts sharded-vs-serial SimResult parity for every benched
 // configuration — a perf run against a broken simulator must fail loudly, not
 // report a meaningless speedup. See BENCH_sim.json for recorded before/after
@@ -59,9 +60,11 @@ double cap60(const trace::ClusterSpec& cluster) {
   return profile.idle_node_watts * nodes + profile.gpu_watts * gpus * 0.6;
 }
 
+/// Scheduler extras on top of the policy.
+enum class Extras { kNone, kBackfill, kCappedBackfill };
+
 sim::SimConfig policy_config(sim::SchedulerPolicy policy,
-                             helios::common::ExecMode execution,
-                             bool capped_backfill) {
+                             helios::common::ExecMode execution, Extras extras) {
   sim::SimConfig cfg;
   cfg.policy = policy;
   cfg.execution = execution;
@@ -70,8 +73,8 @@ sim::SimConfig policy_config(sim::SchedulerPolicy policy,
       return static_cast<double>(j.duration) * j.num_gpus;
     };
   }
-  if (capped_backfill) {
-    cfg.backfill = true;
+  cfg.backfill = extras != Extras::kNone;
+  if (extras == Extras::kCappedBackfill) {
     cfg.power_cap_watts = cap60(cached_trace().cluster());
   }
   return cfg;
@@ -79,9 +82,9 @@ sim::SimConfig policy_config(sim::SchedulerPolicy policy,
 
 void run_policy(benchmark::State& state, sim::SchedulerPolicy policy,
                 helios::common::ExecMode execution,
-                bool capped_backfill = false) {
+                Extras extras = Extras::kNone) {
   const auto& t = cached_trace();
-  const auto cfg = policy_config(policy, execution, capped_backfill);
+  const auto cfg = policy_config(policy, execution, extras);
   std::size_t jobs = 0;
   for (auto _ : state) {
     sim::ClusterSimulator sim(t.cluster(), cfg);
@@ -129,25 +132,36 @@ BENCHMARK(BM_SimulateSerialQssf)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateCappedBackfillFifo(benchmark::State& state) {
   run_policy(state, sim::SchedulerPolicy::kFifo, helios::common::ExecMode::kParallel,
-             true);
+             Extras::kCappedBackfill);
 }
 void BM_SimulateCappedBackfillQssf(benchmark::State& state) {
   run_policy(state, sim::SchedulerPolicy::kQssf, helios::common::ExecMode::kParallel,
-             true);
+             Extras::kCappedBackfill);
 }
 BENCHMARK(BM_SimulateCappedBackfillFifo)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateCappedBackfillQssf)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateSerialCappedBackfillFifo(benchmark::State& state) {
   run_policy(state, sim::SchedulerPolicy::kFifo, helios::common::ExecMode::kSerial,
-             true);
+             Extras::kCappedBackfill);
 }
 void BM_SimulateSerialCappedBackfillQssf(benchmark::State& state) {
   run_policy(state, sim::SchedulerPolicy::kQssf, helios::common::ExecMode::kSerial,
-             true);
+             Extras::kCappedBackfill);
 }
 BENCHMARK(BM_SimulateSerialCappedBackfillFifo)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateSerialCappedBackfillQssf)->Unit(benchmark::kMillisecond);
+
+void BM_SimulateBackfillSjf(benchmark::State& state) {
+  run_policy(state, sim::SchedulerPolicy::kSjf, helios::common::ExecMode::kParallel,
+             Extras::kBackfill);
+}
+void BM_SimulateSerialBackfillSjf(benchmark::State& state) {
+  run_policy(state, sim::SchedulerPolicy::kSjf, helios::common::ExecMode::kSerial,
+             Extras::kBackfill);
+}
+BENCHMARK(BM_SimulateBackfillSjf)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateSerialBackfillSjf)->Unit(benchmark::kMillisecond);
 
 /// Hard parity gate: the sharded simulator must reproduce the serial
 /// reference exactly on the benchmark workload before any timing runs.
@@ -155,23 +169,24 @@ void verify_sharded_parity() {
   const auto& t = cached_trace();
   struct Case {
     sim::SchedulerPolicy policy;
-    bool capped_backfill;
+    Extras extras;
   };
-  for (const Case c : {Case{sim::SchedulerPolicy::kFifo, false},
-                       Case{sim::SchedulerPolicy::kSjf, false},
-                       Case{sim::SchedulerPolicy::kSrtf, false},
-                       Case{sim::SchedulerPolicy::kQssf, false},
-                       Case{sim::SchedulerPolicy::kFifo, true},
-                       Case{sim::SchedulerPolicy::kQssf, true}}) {
+  for (const Case c : {Case{sim::SchedulerPolicy::kFifo, Extras::kNone},
+                       Case{sim::SchedulerPolicy::kSjf, Extras::kNone},
+                       Case{sim::SchedulerPolicy::kSrtf, Extras::kNone},
+                       Case{sim::SchedulerPolicy::kQssf, Extras::kNone},
+                       Case{sim::SchedulerPolicy::kSjf, Extras::kBackfill},
+                       Case{sim::SchedulerPolicy::kFifo, Extras::kCappedBackfill},
+                       Case{sim::SchedulerPolicy::kQssf, Extras::kCappedBackfill}}) {
     const auto serial =
         sim::ClusterSimulator(
-            t.cluster(), policy_config(c.policy, helios::common::ExecMode::kSerial,
-                                       c.capped_backfill))
+            t.cluster(),
+            policy_config(c.policy, helios::common::ExecMode::kSerial, c.extras))
             .run(t);
     const auto sharded =
         sim::ClusterSimulator(
-            t.cluster(), policy_config(c.policy, helios::common::ExecMode::kParallel,
-                                       c.capped_backfill))
+            t.cluster(),
+            policy_config(c.policy, helios::common::ExecMode::kParallel, c.extras))
             .run(t);
     bool ok = serial.outcomes.size() == sharded.outcomes.size() &&
               serial.avg_jct == sharded.avg_jct &&
@@ -193,7 +208,9 @@ void verify_sharded_parity() {
                    "under %.*s%s\n",
                    static_cast<int>(sim::to_string(c.policy).size()),
                    sim::to_string(c.policy).data(),
-                   c.capped_backfill ? " with capped backfill" : "");
+                   c.extras == Extras::kBackfill         ? " with backfill"
+                   : c.extras == Extras::kCappedBackfill ? " with capped backfill"
+                                                         : "");
       std::exit(1);
     }
   }

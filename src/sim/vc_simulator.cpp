@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <set>
@@ -16,14 +17,18 @@ namespace {
 /// Policy-queue ordering: priority, then submit time, then shard-local id as
 /// the final deterministic tie-break. Local ids are assigned in trace order,
 /// so the local-id tie-break is exactly the trace-index tie-break the
-/// cluster-wide loop used.
+/// cluster-wide loop used. A NaN priority (an EQSSF job with a NaN draw)
+/// ranks after every number, so the order stays strict and total.
 struct QueueKey {
   double priority = 0.0;
   UnixTime submit = 0;
   std::size_t local = 0;  ///< position in this shard's arrivals
 
   bool operator<(const QueueKey& o) const noexcept {
-    if (priority != o.priority) return priority < o.priority;
+    if (priority < o.priority) return true;
+    if (o.priority < priority) return false;
+    const bool nan = std::isnan(priority);
+    if (nan != std::isnan(o.priority)) return !nan;
     if (submit != o.submit) return submit < o.submit;
     return local < o.local;
   }
@@ -61,8 +66,9 @@ struct FinishEvent {
 };
 
 /// Two-level bitmap over a fixed total order: bit p set <=> the job at
-/// sorted position p is queued. set/clear are O(1); first() and in-order
-/// iteration use count-trailing-zeros over at most n/4096 summary words.
+/// sorted position p is queued. set/clear are O(1); first(), next_after()
+/// and nth_after() skip empty 64-bit words through a summary bitmap, so a
+/// search costs O(n/4096) summary words plus the words it lands on.
 class OrderedBitmap {
  public:
   void reserve(std::size_t n) {
@@ -93,11 +99,38 @@ class OrderedBitmap {
 
   /// Lowest set position strictly greater than `p`, or SIZE_MAX.
   [[nodiscard]] std::size_t next_after(std::size_t p) const noexcept {
-    std::size_t w = p >> 6;
-    const std::uint64_t rest = bits_[w] >> (p & 63) >> 1;
+    const std::uint64_t rest = bits_[p >> 6] >> (p & 63) >> 1;
     if (rest != 0) {
       return p + 1 + static_cast<std::size_t>(std::countr_zero(rest));
     }
+    const std::size_t w = next_word_after(p >> 6);
+    return w == SIZE_MAX
+               ? SIZE_MAX
+               : (w << 6) + static_cast<std::size_t>(std::countr_zero(bits_[w]));
+  }
+
+  /// Position of the k-th (k >= 1) set bit strictly after `p`, or SIZE_MAX
+  /// when fewer than k follow it. Popcounts whole words and selects inside
+  /// the word that holds it.
+  [[nodiscard]] std::size_t nth_after(std::size_t p, std::size_t k) const noexcept {
+    std::size_t w = p >> 6;
+    std::uint64_t word = bits_[w] >> (p & 63) >> 1 << (p & 63) << 1;  // > p
+    for (;;) {
+      const auto count = static_cast<std::size_t>(std::popcount(word));
+      if (count >= k) {
+        while (--k != 0) word &= word - 1;  // drop the k-1 lower set bits
+        return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      }
+      k -= count;
+      w = next_word_after(w);
+      if (w == SIZE_MAX) return SIZE_MAX;
+      word = bits_[w];
+    }
+  }
+
+ private:
+  /// Lowest non-empty word index strictly greater than `w`, or SIZE_MAX.
+  [[nodiscard]] std::size_t next_word_after(std::size_t w) const noexcept {
     for (std::size_t sw = w >> 6; sw < summary_.size(); ++sw) {
       std::uint64_t s = summary_[sw];
       if (sw == (w >> 6)) {
@@ -105,46 +138,88 @@ class OrderedBitmap {
         const std::size_t k = w & 63;
         s = k == 63 ? 0 : s & (~std::uint64_t{0} << (k + 1));
       }
-      if (s == 0) continue;
-      const std::size_t nw =
-          (sw << 6) + static_cast<std::size_t>(std::countr_zero(s));
-      return (nw << 6) + static_cast<std::size_t>(std::countr_zero(bits_[nw]));
+      if (s != 0) {
+        return (sw << 6) + static_cast<std::size_t>(std::countr_zero(s));
+      }
     }
     return SIZE_MAX;
   }
 
- private:
   std::vector<std::uint64_t> bits_;
   std::vector<std::uint64_t> summary_;
 };
 
+/// What a backfill visit did to the candidate it was handed.
+enum class Visit {
+  kSkipped,  ///< failed a gate; the shard state is unchanged
+  kStarted,  ///< started and dequeued; free GPUs and headroom moved
+  kStop,     ///< end the pass
+};
+
 /// Head-of-line queue over shard-local job ids, with a backend chosen by
 /// what the policy actually needs:
-///  * kBitmap — FIFO never reorders (arrival order IS priority order), so
-///    the live queue is an OrderedBitmap over local ids: O(1) push/remove,
-///    O(1)-ish head, in-order scans for backfill. A job requeued after a
-///    node-failure kill re-sets its bit, i.e. it rejoins at its submit-order
-///    position — FIFO's priority order, like every other backend.
-///    (Presorting the other policies' static priorities to reuse the bitmap
-///    measured slower than a heap — the per-run O(n log n) sort costs more
-///    than the heap ops it replaces.)
+///  * kRanked — every policy whose priorities never change while queued
+///    (FIFO always; SJF, QSSF and EQSSF with backfill). init() sorts the
+///    local ids by QueueKey once into ranks (FIFO's rank is its local id, so
+///    it skips the sort) and the live queue is an OrderedBitmap over ranks:
+///    O(1) push/remove and an O(1)-ish head. A job requeued after a
+///    node-failure kill re-sets its bit, i.e. it rejoins at its priority
+///    position, like every other backend.
 ///  * kHeap — the ordered policies without backfill only ever pop the head
 ///    or re-push with a new priority (SRTF preemption), so a binary heap
-///    with versioned lazy deletion beats a red-black tree.
-///  * kSet — backfill under an ordered policy needs ordered traversal
-///    behind the head, which only the set supports.
+///    with versioned lazy deletion beats both a red-black tree and the
+///    per-run sort the ranked backend pays.
+///  * kSet — SRTF with backfill: preemption changes the keys of queued
+///    jobs and backfill walks the order behind the head, which only an
+///    ordered set supports. Its backfill pass visits every window entry.
+///
+/// With backfill, the ranked backend also indexes the queue by GPU demand:
+/// each distinct demand in the shard (clamped like DemandTracker) is a
+/// DemandClass whose bitmap, over the same ranks, holds its queued jobs.
+/// A pass then visits only the classes that can pass both O(1) gates (see
+/// backfill_pass).
 class PolicyQueue {
  public:
-  PolicyQueue(SchedulerPolicy policy, bool backfill)
-      : backend_(policy == SchedulerPolicy::kFifo
-                     ? Backend::kBitmap
-                     : (backfill ? Backend::kSet : Backend::kHeap)) {}
+  /// Queued jobs of one GPU demand, plus the smallest draw among all of the
+  /// shard's jobs with that demand (computed once, queued or not).
+  struct DemandClass {
+    int gpus = 0;
+    double min_watts = std::numeric_limits<double>::infinity();
+    /// Some job draws a negative or NaN wattage: min_watts bounds nothing,
+    /// so the class is never skipped on power.
+    bool power_exempt = false;
+    OrderedBitmap queued;
+  };
 
-  void init(std::size_t n) {
+  PolicyQueue(SchedulerPolicy policy, bool backfill)
+      : backend_(policy == SchedulerPolicy::kFifo ||
+                         (backfill && policy != SchedulerPolicy::kSrtf)
+                     ? Backend::kRanked
+                     : (backfill ? Backend::kSet : Backend::kHeap)),
+        sort_ranks_(policy != SchedulerPolicy::kFifo),
+        backfill_(backfill) {}
+
+  /// `capacity` is the VC's GPU total; larger demands share one class.
+  void init(const std::vector<LocalJob>& jobs, int capacity) {
+    const std::size_t n = jobs.size();
     queued_.assign(n, false);
     switch (backend_) {
-      case Backend::kBitmap:
+      case Backend::kRanked:
         bitmap_.reserve(n);
+        if (sort_ranks_) {
+          std::vector<QueueKey> order(n);
+          for (std::size_t lj = 0; lj < n; ++lj) {
+            order[lj] = {jobs[lj].priority, jobs[lj].submit, lj};
+          }
+          std::sort(order.begin(), order.end());
+          local_of_.resize(n);
+          rank_of_.resize(n);
+          for (std::size_t r = 0; r < n; ++r) {
+            local_of_[r] = order[r].local;
+            rank_of_[order[r].local] = r;
+          }
+        }
+        if (backfill_) init_classes(jobs, capacity);
         break;
       case Backend::kHeap:
         version_.assign(n, 0);
@@ -160,9 +235,12 @@ class PolicyQueue {
     queued_[key.local] = true;
     ++live_;
     switch (backend_) {
-      case Backend::kBitmap:
-        bitmap_.set(key.local);
+      case Backend::kRanked: {
+        const std::size_t r = rank(key.local);
+        bitmap_.set(r);
+        if (!class_of_.empty()) classes_[class_of_[key.local]].queued.set(r);
         break;
+      }
       case Backend::kHeap: {
         keys_[key.local] = key;
         HeapEntry e;
@@ -184,8 +262,8 @@ class PolicyQueue {
   /// Local id of the highest-priority queued job; call only when !empty().
   [[nodiscard]] std::size_t head() {
     switch (backend_) {
-      case Backend::kBitmap:
-        return bitmap_.first();
+      case Backend::kRanked:
+        return local(bitmap_.first());
       case Backend::kHeap:
         while (!queued_[heap_.front().key.local] ||
                heap_.front().version != version_[heap_.front().key.local]) {
@@ -201,49 +279,97 @@ class PolicyQueue {
 
   /// Does queued job `a` outrank queued job `b`?
   [[nodiscard]] bool before(std::size_t a, std::size_t b) const noexcept {
-    if (backend_ == Backend::kBitmap) {
-      return a < b;  // FIFO: local id order is arrival order
-    }
+    if (backend_ == Backend::kRanked) return rank(a) < rank(b);
     return keys_[a] < keys_[b];
   }
 
-  void remove(std::size_t local) {
-    queued_[local] = false;
+  void remove(std::size_t lj) {
+    queued_[lj] = false;
     --live_;
     switch (backend_) {
-      case Backend::kBitmap:
-        bitmap_.clear(local);
+      case Backend::kRanked: {
+        const std::size_t r = rank(lj);
+        bitmap_.clear(r);
+        if (!class_of_.empty()) classes_[class_of_[lj]].queued.clear(r);
         break;
+      }
       case Backend::kHeap:
-        ++version_[local];  // lazy: head() drops stale entries
+        ++version_[lj];  // lazy: head() drops stale entries
         break;
       case Backend::kSet:
-        set_.erase(keys_[local]);
+        set_.erase(keys_[lj]);
         break;
     }
   }
 
-  /// Visits queued jobs after the head in priority order until `fn` returns
-  /// false. `fn` may remove() the visited entry (and only that entry). Only
-  /// the backfill pass scans, so the heap backend never reaches this.
-  template <typename Fn>
-  void scan_behind_head(Fn&& fn) {
-    if (backend_ == Backend::kBitmap) {
-      for (std::size_t p = bitmap_.next_after(bitmap_.first());
-           p != SIZE_MAX; p = bitmap_.next_after(p)) {
-        if (!fn(p)) return;
-      }
-    } else {
-      for (auto it = std::next(set_.begin()); it != set_.end();) {
+  /// One greedy backfill pass behind the head (only with backfill, so the
+  /// heap backend never reaches this). The window is the first `depth`
+  /// queued jobs behind the head; `visit` sees window jobs in priority order
+  /// and may remove() only the job it is handed.
+  ///
+  /// The set backend hands `visit` every window job. The ranked backend
+  /// finds the window end with nth_after() and merges, in rank order, the
+  /// bitmaps of the classes for which `qualifies(cls)` holds; it re-asks
+  /// after every start, as starts move free GPUs and power headroom. That
+  /// is exact as long as `qualifies` is false only for classes whose every
+  /// job would fail a side-effect-free gate of `visit` (the caller's
+  /// demand-vs-free-GPUs and minimum-draw checks): a skipped job would have
+  /// been visited, failed that gate and changed nothing. Nothing enters the
+  /// queue during a pass, so the window, the visiting order and the exits
+  /// are those of a visit-every-entry scan.
+  template <typename Qualifies, typename VisitFn>
+  void backfill_pass(int depth, Qualifies&& qualifies, VisitFn&& visit) {
+    if (depth <= 0) return;
+    if (backend_ == Backend::kSet) {
+      auto it = std::next(set_.begin());
+      for (int scanned = 0; scanned < depth && it != set_.end(); ++scanned) {
         const std::size_t lj = it->local;
-        ++it;  // advance first: fn may erase the visited entry
-        if (!fn(lj)) return;
+        ++it;  // advance first: visit may erase the visited entry
+        if (visit(lj) == Visit::kStop) return;
+      }
+      return;
+    }
+    const std::size_t head_rank = bitmap_.first();
+    const std::size_t end =
+        bitmap_.nth_after(head_rank, static_cast<std::size_t>(depth) + 1);
+    // cursors_: the next window rank of each qualifying class.
+    auto collect = [&](std::size_t after) {
+      cursors_.clear();
+      for (std::size_t c = 0; c < classes_.size(); ++c) {
+        if (!qualifies(classes_[c])) continue;
+        const std::size_t r = classes_[c].queued.next_after(after);
+        if (r < end) cursors_.push_back({r, c});
+      }
+    };
+    collect(head_rank);
+    while (!cursors_.empty()) {
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < cursors_.size(); ++i) {
+        if (cursors_[i].rank < cursors_[best].rank) best = i;
+      }
+      const std::size_t r = cursors_[best].rank;
+      switch (visit(local(r))) {
+        case Visit::kStop:
+          return;
+        case Visit::kStarted:
+          collect(r);
+          break;
+        case Visit::kSkipped: {
+          const std::size_t next = classes_[cursors_[best].cls].queued.next_after(r);
+          if (next < end) {
+            cursors_[best].rank = next;
+          } else {
+            cursors_[best] = cursors_.back();
+            cursors_.pop_back();
+          }
+          break;
+        }
       }
     }
   }
 
  private:
-  enum class Backend { kBitmap, kHeap, kSet };
+  enum class Backend { kRanked, kHeap, kSet };
 
   struct HeapEntry {
     QueueKey key;
@@ -254,11 +380,53 @@ class PolicyQueue {
       return b.key < a.key;  // min-heap on the full (unique) key
     }
   };
+  struct Cursor {
+    std::size_t rank = 0;
+    std::size_t cls = 0;
+  };
+
+  [[nodiscard]] std::size_t rank(std::size_t lj) const noexcept {
+    return rank_of_.empty() ? lj : rank_of_[lj];
+  }
+  [[nodiscard]] std::size_t local(std::size_t r) const noexcept {
+    return local_of_.empty() ? r : local_of_[r];
+  }
+
+  void init_classes(const std::vector<LocalJob>& jobs, int capacity) {
+    std::vector<std::int32_t> class_of_gpus(
+        static_cast<std::size_t>(capacity) + 2, -1);
+    class_of_.resize(jobs.size());
+    for (std::size_t lj = 0; lj < jobs.size(); ++lj) {
+      const int g = std::min(jobs[lj].gpus, capacity + 1);
+      std::int32_t& c = class_of_gpus[static_cast<std::size_t>(g)];
+      if (c < 0) {
+        c = static_cast<std::int32_t>(classes_.size());
+        classes_.emplace_back();
+        classes_.back().gpus = g;
+        classes_.back().queued.reserve(jobs.size());
+      }
+      DemandClass& cls = classes_[static_cast<std::size_t>(c)];
+      const double w = jobs[lj].watts;
+      if (w >= 0.0) {
+        cls.min_watts = std::min(cls.min_watts, w);
+      } else {
+        cls.power_exempt = true;  // negative or NaN
+      }
+      class_of_[lj] = static_cast<std::uint32_t>(c);
+    }
+  }
 
   Backend backend_;
+  bool sort_ranks_;
+  bool backfill_;
   std::size_t live_ = 0;
   std::vector<char> queued_;
-  OrderedBitmap bitmap_;
+  OrderedBitmap bitmap_;                ///< queued ranks (kRanked)
+  std::vector<std::size_t> rank_of_;    ///< local -> rank; empty = identity
+  std::vector<std::size_t> local_of_;   ///< rank -> local; empty = identity
+  std::vector<DemandClass> classes_;    ///< kRanked with backfill
+  std::vector<std::uint32_t> class_of_; ///< local -> class; empty = no index
+  std::vector<Cursor> cursors_;         ///< backfill_pass scratch
   std::vector<HeapEntry> heap_;
   std::vector<std::uint32_t> version_;  ///< bumped per remove (kHeap)
   std::set<QueueKey> set_;
@@ -440,7 +608,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
   std::vector<std::size_t> run_slot(n, SIZE_MAX);
 
   PolicyQueue queue(config_->policy, config_->backfill);
-  queue.init(n);
+  queue.init(jobs, state_.capacity_gpus(0));
   // GPU demands of every queued job; min() lets a backfill pass bail out
   // O(1) when nothing queued can possibly fit.
   DemandTracker queued_gpus;
@@ -676,27 +844,34 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
         if (config_->backfill && !queued_gpus.empty() &&
             queued_gpus.min() <= state_.free_gpus(0) && some_draw_fits()) {
           // Greedy backfill: start any later queued job that fits right now.
-          int scanned = 0;
-          queue.scan_behind_head([&](std::size_t blj) {
-            if (scanned >= config_->backfill_depth) return false;
-            ++scanned;
-            // Power-proportional backfill: candidates start only while the
-            // projected draw stays under the cap; over-budget candidates are
-            // skipped, not blocking the ones behind them.
-            if (!power_allows(jobs[blj].watts)) return true;
-            auto balloc = state_.try_allocate(0, jobs[blj].gpus);
-            if (balloc) {
-              start_job(blj, std::move(*balloc), now);
-              dequeue(blj);
-              // Placements shrink the free pool and the power headroom; bail
-              // once nothing left fits either.
-              if (queued_gpus.empty() ||
-                  queued_gpus.min() > state_.free_gpus(0) || !some_draw_fits()) {
-                return false;
-              }
-            }
-            return true;
-          });
+          // The ranked queue skips demand classes that cannot pass either
+          // gate below: a demand above the free GPUs fails try_allocate, and
+          // a class's smallest draw bounds its jobs' draws from below (IEEE
+          // addition is monotone, as for the headroom exit), unless the
+          // class holds a negative or NaN draw.
+          queue.backfill_pass(
+              config_->backfill_depth,
+              [&](const PolicyQueue::DemandClass& c) {
+                return c.gpus <= state_.free_gpus(0) &&
+                       (c.power_exempt || power_allows(c.min_watts));
+              },
+              [&](std::size_t blj) {
+                // Power-proportional backfill: candidates start only while
+                // the projected draw stays under the cap; over-budget
+                // candidates are skipped, not blocking the ones behind them.
+                if (!power_allows(jobs[blj].watts)) return Visit::kSkipped;
+                auto balloc = state_.try_allocate(0, jobs[blj].gpus);
+                if (!balloc) return Visit::kSkipped;
+                start_job(blj, std::move(*balloc), now);
+                dequeue(blj);
+                // Placements shrink the free pool and the power headroom;
+                // bail once nothing left fits either.
+                if (queued_gpus.empty() ||
+                    queued_gpus.min() > state_.free_gpus(0) || !some_draw_fits()) {
+                  return Visit::kStop;
+                }
+                return Visit::kStarted;
+              });
         }
         head_blocked = true;
         blocked_local = lj;

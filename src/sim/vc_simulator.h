@@ -12,11 +12,18 @@
 // queue, and run slots:
 //  * a per-VC active-run list lets SRTF preemption scan only the jobs
 //    currently running instead of every run slot ever created;
-//  * FIFO never reorders, so its queue is a deque with tombstones instead of
-//    an ordered set;
-//  * backfill passes keep the minimum queued GPU demand in a multiset and
-//    skip the scan entirely when even the smallest queued job exceeds the
-//    VC's free GPUs;
+//  * policies whose priorities never change while a job waits (FIFO; SJF,
+//    QSSF and EQSSF with backfill) queue on a bitmap over priority ranks,
+//    sorted once per run (FIFO's rank is its arrival position); the ordered
+//    policies without backfill use a lazy-deletion heap, and SRTF with
+//    backfill, whose keys change on preemption, an ordered set;
+//  * the smallest queued GPU demand lives in a counting array, so a backfill
+//    pass is skipped outright when even the smallest queued job exceeds the
+//    VC's free GPUs or, under a power cap, the headroom;
+//  * on the rank bitmap, a backfill pass visits only the GPU-demand classes
+//    whose demand fits the free GPUs and whose smallest draw fits the
+//    headroom, re-checked after every start: the jobs it skips would fail a
+//    side-effect-free gate, so starts and outcomes equal a full window scan;
 //  * busy-node/GPU accounting coalesces runs of events that leave the busy
 //    counters unchanged into one BusySegment, so the series costs O(busy
 //    changes), not O(events x buckets).

@@ -3,6 +3,8 @@
 // scheduler evaluation).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
 
@@ -71,6 +73,40 @@ TEST(Backfill, ArrivalPassReachesPastThePreviousWindow) {
   EXPECT_EQ(r.outcomes[3].start, 3);    // C: reached by E's arrival pass
   EXPECT_EQ(r.outcomes[4].start, 100);  // E: fits the cap once R ends
   EXPECT_EQ(r.outcomes[1].start, 110);  // H: the whole node, after E
+}
+
+TEST(Backfill, DepthBoundsTheWindowBehindTheHead) {
+  // R holds 6 of 8 GPUs; at t=1 the 8-GPU head H blocks with X1 (4 GPUs,
+  // does not fit), X2 and X3 (1 GPU each, both fit) behind it, in that
+  // order under FIFO (arrival) and SJF (duration) alike. With
+  // backfill_depth = 2 the t=1 pass visits X1 and X2: X2, 2nd behind the
+  // head, starts; X3, 3rd behind it, waits for the pass at X2's end (t=31).
+  // One entry deeper, X3 starts at t=1 too.
+  Trace t(one_node());
+  t.add(0, 100, 6, 6, "u", "vc0", "R", JobState::kCompleted);
+  t.add(1, 10, 8, 8, "u", "vc0", "H", JobState::kCompleted);
+  t.add(1, 20, 4, 4, "u", "vc0", "X1", JobState::kCompleted);
+  t.add(1, 30, 1, 1, "u", "vc0", "X2", JobState::kCompleted);
+  t.add(1, 40, 1, 1, "u", "vc0", "X3", JobState::kCompleted);
+  t.sort_by_submit_time();
+
+  for (SchedulerPolicy policy : {SchedulerPolicy::kFifo, SchedulerPolicy::kSjf}) {
+    SCOPED_TRACE(std::string(to_string(policy)));
+    SimConfig cfg;
+    cfg.policy = policy;
+    cfg.backfill = true;
+    cfg.backfill_depth = 2;
+    const auto r = ClusterSimulator(t.cluster(), cfg).run(t);
+    EXPECT_EQ(r.outcomes[3].start, 1);    // X2: last entry of the window
+    EXPECT_EQ(r.outcomes[4].start, 31);   // X3: one past it
+    EXPECT_EQ(r.outcomes[1].start, 100);  // H: the whole node, once R ends
+    EXPECT_EQ(r.outcomes[2].start, 110);  // X1: after H
+
+    cfg.backfill_depth = 3;
+    const auto deeper = ClusterSimulator(t.cluster(), cfg).run(t);
+    EXPECT_EQ(deeper.outcomes[3].start, 1);
+    EXPECT_EQ(deeper.outcomes[4].start, 1);
+  }
 }
 
 TEST(Backfill, OffPreservesStrictHeadOfLine) {
