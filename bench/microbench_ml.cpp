@@ -2,13 +2,15 @@
 // GBDT training/inference, the online priority evaluator, Levenshtein
 // matching, name bucketization.
 //
-// The BM_GbdtFit / BM_GbdtPredictMany / BM_OnlineEvaluator benches run the
-// histogram engine (GBDTEngine::kHistogram) and the chunked evaluator
-// (common::ExecMode::kParallel); the *Reference / *Serial variants run the
-// retained baselines for comparison. main() first asserts bit-for-bit
-// parity — histogram-vs-reference models (same trees, same training RMSE)
-// and chunked-vs-serial evaluator priorities — so a perf run against a
-// broken trainer fails loudly instead of reporting a meaningless speedup.
+// BM_GbdtFit times the GBDT trainer; BM_GbdtPredictMany and
+// BM_OnlineEvaluator time batched inference and the chunked evaluator
+// (common::ExecMode::kParallel), with *Scalar / *Serial variants running the
+// scalar predict walk and the serial evaluator for comparison. main() first
+// asserts bit-for-bit parity — batched-vs-per-row and SIMD-vs-scalar
+// predictions, chunked-vs-serial evaluator priorities — so a perf run
+// against a broken path fails loudly instead of reporting a meaningless
+// speedup. Trainer correctness is gated by the oracle in
+// tests/test_prediction_parity.cpp.
 // BM_SnapshotPublish / BM_RollingObserve time the QSSF service state at the
 // size the perfbench `serve` workload reaches, after a gate that a published
 // snapshot prices every streamed job shape exactly like the live service.
@@ -65,7 +67,7 @@ const ml::Dataset& philly_dataset() {
   return d;
 }
 
-ml::GBDTConfig philly_cfg(ml::GBDTEngine engine) {
+ml::GBDTConfig philly_cfg() {
   ml::GBDTConfig cfg;
   cfg.n_trees = 20;
   cfg.max_depth = 6;
@@ -73,7 +75,6 @@ ml::GBDTConfig philly_cfg(ml::GBDTEngine engine) {
   cfg.min_samples_leaf = 30;
   cfg.subsample = 0.7;
   cfg.max_bins = 64;
-  cfg.engine = engine;
   return cfg;
 }
 
@@ -92,10 +93,9 @@ class ScopedSimd {
   bool prev_;
 };
 
-void run_fit(benchmark::State& state, ml::GBDTEngine engine, int simd = -1) {
-  ScopedSimd dispatch(simd);
+void BM_GbdtFit(benchmark::State& state) {
   const auto& data = philly_dataset();
-  const auto cfg = philly_cfg(engine);
+  const auto cfg = philly_cfg();
   for (auto _ : state) {
     ml::GBDTRegressor model(cfg);
     model.fit(data);
@@ -104,37 +104,18 @@ void run_fit(benchmark::State& state, ml::GBDTEngine engine, int simd = -1) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.rows()));
 }
-
-void BM_GbdtFit(benchmark::State& state) {
-  run_fit(state, ml::GBDTEngine::kHistogram);
-}
-/// The same histogram engine with the SIMD dispatch forced off — the
-/// BM_GbdtFit/BM_GbdtFitScalar gap is the AVX2 histogram-kernel speedup.
-void BM_GbdtFitScalar(benchmark::State& state) {
-  run_fit(state, ml::GBDTEngine::kHistogram, /*simd=*/0);
-}
-void BM_GbdtFitReference(benchmark::State& state) {
-  run_fit(state, ml::GBDTEngine::kReference);
-}
 BENCHMARK(BM_GbdtFit)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GbdtFitScalar)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GbdtFitReference)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Raw histogram kernel (the training hot loop, no tree machinery around it)
 // ---------------------------------------------------------------------------
 
-void run_hist_kernel(benchmark::State& state, bool simd) {
-  if (simd && !helios::common::simd_supported()) {
-    state.SkipWithError("AVX2 unavailable on this build/CPU");
-    return;
-  }
+void BM_HistogramKernelScalar(benchmark::State& state) {
   const auto& data = philly_dataset();
   ml::FeatureBinner binner;
   Rng rng(3);
   binner.fit(data, 64, rng);
-  const ml::BinnedMatrix x =
-      ml::bin_dataset(data, binner, ml::BinLayout::kRowMajor);
+  const ml::BinnedMatrix x = ml::bin_dataset(data, binner);
   const auto total_bins = static_cast<std::size_t>(x.feature_offset.back());
   std::vector<std::uint32_t> rows(x.rows);
   std::iota(rows.begin(), rows.end(), 0u);
@@ -148,15 +129,8 @@ void run_hist_kernel(benchmark::State& state, bool simd) {
   for (auto _ : state) {
     std::fill(h0.begin(), h0.end(), 0);
     std::fill(h1.begin(), h1.end(), 0);
-    if (simd) {
-      ml::kernels::hist_accumulate_avx2(x.global.data(), x.features,
-                                        rows.data(), 0, x.rows, grad.data(),
-                                        h0.data(), h1.data());
-    } else {
-      ml::kernels::hist_accumulate_scalar(x.global.data(), x.features,
-                                          rows.data(), 0, x.rows, grad.data(),
-                                          h0.data(), h1.data());
-    }
+    ml::kernels::hist_accumulate(x.global.data(), x.features, rows.data(), 0,
+                                 x.rows, grad.data(), h0.data(), h1.data());
     benchmark::DoNotOptimize(h0.data());
     benchmark::DoNotOptimize(h1.data());
   }
@@ -164,18 +138,11 @@ void run_hist_kernel(benchmark::State& state, bool simd) {
                           static_cast<std::int64_t>(x.rows * x.features));
 }
 
-void BM_HistogramKernel(benchmark::State& state) {
-  run_hist_kernel(state, /*simd=*/true);
-}
-void BM_HistogramKernelScalar(benchmark::State& state) {
-  run_hist_kernel(state, /*simd=*/false);
-}
-BENCHMARK(BM_HistogramKernel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HistogramKernelScalar)->Unit(benchmark::kMillisecond);
 
 const ml::GBDTRegressor& philly_model() {
   static const ml::GBDTRegressor model = [] {
-    auto cfg = philly_cfg(ml::GBDTEngine::kHistogram);
+    auto cfg = philly_cfg();
     cfg.n_trees = 60;
     ml::GBDTRegressor m(cfg);
     m.fit(philly_dataset());
@@ -471,54 +438,34 @@ bool models_equal(const ml::GBDTRegressor& a, const ml::GBDTRegressor& b) {
   return true;
 }
 
-/// Hard gate: the histogram engine must reproduce the reference trainer
-/// bit-for-bit, and the chunked evaluator the serial one, on the benchmark
+/// Hard gate: batched inference must match per-row predict and the scalar
+/// walk, and the chunked evaluator the serial one, on the benchmark
 /// workloads, before any timing runs.
 void verify_parity() {
   Rng rng(7);
   const ml::Dataset data = make_dataset(20'000, 9, rng);
-  auto cfg = philly_cfg(ml::GBDTEngine::kHistogram);
+  auto cfg = philly_cfg();
   cfg.n_trees = 10;
-  auto ref_cfg = cfg;
-  ref_cfg.engine = ml::GBDTEngine::kReference;
-  ml::GBDTRegressor hist_model(cfg);
-  ml::GBDTRegressor ref_model(ref_cfg);
-  hist_model.fit(data);
-  ref_model.fit(data);
-  if (!models_equal(hist_model, ref_model)) {
-    std::fprintf(stderr,
-                 "FATAL: histogram GBDT engine diverges from the reference "
-                 "trainer\n");
-    std::exit(1);
-  }
-  const auto batched = hist_model.predict_many(data);
+  ml::GBDTRegressor model(cfg);
+  model.fit(data);
+  const auto batched = model.predict_many(data);
   for (std::size_t r = 0; r < data.rows(); ++r) {
-    if (batched[r] != hist_model.predict(data.row(r))) {
+    if (batched[r] != model.predict(data.row(r))) {
       std::fprintf(stderr,
                    "FATAL: predict_many diverges from per-row predict\n");
       std::exit(1);
     }
   }
 
-  // SIMD-vs-scalar gates: when the AVX2 dispatch can be forced on, a fit and
-  // a batched predict on each side of it must agree bit-for-bit — otherwise
-  // the BM_*Scalar comparisons time two different computations.
+  // SIMD-vs-scalar gate: when the AVX2 dispatch can be forced on, a batched
+  // predict on each side of it must agree bit-for-bit — otherwise the
+  // BM_GbdtPredictManyScalar comparison times two different computations.
   {
     const bool ambient = helios::common::simd_enabled();
     if (helios::common::set_simd_enabled(true)) {
-      ml::GBDTRegressor simd_model(cfg);
-      simd_model.fit(data);
-      const auto simd_batched = simd_model.predict_many(data);
+      const auto simd_batched = model.predict_many(data);
       helios::common::set_simd_enabled(false);
-      ml::GBDTRegressor scalar_model(cfg);
-      scalar_model.fit(data);
-      if (!models_equal(simd_model, scalar_model)) {
-        std::fprintf(stderr,
-                     "FATAL: AVX2 histogram kernel diverges from the scalar "
-                     "form\n");
-        std::exit(1);
-      }
-      if (scalar_model.predict_many(data) != simd_batched) {
+      if (model.predict_many(data) != simd_batched) {
         std::fprintf(stderr,
                      "FATAL: AVX2 forest walk diverges from the scalar "
                      "predict path\n");
@@ -603,12 +550,12 @@ void verify_parity() {
   // bit-identically (the BM_GbdtSave/BM_GbdtLoad timings are meaningless if
   // the round trip is lossy).
   serialize::Writer w;
-  hist_model.save(w);
+  model.save(w);
   const auto body = serialize::unframe(serialize::frame(w));
   serialize::Reader reader(body);
   ml::GBDTRegressor loaded;
   loaded.load(reader);
-  if (!models_equal(hist_model, loaded) ||
+  if (!models_equal(model, loaded) ||
       loaded.predict_many(data) != batched) {
     std::fprintf(stderr,
                  "FATAL: GBDT save/load round trip is not bit-identical\n");

@@ -29,14 +29,15 @@
 #                      UndefinedBehaviorSanitizer (abort on first report),
 #                      running the fast suites (ctest -L smoke) with the SIMD
 #                      dispatch forced on (HELIOS_SIMD=1) so the sanitizers
-#                      sweep the AVX2 kernels, gather tail pads included
+#                      sweep the AVX2 predict walk, gather tail pad included
 #   ./ci.sh tsan       like asan, under ThreadSanitizer in build-tsan at
 #                      HELIOS_THREADS=4 (pool nesting races for real on any
 #                      machine); ci/tsan.supp covers libstdc++ internals only
 #   ./ci.sh simd       full build + the fast suites twice: once with the
 #                      SIMD dispatch forced on, once forced off
 #                      (HELIOS_SIMD=1 then HELIOS_SIMD=0) — the parity
-#                      suites must pass bit-identically either way
+#                      suites must pass bit-identically either way (the
+#                      dispatch covers only the GBDT predict walk)
 #   ./ci.sh threads    full build + the fast suites at HELIOS_THREADS=1, 2
 #                      and 8, so the parallel ≡ serial parity suites run at
 #                      pool widths other than this machine's
@@ -115,10 +116,10 @@ if [ "$mode" = asan ]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build build-asan -j "$(nproc)"
   cd build-asan
-  # Force the SIMD dispatch on: the AVX2 kernels' gathers (including the
-  # deliberate in-pad overreads) must run under ASan container annotations.
-  # On hardware without AVX2 the runtime support gate still wins and the
-  # scalar forms run instead.
+  # Force the SIMD dispatch on: the AVX2 predict walk's gathers (including
+  # the deliberate in-pad overreads) must run under ASan container
+  # annotations. On hardware without AVX2 the runtime support gate still
+  # wins and the scalar walk runs instead.
   export HELIOS_SIMD=1
   exec ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
 fi
@@ -144,8 +145,8 @@ cmake --build build -j "$(nproc)"
 if [ "$mode" = bench ]; then
   # Perf smoke: run each microbenchmark briefly; any crash, assertion (the
   # sim bench verifies sharded-vs-serial parity, the ML bench verifies
-  # histogram-vs-reference GBDT and chunked-vs-serial evaluator parity, both
-  # at startup), or missing binary fails the script.
+  # batched-vs-per-row and SIMD-vs-scalar predict and chunked-vs-serial
+  # evaluator parity, both at startup), or missing binary fails the script.
   if [ ! -x build/microbench_sim ]; then
     echo "FAIL: microbench_sim not built (install google-benchmark)" >&2
     exit 1
@@ -209,8 +210,8 @@ fi
 
 cd build
 if [ "$mode" = simd ]; then
-  # Same suites, both sides of the dispatch: the SIMD kernels must be
-  # bit-identical to the scalar reference wherever the parity tests look.
+  # Same suites, both sides of the dispatch: the SIMD predict walk must be
+  # bit-identical to the scalar walk wherever the parity tests look.
   echo "=== ctest -L smoke with HELIOS_SIMD=1 (dispatch forced on) ==="
   HELIOS_SIMD=1 ctest -L smoke --output-on-failure -j "$(nproc)" "$@"
   echo "=== ctest -L smoke with HELIOS_SIMD=0 (dispatch forced off) ==="

@@ -1,9 +1,10 @@
-// Runtime SIMD dispatch for the hand-vectorized kernels (ml/gbdt_kernels.h).
+// Runtime SIMD dispatch for the hand-vectorized GBDT predict walk
+// (ml/gbdt_kernels.h). GBDT training has no SIMD form and ignores it.
 //
-// The AVX2 kernels live in one translation unit compiled with -mavx2
+// The AVX2 walk lives in one translation unit compiled with -mavx2
 // (CMake's per-file COMPILE_OPTIONS); the rest of the library is built for
-// the baseline ISA, so the same binary runs on any x86-64 — the vector paths
-// are entered only when simd_enabled() says the CPU actually has AVX2.
+// the baseline ISA, so the same binary runs on any x86-64 — the vector path
+// is entered only when simd_enabled() says the CPU actually has AVX2.
 //
 // Three gates stack, each able only to *narrow* the previous one:
 //   1. simd_compiled()  — the AVX2 TU was built with real intrinsics
@@ -16,8 +17,7 @@
 //                         use, overridable at runtime via set_simd_enabled()
 //                         (the parity tests sweep both paths with it).
 //
-// Contract: every SIMD kernel is bit-identical to its scalar twin —
-// histogram accumulation is integer adds (order-independent), the batched
+// Contract: the SIMD walk is bit-identical to its scalar twin — the batched
 // forest walk performs the same mul/add per row — so flipping the dispatch
 // can never change results, only speed (test_prediction_parity and the
 // microbench_ml startup gate pin this; ./ci.sh simd runs the suites both
@@ -25,14 +25,14 @@
 //
 // Thread-safety: all functions are safe to call concurrently;
 // set_simd_enabled() is a relaxed atomic store intended for test setup, not
-// for toggling mid-fit.
+// for toggling mid-predict.
 #pragma once
 
 #include <string_view>
 
 namespace helios::common {
 
-/// AVX2 kernels were compiled into this binary.
+/// The AVX2 walk was compiled into this binary.
 [[nodiscard]] bool simd_compiled() noexcept;
 
 /// Compiled and the running CPU supports AVX2.

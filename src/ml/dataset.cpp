@@ -117,71 +117,53 @@ void FeatureBinner::load(serialize::Reader& r) {
   edges_ = std::move(edges);
 }
 
-BinnedMatrix bin_dataset(const Dataset& data, const FeatureBinner& binner,
-                         BinLayout layout) {
+BinnedMatrix bin_dataset(const Dataset& data, const FeatureBinner& binner) {
   BinnedMatrix x;
   x.rows = data.rows();
   x.features = binner.features();
-  x.layout = layout;
   const std::size_t cells = x.rows * x.features;
-  // Row-major planes carry a few zero bytes of tail padding: the AVX2
+  // Non-empty planes carry a few zero bytes of tail padding: the AVX2
   // predict walk loads each uint8 cell with a 4-byte gather, which reads up
   // to kSimdPad bytes past the last cell. The padding is inside the vector's
   // size() so sanitizer container annotations see the reads as in-bounds.
-  const std::size_t pad =
-      layout == BinLayout::kRowMajor && cells > 0 ? BinnedMatrix::kSimdPad : 0;
-  x.bins.resize(cells + pad);
+  x.bins.resize(cells + (cells > 0 ? BinnedMatrix::kSimdPad : 0));
   x.feature_offset.resize(x.features + 1, 0);
   for (std::size_t f = 0; f < x.features; ++f) {
     x.feature_offset[f + 1] = x.feature_offset[f] + binner.bins(f);
   }
-  if (layout == BinLayout::kRowMajor) {
-    const bool with_global = x.feature_offset[x.features] <= 0xffff;
-    if (with_global) x.global.resize(x.rows * x.features);
-    // One sequential pass over the (row-major) dataset, four rows at a time:
-    // the per-feature edge arrays all stay resident, and the interleaved
-    // searches overlap their dependent-load chains.
-    parallel_for_chunks(
-        0, x.rows,
-        [&](std::size_t lo, std::size_t hi) {
-          const std::size_t p = x.features;
-          const auto emit = [&](std::size_t r, std::size_t f, std::uint8_t b) {
-            x.bins[r * p + f] = b;
-            if (with_global) {
-              x.global[r * p + f] =
-                  static_cast<std::uint16_t>(x.feature_offset[f] + b);
-            }
-          };
-          std::size_t r = lo;
-          for (; r + 3 < hi; r += 4) {
-            for (std::size_t f = 0; f < p; ++f) {
-              const double v[4] = {data.at(r, f), data.at(r + 1, f),
-                                   data.at(r + 2, f), data.at(r + 3, f)};
-              std::uint8_t b[4];
-              binner.bin4(f, v, b);
-              for (std::size_t j = 0; j < 4; ++j) emit(r + j, f, b[j]);
-            }
+  const bool with_global = x.feature_offset[x.features] <= 0xffff;
+  if (with_global) x.global.resize(x.rows * x.features);
+  // One sequential pass over the (row-major) dataset, four rows at a time:
+  // the per-feature edge arrays all stay resident, and the interleaved
+  // searches overlap their dependent-load chains.
+  parallel_for_chunks(
+      0, x.rows,
+      [&](std::size_t lo, std::size_t hi) {
+        const std::size_t p = x.features;
+        const auto emit = [&](std::size_t r, std::size_t f, std::uint8_t b) {
+          x.bins[r * p + f] = b;
+          if (with_global) {
+            x.global[r * p + f] =
+                static_cast<std::uint16_t>(x.feature_offset[f] + b);
           }
-          for (; r < hi; ++r) {
-            for (std::size_t f = 0; f < p; ++f) {
-              emit(r, f, binner.bin(f, data.at(r, f)));
-            }
+        };
+        std::size_t r = lo;
+        for (; r + 3 < hi; r += 4) {
+          for (std::size_t f = 0; f < p; ++f) {
+            const double v[4] = {data.at(r, f), data.at(r + 1, f),
+                                 data.at(r + 2, f), data.at(r + 3, f)};
+            std::uint8_t b[4];
+            binner.bin4(f, v, b);
+            for (std::size_t j = 0; j < 4; ++j) emit(r + j, f, b[j]);
           }
-        },
-        /*grain=*/8192);
-  } else {
-    parallel_for_chunks(
-        0, x.features,
-        [&](std::size_t f_lo, std::size_t f_hi) {
-          for (std::size_t f = f_lo; f < f_hi; ++f) {
-            std::uint8_t* col = x.bins.data() + f * x.rows;
-            for (std::size_t r = 0; r < x.rows; ++r) {
-              col[r] = binner.bin(f, data.at(r, f));
-            }
+        }
+        for (; r < hi; ++r) {
+          for (std::size_t f = 0; f < p; ++f) {
+            emit(r, f, binner.bin(f, data.at(r, f)));
           }
-        },
-        /*grain=*/1);
-  }
+        }
+      },
+      /*grain=*/8192);
   return x;
 }
 

@@ -153,52 +153,36 @@ class FeatureBinner {
   std::vector<std::vector<double>> edges_;  // sorted strict upper edges
 };
 
-enum class BinLayout {
-  /// bins[r * features + f]: one row = adjacent bytes. The histogram engine
-  /// and batched inference layout — a row's features land in 1-2 cache lines.
-  kRowMajor,
-  /// bins[f * rows + r]: the retained pre-histogram-engine layout.
-  kColumnMajor,
-};
-
-/// Matrix of bin ids in either layout. Row-major matrices additionally carry
-/// a uint16 plane of globally-offset bin ids (feature_offset[f] + bin) when
-/// the total bin count fits — the GBDT histogram engine indexes its
-/// concatenated per-feature histograms with them in a single add.
+/// Row-major matrix of bin ids: bins[r * features + f], so a row's features
+/// are adjacent bytes (1-2 cache lines). It additionally carries a uint16
+/// plane of globally-offset bin ids (feature_offset[f] + bin) when the total
+/// bin count fits — the GBDT trainer indexes its concatenated per-feature
+/// histograms with them in a single add.
 struct BinnedMatrix {
-  /// Tail padding bytes appended to a non-empty row-major `bins` plane
-  /// (bins.size() == rows * features + kSimdPad): the SIMD predict kernel
-  /// reads uint8 cells with 4-byte gathers, whose final load may extend up
-  /// to 3 bytes past the last cell.
+  /// Tail padding bytes appended to a non-empty `bins` plane
+  /// (bins.size() == rows * features + kSimdPad): the AVX2 predict walk
+  /// (ml/gbdt_kernels.h) reads uint8 cells with 4-byte gathers, whose final
+  /// load may extend up to 3 bytes past the last cell.
   static constexpr std::size_t kSimdPad = 3;
 
   std::size_t rows = 0;
   std::size_t features = 0;
-  BinLayout layout = BinLayout::kRowMajor;
   std::vector<std::uint8_t> bins;
-  std::vector<std::uint16_t> global;   ///< row-major only; may be empty
+  std::vector<std::uint16_t> global;   ///< may be empty (> 64k total bins)
   std::vector<int> feature_offset;     ///< exclusive prefix of bins-per-feature
 
-  /// Row pointer; requires kRowMajor.
   [[nodiscard]] const std::uint8_t* row(std::size_t r) const noexcept {
     return bins.data() + r * features;
   }
-  /// Column pointer; requires kColumnMajor.
-  [[nodiscard]] const std::uint8_t* col(std::size_t f) const noexcept {
-    return bins.data() + f * rows;
-  }
   [[nodiscard]] std::uint8_t at(std::size_t r, std::size_t f) const noexcept {
-    return layout == BinLayout::kRowMajor ? bins[r * features + f]
-                                          : bins[f * rows + r];
+    return bins[r * features + f];
   }
   [[nodiscard]] bool empty() const noexcept { return bins.empty(); }
 };
 
-/// Bin every value of `data` with a fitted binner, parallel on the shared
-/// pool. Row-major bins in one sequential pass over the dataset; column-major
-/// mirrors the legacy per-column construction (and its cost).
+/// Bin every value of `data` with a fitted binner in one sequential pass over
+/// the dataset, parallel on the shared pool.
 [[nodiscard]] BinnedMatrix bin_dataset(const Dataset& data,
-                                       const FeatureBinner& binner,
-                                       BinLayout layout = BinLayout::kRowMajor);
+                                       const FeatureBinner& binner);
 
 }  // namespace helios::ml

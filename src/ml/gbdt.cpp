@@ -112,8 +112,7 @@ struct SplitDecision {
   std::int64_t left_cnt = 0;
 };
 
-/// Shrunk mean residual; the single definition both engines share, so leaf
-/// values are bitwise identical.
+/// Shrunk mean residual.
 double leaf_value(std::int64_t total_q, std::int64_t total_cnt, double inv_scale,
                   const GBDTConfig& cfg) {
   return (static_cast<double>(total_q) * inv_scale) /
@@ -122,8 +121,8 @@ double leaf_value(std::int64_t total_q, std::int64_t total_cnt, double inv_scale
 
 /// Best split for one feature from its gradient histogram, generic over the
 /// bucket representation: `bucket(b)` returns the exact (sum_q, count) of
-/// bin b. One implementation serves both engines, so identical (exact)
-/// histograms give identical decisions by construction.
+/// bin b. One implementation serves both histogram representations, so
+/// identical (exact) histograms give identical decisions by construction.
 template <typename BucketFn>
 SplitDecision best_split_scan(BucketFn&& bucket, int n_bins,
                               std::int64_t total_q, std::int64_t total_cnt,
@@ -159,8 +158,8 @@ SplitDecision best_split_scan(BucketFn&& bucket, int n_bins,
   return best;
 }
 
-/// Reference-engine view: separate sum/count arrays.
-SplitDecision best_split_for_feature(const std::int64_t* hist_sum,
+/// Wide view: separate sum/count arrays.
+SplitDecision best_split_wide(const std::int64_t* hist_sum,
                                      const std::int64_t* hist_cnt, int n_bins,
                                      std::int64_t total_q, std::int64_t total_cnt,
                                      double inv_scale, std::int32_t feature,
@@ -170,7 +169,7 @@ SplitDecision best_split_for_feature(const std::int64_t* hist_sum,
       total_q, total_cnt, inv_scale, feature, cfg);
 }
 
-/// Histogram-engine view: packed single-int64 buckets.
+/// Packed view: single-int64 buckets.
 SplitDecision best_split_packed(const std::int64_t* hist, int n_bins,
                                 std::int64_t total_q, std::int64_t total_cnt,
                                 double inv_scale, std::int32_t feature,
@@ -180,83 +179,7 @@ SplitDecision best_split_packed(const std::int64_t* hist, int n_bins,
       n_bins, total_q, total_cnt, inv_scale, feature, cfg);
 }
 
-/// Retained reference trainer: per-node histograms rebuilt from scratch over
-/// the node's rows, feature-outer over a column-major matrix, serial — the
-/// pre-histogram-engine algorithm, kept as the parity and benchmark baseline.
-struct ReferenceBuilder {
-  const BinnedMatrix& x;
-  const FeatureBinner& binner;
-  std::span<const std::int32_t> grad;
-  double inv_scale;
-  const GBDTConfig& cfg;
-  std::vector<RegressionTree::Node>& nodes;
-  std::span<std::int32_t> leaf_of;
-  std::vector<std::int64_t> hist_sum;  // reused across features/nodes
-  std::vector<std::int64_t> hist_cnt;
-
-  std::int32_t build(std::span<std::uint32_t> rows, int depth) {
-    const auto node_id = static_cast<std::int32_t>(nodes.size());
-    nodes.emplace_back();
-
-    std::int64_t total_q = 0;
-    for (const std::uint32_t r : rows) total_q += grad[r];
-    const auto total_cnt = static_cast<std::int64_t>(rows.size());
-
-    auto make_leaf = [&] {
-      nodes[static_cast<std::size_t>(node_id)].value =
-          leaf_value(total_q, total_cnt, inv_scale, cfg);
-      for (const std::uint32_t r : rows) leaf_of[r] = node_id;
-      return node_id;
-    };
-
-    if (depth >= cfg.max_depth ||
-        total_cnt < 2 * static_cast<std::int64_t>(cfg.min_samples_leaf)) {
-      return make_leaf();
-    }
-
-    SplitDecision best;
-    for (std::size_t f = 0; f < x.features; ++f) {
-      const int n_bins = binner.bins(f);
-      hist_sum.assign(static_cast<std::size_t>(n_bins), 0);
-      hist_cnt.assign(static_cast<std::size_t>(n_bins), 0);
-      const std::uint8_t* col = x.col(f);
-      for (const std::uint32_t r : rows) {
-        hist_sum[col[r]] += grad[r];
-        ++hist_cnt[col[r]];
-      }
-      const SplitDecision d = best_split_for_feature(
-          hist_sum.data(), hist_cnt.data(), n_bins, total_q, total_cnt,
-          inv_scale, static_cast<std::int32_t>(f), cfg);
-      if (d.gain > best.gain) best = d;
-    }
-    if (best.feature < 0 || best.gain <= 1e-12) return make_leaf();
-
-    const std::uint8_t* col = x.col(static_cast<std::size_t>(best.feature));
-    const auto mid = std::partition(rows.begin(), rows.end(), [&](std::uint32_t r) {
-      return col[r] <= best.bin;
-    });
-    const auto n_left = static_cast<std::size_t>(mid - rows.begin());
-    const auto left_rows = rows.subspan(0, n_left);
-    const auto right_rows = rows.subspan(n_left);
-    if (left_rows.empty() || right_rows.empty()) return make_leaf();
-
-    {
-      auto& node = nodes[static_cast<std::size_t>(node_id)];
-      node.feature = best.feature;
-      node.split_bin = best.bin;
-      node.threshold = binner.edge(static_cast<std::size_t>(best.feature), best.bin);
-      node.gain = best.gain;
-    }
-    const std::int32_t left = build(left_rows, depth + 1);
-    const std::int32_t right = build(right_rows, depth + 1);
-    auto& node = nodes[static_cast<std::size_t>(node_id)];
-    node.left = left;
-    node.right = right;
-    return node_id;
-  }
-};
-
-/// Histogram engine: persistent row sets partitioned in place over a
+/// Tree builder: persistent row sets partitioned in place over a
 /// row-major binned matrix (a row's features are adjacent bytes, so each row
 /// costs 1-2 cache lines), packed single-int64 buckets, row-parallel
 /// accumulation into per-chunk buffers merged in chunk order on the shared
@@ -276,7 +199,6 @@ struct HistogramBuilder {
   int total_bins = 0;
   std::vector<int> offset;             // per-feature slice into a histogram
   std::size_t packed_limit = kPackedRowLimit;  // node rows >= this go wide
-  bool use_simd = false;               // resolved once per tree fit
   // Freed node histograms for reuse (allocating + zeroing ~9KB per node adds
   // up over thousands of nodes per fit).
   std::vector<std::vector<std::int64_t>> hist_pool;
@@ -291,7 +213,6 @@ struct HistogramBuilder {
     }
     packed_limit = std::max<std::size_t>(
         2, g_packed_row_limit.load(std::memory_order_relaxed));
-    use_simd = common::simd_enabled();
   }
 
   [[nodiscard]] std::vector<std::int64_t> take_buffer(std::size_t size) {
@@ -312,7 +233,7 @@ struct HistogramBuilder {
   }
 
   /// Wide path: shard the rows into sub-limit runs, accumulate each through
-  /// the (parallel, SIMD-dispatched) packed kernel, and merge the unpacked
+  /// the (parallel) packed kernel, and merge the unpacked
   /// (sum, count) fields into the two-field wide buffer. Every step is exact
   /// int64 arithmetic, so the result equals what an unbounded packed
   /// accumulation would hold — sharding cannot change a split decision.
@@ -368,17 +289,8 @@ struct HistogramBuilder {
         h.resize(nb);
         return h;
       }
-      // The accumulation loop lives in ml/gbdt_kernels.h: the scalar form is
-      // the exact two-arena loop this function always ran; the AVX2 form is
-      // bit-identical (integer adds reassociate exactly) and chosen once per
-      // fit by the runtime dispatch.
-      if (use_simd) {
-        kernels::hist_accumulate_avx2(x.global.data(), p, rows.data(), lo, hi,
-                                      grad.data(), h0, h1);
-      } else {
-        kernels::hist_accumulate_scalar(x.global.data(), p, rows.data(), lo,
-                                        hi, grad.data(), h0, h1);
-      }
+      kernels::hist_accumulate(x.global.data(), p, rows.data(), lo, hi,
+                               grad.data(), h0, h1);
       for (std::size_t b = 0; b < nb; ++b) h0[b] += h1[b];
       h.resize(nb);
       return h;
@@ -398,7 +310,7 @@ struct HistogramBuilder {
                                             std::int64_t total_cnt) const {
     if (hist.wide) {
       const auto nb = static_cast<std::size_t>(total_bins);
-      return best_split_for_feature(
+      return best_split_wide(
           hist.buf.data() + offset[f], hist.buf.data() + nb + offset[f],
           binner.bins(f), total_q, total_cnt, inv_scale,
           static_cast<std::int32_t>(f), cfg);
@@ -438,9 +350,8 @@ struct HistogramBuilder {
     }
 
     // The histogram counts are exact row counts, so the split sizes are
-    // known before touching a row. (A zero-sized side — possible only with
-    // min_samples_leaf == 0 — leafs out exactly like the reference's
-    // post-partition guard.)
+    // known before touching a row. (A zero-sized side is possible only with
+    // min_samples_leaf == 0; it makes a leaf.)
     const std::size_t n_left = static_cast<std::size_t>(best.left_cnt);
     if (n_left == 0 || n_left == rows.size()) {
       recycle(std::move(hist.buf));
@@ -551,17 +462,6 @@ void RegressionTree::fit(const BinnedMatrix& x, const FeatureBinner& binner,
                          std::span<std::int32_t> leaf_of, const GBDTConfig& cfg) {
   nodes_.clear();
   if (rows.empty()) return;
-  // Each engine consumes its own layout (see BinLayout).
-  assert(x.layout == (cfg.engine == GBDTEngine::kReference
-                          ? BinLayout::kColumnMajor
-                          : BinLayout::kRowMajor));
-  if (cfg.engine == GBDTEngine::kReference) {
-    ReferenceBuilder builder{x,  binner,  grad.q, grad.inv_scale,
-                             cfg, nodes_, leaf_of, {},
-                             {}};
-    builder.build(rows, 0);
-    return;
-  }
   HistogramBuilder builder{x,  binner,  grad.q, grad.inv_scale,
                            cfg, nodes_, leaf_of};
   builder.init();
@@ -598,8 +498,7 @@ double RegressionTree::predict(std::span<const double> features) const noexcept 
 
 std::int32_t RegressionTree::leaf_for_binned(const BinnedMatrix& x,
                                              std::size_t row) const noexcept {
-  assert(x.layout == BinLayout::kRowMajor);
-  const std::uint8_t* rb = x.bins.data() + row * x.features;
+  const std::uint8_t* rb = x.row(row);
   std::int32_t i = 0;
   for (;;) {
     const Node& n = nodes_[static_cast<std::size_t>(i)];
@@ -641,9 +540,9 @@ void GBDTRegressor::fit(const Dataset& full_data) {
   // guard the mean below would be 0/0 and every prediction NaN.
   if (n == 0) return;
 
-  // No engine fallback on size: nodes whose row count reaches the packed
-  // 24-bit limit build wide sharded histograms instead (NodeHist), so the
-  // histogram engine handles cluster-lifetime training sets directly.
+  // No fallback on size: nodes whose row count reaches the packed 24-bit
+  // limit build wide sharded histograms instead (NodeHist), so the trainer
+  // handles cluster-lifetime training sets directly.
   const GBDTConfig& cfg = config_;
 
   double mean = 0.0;
@@ -651,10 +550,7 @@ void GBDTRegressor::fit(const Dataset& full_data) {
   base_prediction_ = mean / static_cast<double>(n);
 
   binner_.fit(*data, cfg.max_bins, rng);
-  const BinnedMatrix binned =
-      bin_dataset(*data, binner_,
-                  cfg.engine == GBDTEngine::kReference ? BinLayout::kColumnMajor
-                                                       : BinLayout::kRowMajor);
+  const BinnedMatrix binned = bin_dataset(*data, binner_);
 
   std::vector<double> prediction(n, base_prediction_);
   std::vector<double> residuals(n, 0.0);
@@ -665,25 +561,22 @@ void GBDTRegressor::fit(const Dataset& full_data) {
   QuantizedGradients grad;
 
   trees_.reserve(static_cast<std::size_t>(cfg.n_trees));
-  // Histogram engine: the previous tree's prediction update is fused into
-  // this iteration's residual pass (one sweep instead of two; the final
-  // tree's update feeds nothing and is skipped). The per-element arithmetic
-  // and order are unchanged, so residuals and RMSE are bitwise identical to
-  // the separate passes. With a multi-thread pool the update runs as its own
-  // row-parallel pass instead (same elementwise ops, same results) so it can
-  // use the pool; the RMSE reduction stays serial either way to keep its
-  // summation order fixed.
+  // The previous tree's prediction update is fused into this iteration's
+  // residual pass (one sweep instead of two; the final tree's update feeds
+  // nothing and is skipped). The per-element arithmetic and order are
+  // unchanged, so residuals and RMSE are bitwise identical to the separate
+  // passes. With a multi-thread pool the update runs as its own row-parallel
+  // pass instead (same elementwise ops, same results) so it can use the
+  // pool; the RMSE reduction stays serial either way to keep its summation
+  // order fixed.
   const RegressionTree* fused_update = nullptr;
-  const bool fuse_update = cfg.engine == GBDTEngine::kHistogram &&
-                           global_pool().thread_count() <= 1;
+  const bool fuse_update = global_pool().thread_count() <= 1;
+  // The row subsample rides in the same sweep: one Bernoulli draw per row in
+  // ascending order, a branchless take.
+  const bool fuse_sample = cfg.subsample < 1.0;
   for (int t = 0; t < cfg.n_trees; ++t) {
     double sq = 0.0;
     double max_abs = 0.0;
-    // Histogram engine: the row subsample rides in the same sweep (the
-    // Bernoulli draws happen once per row in ascending order either way, so
-    // the RNG stream and the chosen rows are identical to a separate pass).
-    const bool fuse_sample =
-        cfg.engine == GBDTEngine::kHistogram && cfg.subsample < 1.0;
     std::size_t taken = 0;
     if (fuse_sample) rows.resize(n);
     if (fused_update != nullptr) {
@@ -717,21 +610,10 @@ void GBDTRegressor::fit(const Dataset& full_data) {
 
     if (fuse_sample) {
       rows.resize(taken);
-    } else if (cfg.subsample >= 1.0) {
+    } else {
       taken = n;
       rows.resize(n);
       std::iota(rows.begin(), rows.end(), 0);
-    } else {
-      // Reference engine: retained separate subsampling pass. Branchless
-      // take — same Bernoulli stream and row set as the naive push_back
-      // loop, without its mispredicted branch.
-      rows.resize(n);
-      taken = 0;
-      for (std::size_t r = 0; r < n; ++r) {
-        rows[taken] = static_cast<std::uint32_t>(r);
-        taken += rng.bernoulli(cfg.subsample) ? 1 : 0;
-      }
-      rows.resize(taken);
     }
     if (taken < static_cast<std::size_t>(2 * cfg.min_samples_leaf)) break;
 
@@ -741,43 +623,27 @@ void GBDTRegressor::fit(const Dataset& full_data) {
     tree.fit(binned, binner_, grad, rows, leaf_of, cfg);
     if (tree.empty()) break;
 
-    const auto& nodes = tree.nodes();
-    if (cfg.engine == GBDTEngine::kReference) {
-      // Retained pre-histogram-engine update: re-traverse raw features per
-      // row. Lands in the same leaf as the binned walk (bin <= split_bin iff
-      // value <= threshold), so both engines update predictions bitwise
-      // identically.
-      for (std::size_t r = 0; r < n; ++r) {
-        std::int32_t i = 0;
-        while (nodes[static_cast<std::size_t>(i)].feature >= 0) {
-          const auto& node = nodes[static_cast<std::size_t>(i)];
-          const double v = data->at(r, static_cast<std::size_t>(node.feature));
-          i = v <= node.threshold ? node.left : node.right;
-        }
-        prediction[r] +=
-            cfg.learning_rate * nodes[static_cast<std::size_t>(i)].value;
-      }
-    } else if (fuse_update) {
+    if (fuse_update) {
       // Applied lazily at the top of the next iteration (fused with the
       // residual pass); leaf_of stays valid until then.
       trees_.push_back(std::move(tree));
       fused_update = &trees_.back();
       continue;
-    } else {
-      // Sampled rows had their leaf recorded during construction; only
-      // out-of-sample rows walk the tree, and they walk the binned matrix.
-      parallel_for_chunks(
-          0, n,
-          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t r = lo; r < hi; ++r) {
-              std::int32_t leaf = leaf_of[r];
-              if (leaf < 0) leaf = tree.leaf_for_binned(binned, r);
-              prediction[r] += cfg.learning_rate *
-                               nodes[static_cast<std::size_t>(leaf)].value;
-            }
-          },
-          /*grain=*/8192);
     }
+    // Sampled rows had their leaf recorded during construction; only
+    // out-of-sample rows walk the tree, and they walk the binned matrix.
+    const auto& nodes = tree.nodes();
+    parallel_for_chunks(
+        0, n,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t r = lo; r < hi; ++r) {
+            std::int32_t leaf = leaf_of[r];
+            if (leaf < 0) leaf = tree.leaf_for_binned(binned, r);
+            prediction[r] +=
+                cfg.learning_rate * nodes[static_cast<std::size_t>(leaf)].value;
+          }
+        },
+        /*grain=*/8192);
     trees_.push_back(std::move(tree));
   }
   forest_.build(trees_);
@@ -794,7 +660,7 @@ double GBDTRegressor::predict(std::span<const double> features) const noexcept {
 std::vector<double> GBDTRegressor::predict_many(const Dataset& data) const {
   std::vector<double> out(data.rows(), base_prediction_);
   if (data.empty() || trees_.empty()) return out;
-  const BinnedMatrix binned = bin_dataset(data, binner_, BinLayout::kRowMajor);
+  const BinnedMatrix binned = bin_dataset(data, binner_);
   // SIMD walk: blocked rows over the SoA forest. Bit-identical to the scalar
   // path below (same mul/add per row in the same tree order), so dispatch is
   // free to differ across machines. The int32 guard covers the kernel's
@@ -919,7 +785,7 @@ void GBDTRegressor::save(serialize::Writer& w) const {
   w.f64(config_.lambda);
   w.u64(config_.seed);
   w.u64(config_.max_training_rows);
-  w.u8(static_cast<std::uint8_t>(config_.engine));
+  w.u8(0);  // trainer id; see load()
   w.f64(base_prediction_);
   w.u64(n_features_);
   w.vec_f64(train_rmse_);
@@ -946,11 +812,11 @@ void GBDTRegressor::load(serialize::Reader& r) {
   cfg.lambda = s.f64();
   cfg.seed = s.u64();
   cfg.max_training_rows = s.u64();
+  // Trainer id: files written when the library still carried a second,
+  // bit-identical reference trainer may hold 1; both ids describe the same
+  // model, so either loads as the one trainer.
   const std::uint8_t engine = s.u8();
-  if (engine > static_cast<std::uint8_t>(GBDTEngine::kReference)) {
-    corrupt("unknown engine id " + std::to_string(engine));
-  }
-  cfg.engine = static_cast<GBDTEngine>(engine);
+  if (engine > 1) corrupt("unknown engine id " + std::to_string(engine));
   const double base = s.f64();
   const std::uint64_t n_features = s.u64();
   std::vector<double> rmse = s.vec_f64();

@@ -7,38 +7,33 @@
 // histograms by best variance gain; leaves output the shrunk mean residual.
 // Row subsampling per tree gives stochastic boosting.
 //
-// Two engines share the scaffolding (binning, row caps, subsampling,
-// residuals — identical RNG streams) and must produce bit-identical models:
+// The trainer keeps persistent per-node row sets, builds only the smaller
+// child's histograms and derives the sibling by subtracting from the parent,
+// accumulates histograms row-parallel into per-chunk buffers merged on the
+// shared ThreadPool, and tracks each sampled row's leaf during construction
+// so the per-tree prediction update is an O(1) lookup per row over the binned
+// matrix.
 //
-//  * GBDTEngine::kHistogram (default) keeps persistent per-node row sets,
-//    builds only the smaller child's histograms and derives the sibling by
-//    subtracting from the parent, accumulates histograms row-parallel into
-//    per-chunk buffers merged on the shared ThreadPool, and tracks each
-//    sampled row's leaf during construction so the per-tree prediction
-//    update is an O(1) lookup per row over the binned matrix.
-//  * GBDTEngine::kReference retains the straightforward pre-histogram-engine
-//    trainer: every node rebuilds its histograms from scratch and the
-//    prediction update re-traverses raw features row by row. It exists as
-//    the parity baseline (mirroring common::ExecMode::kSerial).
+// Bit-for-bit determinism across thread counts is possible because per-tree
+// gradients are quantized to int64 (QuantizedGradients): integer histogram
+// sums are exact under any accumulation order and under sibling subtraction,
+// so split decisions and leaf values cannot drift. The same exactness lets
+// test_prediction_parity check every tree against a from-scratch oracle
+// trainer that lives in the test, not the library.
 //
-// Bit-for-bit parity across engines and thread counts is possible because
-// per-tree gradients are quantized to int64 (QuantizedGradients): integer
-// histogram sums are exact under any accumulation order and under sibling
-// subtraction, so split decisions and leaf values cannot drift.
+// The batched predict_many walk additionally has an AVX2 form
+// (ml/gbdt_kernels.h) selected at runtime via common::simd_enabled(); it is
+// bit-identical to the scalar walk (it performs the same mul/add per row), so
+// dispatch changes speed only. Training has a single scalar path.
 //
-// The histogram engine's two hottest loops — histogram accumulation and the
-// batched predict_many walk — additionally have AVX2 forms (ml/gbdt_kernels.h)
-// selected at runtime via common::simd_enabled(); both are bit-identical to
-// their scalar twins (integer adds reassociate exactly; the forest walk
-// performs the same mul/add per row), so dispatch changes speed only.
 // Training-set size is unbounded: nodes whose row count reaches the packed
 // 24-bit limit accumulate shard-by-shard into a wide two-field histogram
 // merged exactly in int64 (gbdt_set_packed_row_limit lets tests drive the
 // shard path at small n).
 //
 // Determinism: fit() is a pure function of (dataset, config) — the same
-// inputs produce the same trees bit-for-bit on any thread count and either
-// engine (test_prediction_parity pins this). predict()/predict_many() are
+// inputs produce the same trees bit-for-bit on any thread count
+// (test_prediction_parity pins this). predict()/predict_many() are
 // pure functions of the fitted model, and a model restored via load() (see
 // docs/FORMATS.md, "GBDT" section) predicts bit-identically to the original
 // (test_serialize pins this).
@@ -64,11 +59,6 @@ class Writer;
 
 namespace helios::ml {
 
-enum class GBDTEngine {
-  kHistogram,  ///< sibling-subtraction histogram engine (default)
-  kReference,  ///< retained from-scratch trainer (parity/benchmark baseline)
-};
-
 struct GBDTConfig {
   int n_trees = 80;
   int max_depth = 6;
@@ -80,13 +70,12 @@ struct GBDTConfig {
   std::uint64_t seed = 42;
   /// Cap on training rows (uniform subsample above it); 0 = no cap.
   std::size_t max_training_rows = 0;
-  GBDTEngine engine = GBDTEngine::kHistogram;
 };
 
 /// Per-tree gradients quantized to a fixed-point int64 grid. The scale is a
 /// power of two chosen so the sum over every training row cannot overflow;
 /// int64 histogram sums are then exact and order-independent, which is what
-/// makes engine/thread-count parity bit-for-bit instead of approximate.
+/// makes thread-count parity bit-for-bit instead of approximate.
 struct QuantizedGradients {
   /// Per-row quantized gradient; fits int32 by construction (the scale caps
   /// |q| below 2^30), halving the memory traffic of every histogram pass.
@@ -121,9 +110,8 @@ class RegressionTree {
     double gain = 0.0;   ///< split gain (for feature importance)
   };
 
-  /// Fit to the quantized gradients of `rows` over the binned matrix
-  /// (row-major for kHistogram, column-major for kReference). `rows` is the
-  /// persistent row set, partitioned in place per node. `leaf_of` must have
+  /// Fit to the quantized gradients of `rows` over the binned matrix.
+  /// `rows` is the persistent row set, partitioned in place per node. `leaf_of` must have
   /// X.rows entries; the leaf node id of every row in `rows` is recorded
   /// there (other entries are left untouched).
   void fit(const BinnedMatrix& x, const FeatureBinner& binner,

@@ -1,18 +1,16 @@
-// Scalar forms of the GBDT hot kernels (see gbdt_kernels.h). These are the
-// parity reference for the AVX2 TU and the only forms used when dispatch is
-// off — they carry the exact loop shapes the histogram engine ran before the
-// kernels were split out, so "scalar path no slower than before" holds by
-// construction.
+// Scalar GBDT kernels (see gbdt_kernels.h): the trainer's histogram
+// accumulation, and the one-row forest walk that is both the parity twin of
+// the AVX2 walk and its tail handler.
 #include "ml/gbdt_kernels.h"
 
 #include "ml/gbdt.h"
 
 namespace helios::ml::kernels {
 
-void hist_accumulate_scalar(const std::uint16_t* gbins, std::size_t p,
-                            const std::uint32_t* rows, std::size_t lo,
-                            std::size_t hi, const std::int32_t* grad,
-                            std::int64_t* h0, std::int64_t* h1) noexcept {
+void hist_accumulate(const std::uint16_t* gbins, std::size_t p,
+                     const std::uint32_t* rows, std::size_t lo, std::size_t hi,
+                     const std::int32_t* grad, std::int64_t* h0,
+                     std::int64_t* h1) noexcept {
   constexpr int kCountBits = 24;
   std::size_t k = lo;
   for (; k + 1 < hi; k += 2) {

@@ -275,18 +275,15 @@ TEST(Gbdt, DenormalTinyTargetsStayFinite) {
     const double row[] = {static_cast<double>(i % 7)};
     d.add_row(row, 1e-300 * static_cast<double>(i % 5));
   }
-  for (const auto engine : {GBDTEngine::kHistogram, GBDTEngine::kReference}) {
-    GBDTConfig cfg;
-    cfg.n_trees = 5;
-    cfg.min_samples_leaf = 5;
-    cfg.engine = engine;
-    GBDTRegressor model(cfg);
-    model.fit(d);
-    const double probe[] = {3.0};
-    EXPECT_TRUE(std::isfinite(model.predict(probe)));
-    for (const double rmse : model.training_rmse()) {
-      EXPECT_TRUE(std::isfinite(rmse));
-    }
+  GBDTConfig cfg;
+  cfg.n_trees = 5;
+  cfg.min_samples_leaf = 5;
+  GBDTRegressor model(cfg);
+  model.fit(d);
+  const double probe[] = {3.0};
+  EXPECT_TRUE(std::isfinite(model.predict(probe)));
+  for (const double rmse : model.training_rmse()) {
+    EXPECT_TRUE(std::isfinite(rmse));
   }
 }
 
@@ -333,26 +330,16 @@ TEST(RegressionTree, SingleSplit) {
   cfg.max_depth = 1;
   cfg.min_samples_leaf = 5;
   cfg.lambda = 0.0;
-  for (const auto engine : {GBDTEngine::kHistogram, GBDTEngine::kReference}) {
-    cfg.engine = engine;
-    // Each engine consumes its own layout: row-major for the histogram
-    // engine, the legacy column-major for the reference.
-    const BinnedMatrix binned =
-        bin_dataset(d, binner,
-                    engine == GBDTEngine::kReference ? BinLayout::kColumnMajor
-                                                     : BinLayout::kRowMajor);
-    RegressionTree tree;
-    tree.fit(binned, binner, grad, rows, leaf_of, cfg);
-    const double lo[] = {50.0};
-    const double hi[] = {150.0};
-    EXPECT_NEAR(tree.predict(lo), 0.0, 0.5);
-    EXPECT_NEAR(tree.predict(hi), 10.0, 0.5);
-    if (engine == GBDTEngine::kHistogram) {
-      // Training rows recorded their leaf, and the binned walk agrees.
-      for (std::size_t r = 0; r < d.rows(); ++r) {
-        EXPECT_EQ(leaf_of[r], tree.leaf_for_binned(binned, r));
-      }
-    }
+  const BinnedMatrix binned = bin_dataset(d, binner);
+  RegressionTree tree;
+  tree.fit(binned, binner, grad, rows, leaf_of, cfg);
+  const double lo[] = {50.0};
+  const double hi[] = {150.0};
+  EXPECT_NEAR(tree.predict(lo), 0.0, 0.5);
+  EXPECT_NEAR(tree.predict(hi), 10.0, 0.5);
+  // Training rows recorded their leaf, and the binned walk agrees.
+  for (std::size_t r = 0; r < d.rows(); ++r) {
+    EXPECT_EQ(leaf_of[r], tree.leaf_for_binned(binned, r));
   }
 }
 

@@ -1,28 +1,35 @@
 // Golden parity suite for the prediction layer (smoke):
 //
-//  * GBDTEngine::kHistogram (sibling-subtraction, row-parallel, packed
-//    buckets) must reproduce GBDTEngine::kReference bit-for-bit — same
-//    trees (features, split bins, thresholds, leaf values, gains) and the
-//    same per-iteration training RMSE — across seeds and configs on
-//    trace::synthetic-derived data. Exactness is by construction (int64
-//    quantized gradients), and this suite is the regression net for the
-//    row-set / subtraction / leaf-tracking machinery on top.
+//  * GBDT training (sibling-subtraction, row-parallel, packed buckets) must
+//    reproduce a from-scratch oracle trainer that lives only in this file —
+//    every tree's nodes (features, split bins, thresholds, links, leaf
+//    values, gains) and every row's leaf, boosting round by boosting round,
+//    and then the regressor's whole model and per-iteration training RMSE —
+//    across seeds and configs on trace::synthetic-derived data. Exactness is
+//    by construction (int64 quantized gradients), and this suite is the
+//    regression net for the row-set / subtraction / leaf-tracking machinery
+//    on top. Nodes at or above the packed 24-bit row cap shard into wide
+//    histograms; an injected tiny cap drives that path at test scale against
+//    the same oracle. CMakeLists.txt also runs the oracle cases at pool
+//    widths 1 and 4.
 //  * predict_many (batched, binned, tree-at-a-time) must equal predict()
 //    per row, bitwise.
 //  * OnlinePriorityEvaluator's chunked replay-window mode must reproduce
 //    the serial reference — priorities, prediction-quality vectors, and the
 //    service's final rolling state — for any window count.
-//  * The AVX2 kernels (histogram accumulation, batched forest walk) must be
-//    bit-identical to the scalar forms: fits, predict_many, and evaluator
-//    output are compared with the dispatch forced on vs off. Skipped (not
-//    silently passed) where the hardware or build lacks AVX2.
-//  * Nodes at or above the packed 24-bit row cap shard into wide histograms
-//    instead of falling back to GBDTEngine::kReference; an injected tiny cap
-//    drives that path at test scale and must not change a single bit.
+//  * The AVX2 forest walk must be bit-identical to the scalar walk:
+//    predict_many and evaluator output are compared with the dispatch forced
+//    on vs off. Skipped (not silently passed) where the hardware or build
+//    lacks AVX2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
+#include <utility>
 
+#include "common/rng.h"
 #include "common/simd.h"
 #include "core/qssf_service.h"
 #include "ml/dataset.h"
@@ -86,57 +93,287 @@ Dataset trace_dataset(const trace::Trace& t) {
   return d;
 }
 
-void expect_models_identical(const GBDTRegressor& a, const GBDTRegressor& b) {
-  ASSERT_EQ(a.tree_count(), b.tree_count());
-  ASSERT_EQ(a.training_rmse().size(), b.training_rmse().size());
-  for (std::size_t i = 0; i < a.training_rmse().size(); ++i) {
-    ASSERT_EQ(a.training_rmse()[i], b.training_rmse()[i]) << "rmse @" << i;
+// ---------------------------------------------------------------------------
+// Oracle trainer
+// ---------------------------------------------------------------------------
+
+/// The straightforward GBDT tree builder, kept as a test oracle: every node
+/// rebuilds its histograms from scratch over its own rows, feature by
+/// feature, serially, into separate sum/count arrays, then splits with
+/// std::partition. It shares no code with RegressionTree::fit beyond the
+/// inputs both read (binned matrix, binner, quantized gradients, config), so
+/// agreement is evidence, not tautology.
+struct OracleTreeBuilder {
+  const BinnedMatrix& x;
+  const FeatureBinner& binner;
+  const QuantizedGradients& grad;
+  const GBDTConfig& cfg;
+  std::span<std::int32_t> leaf_of;
+  std::vector<RegressionTree::Node> nodes;
+
+  struct Split {
+    double gain = 0.0;
+    std::int32_t feature = -1;
+    int bin = -1;
+  };
+
+  [[nodiscard]] double leaf_value(std::int64_t total_q,
+                                  std::int64_t total_cnt) const {
+    return (static_cast<double>(total_q) * grad.inv_scale) /
+           (static_cast<double>(total_cnt) + cfg.lambda);
   }
-  for (std::size_t t = 0; t < a.tree_count(); ++t) {
-    const auto& na = a.trees()[t].nodes();
-    const auto& nb = b.trees()[t].nodes();
-    ASSERT_EQ(na.size(), nb.size()) << "tree " << t;
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      ASSERT_EQ(na[i].feature, nb[i].feature) << "tree " << t << " node " << i;
-      ASSERT_EQ(na[i].split_bin, nb[i].split_bin) << "tree " << t << " node " << i;
-      ASSERT_EQ(na[i].threshold, nb[i].threshold) << "tree " << t << " node " << i;
-      ASSERT_EQ(na[i].left, nb[i].left) << "tree " << t << " node " << i;
-      ASSERT_EQ(na[i].right, nb[i].right) << "tree " << t << " node " << i;
-      ASSERT_EQ(na[i].value, nb[i].value) << "tree " << t << " node " << i;
-      ASSERT_EQ(na[i].gain, nb[i].gain) << "tree " << t << " node " << i;
+
+  /// Best variance-gain split of one feature's histogram.
+  [[nodiscard]] Split best_split(const std::vector<std::int64_t>& sum,
+                                 const std::vector<std::int64_t>& cnt,
+                                 std::int64_t total_q, std::int64_t total_cnt,
+                                 std::int32_t feature) const {
+    Split best;
+    const double total_sum = static_cast<double>(total_q) * grad.inv_scale;
+    const double parent_score =
+        total_sum * total_sum / (static_cast<double>(total_cnt) + cfg.lambda);
+    std::int64_t left_q = 0;
+    std::int64_t left_cnt = 0;
+    for (std::size_t b = 0; b + 1 < sum.size(); ++b) {
+      left_q += sum[b];
+      left_cnt += cnt[b];
+      const std::int64_t right_cnt = total_cnt - left_cnt;
+      if (left_cnt < cfg.min_samples_leaf) continue;
+      if (right_cnt < cfg.min_samples_leaf) break;
+      const double left_sum = static_cast<double>(left_q) * grad.inv_scale;
+      const double right_sum =
+          static_cast<double>(total_q - left_q) * grad.inv_scale;
+      const double gain =
+          left_sum * left_sum / (static_cast<double>(left_cnt) + cfg.lambda) +
+          right_sum * right_sum /
+              (static_cast<double>(right_cnt) + cfg.lambda) -
+          parent_score;
+      if (gain > best.gain) best = {gain, feature, static_cast<int>(b)};
+    }
+    return best;
+  }
+
+  std::int32_t build(std::span<std::uint32_t> rows, int depth) {
+    const auto node_id = static_cast<std::int32_t>(nodes.size());
+    nodes.emplace_back();
+
+    std::int64_t total_q = 0;
+    for (const std::uint32_t r : rows) total_q += grad.q[r];
+    const auto total_cnt = static_cast<std::int64_t>(rows.size());
+
+    const auto make_leaf = [&] {
+      nodes[static_cast<std::size_t>(node_id)].value =
+          leaf_value(total_q, total_cnt);
+      for (const std::uint32_t r : rows) leaf_of[r] = node_id;
+      return node_id;
+    };
+    if (depth >= cfg.max_depth ||
+        total_cnt < 2 * static_cast<std::int64_t>(cfg.min_samples_leaf)) {
+      return make_leaf();
+    }
+
+    Split best;
+    for (std::size_t f = 0; f < x.features; ++f) {
+      std::vector<std::int64_t> sum(static_cast<std::size_t>(binner.bins(f)), 0);
+      std::vector<std::int64_t> cnt(sum.size(), 0);
+      for (const std::uint32_t r : rows) {
+        sum[x.at(r, f)] += grad.q[r];
+        ++cnt[x.at(r, f)];
+      }
+      const Split s = best_split(sum, cnt, total_q, total_cnt,
+                                 static_cast<std::int32_t>(f));
+      if (s.gain > best.gain) best = s;
+    }
+    if (best.feature < 0 || best.gain <= 1e-12) return make_leaf();
+
+    const auto f = static_cast<std::size_t>(best.feature);
+    const auto mid = std::partition(rows.begin(), rows.end(), [&](std::uint32_t r) {
+      return x.at(r, f) <= best.bin;
+    });
+    const auto n_left = static_cast<std::size_t>(mid - rows.begin());
+    if (n_left == 0 || n_left == rows.size()) return make_leaf();
+
+    {
+      auto& node = nodes[static_cast<std::size_t>(node_id)];
+      node.feature = best.feature;
+      node.split_bin = best.bin;
+      node.threshold = binner.edge(f, best.bin);
+      node.gain = best.gain;
+    }
+    const std::int32_t left = build(rows.subspan(0, n_left), depth + 1);
+    const std::int32_t right = build(rows.subspan(n_left), depth + 1);
+    auto& node = nodes[static_cast<std::size_t>(node_id)];
+    node.left = left;
+    node.right = right;
+    return node_id;
+  }
+};
+
+void expect_nodes_identical(const std::vector<RegressionTree::Node>& na,
+                            const std::vector<RegressionTree::Node>& nb,
+                            std::size_t t) {
+  ASSERT_EQ(na.size(), nb.size()) << "tree " << t;
+  for (std::size_t i = 0; i < na.size(); ++i) {
+    ASSERT_EQ(na[i].feature, nb[i].feature) << "tree " << t << " node " << i;
+    ASSERT_EQ(na[i].split_bin, nb[i].split_bin) << "tree " << t << " node " << i;
+    ASSERT_EQ(na[i].threshold, nb[i].threshold) << "tree " << t << " node " << i;
+    ASSERT_EQ(na[i].left, nb[i].left) << "tree " << t << " node " << i;
+    ASSERT_EQ(na[i].right, nb[i].right) << "tree " << t << " node " << i;
+    ASSERT_EQ(na[i].value, nb[i].value) << "tree " << t << " node " << i;
+    ASSERT_EQ(na[i].gain, nb[i].gain) << "tree " << t << " node " << i;
+  }
+}
+
+struct OracleModel {
+  std::vector<std::vector<RegressionTree::Node>> trees;
+  std::vector<double> training_rmse;
+};
+
+/// Plain boosting loop around the oracle builder: row cap, binning, one
+/// residual pass, one subsample pass and a raw-feature prediction update
+/// per round, drawing from the RNG in the same order GBDTRegressor::fit
+/// documents. Each round, RegressionTree::fit runs on the very same binned
+/// matrix, quantized gradients and sampled rows and must match the oracle's
+/// nodes and every row's recorded leaf exactly.
+void oracle_fit(const Dataset& full, const GBDTConfig& cfg, OracleModel& out) {
+  Rng rng(cfg.seed);
+  Dataset capped(full.features());
+  const Dataset* data = &full;
+  if (cfg.max_training_rows > 0 && full.rows() > cfg.max_training_rows) {
+    const double keep = static_cast<double>(cfg.max_training_rows) /
+                        static_cast<double>(full.rows());
+    for (std::size_t r = 0; r < full.rows(); ++r) {
+      if (rng.bernoulli(keep)) capped.add_row(full.row(r), full.target(r));
+    }
+    data = &capped;
+  }
+  const std::size_t n = data->rows();
+  if (n == 0) return;
+  double mean = 0.0;
+  for (std::size_t r = 0; r < n; ++r) mean += data->target(r);
+  std::vector<double> prediction(n, mean / static_cast<double>(n));
+
+  FeatureBinner binner;
+  binner.fit(*data, cfg.max_bins, rng);
+  const BinnedMatrix x = bin_dataset(*data, binner);
+
+  std::vector<double> residuals(n);
+  for (int t = 0; t < cfg.n_trees; ++t) {
+    double sq = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      residuals[r] = data->target(r) - prediction[r];
+      sq += residuals[r] * residuals[r];
+    }
+    out.training_rmse.push_back(std::sqrt(sq / static_cast<double>(n)));
+
+    std::vector<std::uint32_t> rows;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (cfg.subsample >= 1.0 || rng.bernoulli(cfg.subsample)) {
+        rows.push_back(static_cast<std::uint32_t>(r));
+      }
+    }
+    if (rows.size() < static_cast<std::size_t>(2 * cfg.min_samples_leaf)) break;
+
+    const QuantizedGradients grad = QuantizedGradients::from(residuals);
+    std::vector<std::int32_t> oracle_leaf(n, -1);
+    OracleTreeBuilder oracle{x, binner, grad, cfg, oracle_leaf, {}};
+    std::vector<std::uint32_t> oracle_rows = rows;
+    if (!oracle_rows.empty()) oracle.build(oracle_rows, 0);
+
+    std::vector<std::int32_t> tree_leaf(n, -1);
+    RegressionTree tree;
+    tree.fit(x, binner, grad, rows, tree_leaf, cfg);
+    expect_nodes_identical(tree.nodes(), oracle.nodes, out.trees.size());
+    if (::testing::Test::HasFatalFailure()) return;
+    for (std::size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(tree_leaf[r], oracle_leaf[r])
+          << "tree " << out.trees.size() << " row " << r;
+    }
+    if (oracle.nodes.empty()) break;
+
+    for (std::size_t r = 0; r < n; ++r) {
+      std::size_t i = 0;
+      while (oracle.nodes[i].feature >= 0) {
+        const auto& node = oracle.nodes[i];
+        i = static_cast<std::size_t>(
+            data->at(r, static_cast<std::size_t>(node.feature)) <= node.threshold
+                ? node.left
+                : node.right);
+      }
+      prediction[r] += cfg.learning_rate * oracle.nodes[i].value;
+    }
+    out.trees.push_back(std::move(oracle.nodes));
+  }
+}
+
+/// The oracle's configs: depths 1/4/6, min_samples_leaf 0/5/20, with and
+/// without subsampling and the training-row cap.
+std::vector<GBDTConfig> oracle_configs(std::size_t rows, std::uint64_t seed) {
+  std::vector<GBDTConfig> configs(5);
+  configs[0].n_trees = 10;
+  configs[1].n_trees = 8;
+  configs[1].max_depth = 4;
+  configs[1].max_bins = 33;
+  configs[1].subsample = 1.0;
+  configs[2].n_trees = 8;
+  configs[2].min_samples_leaf = 5;
+  configs[2].max_training_rows = rows / 2;
+  configs[3].n_trees = 8;
+  configs[3].max_depth = 1;
+  configs[3].min_samples_leaf = 0;
+  configs[4].n_trees = 6;
+  configs[4].min_samples_leaf = 0;
+  configs[4].subsample = 0.5;
+  for (auto& cfg : configs) cfg.seed = seed;
+  return configs;
+}
+
+/// Runs the oracle over every config and seed, then checks that the
+/// regressor's own boosting loop reproduces the oracle's whole model. The
+/// largest trace has root nodes above the 16k-row histogram grain, so a
+/// multi-thread pool accumulates them in several chunks.
+void expect_matches_oracle() {
+  const std::pair<std::uint64_t, double> traces[] = {
+      {11, 0.02}, {29, 0.02}, {47, 0.2}};
+  for (const auto& [seed, scale] : traces) {
+    auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"),
+                                              seed, scale);
+    const Dataset data =
+        trace_dataset(trace::SyntheticTraceGenerator(gen).generate());
+    ASSERT_GT(data.rows(), 1000u);
+    for (const GBDTConfig& cfg : oracle_configs(data.rows(), seed)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " depth " +
+                   std::to_string(cfg.max_depth) + " min_leaf " +
+                   std::to_string(cfg.min_samples_leaf));
+      OracleModel oracle;
+      oracle_fit(data, cfg, oracle);
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_FALSE(oracle.trees.empty());
+
+      GBDTRegressor model(cfg);
+      model.fit(data);
+      ASSERT_EQ(model.tree_count(), oracle.trees.size());
+      ASSERT_EQ(model.training_rmse(), oracle.training_rmse);
+      for (std::size_t t = 0; t < oracle.trees.size(); ++t) {
+        expect_nodes_identical(model.trees()[t].nodes(), oracle.trees[t], t);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }
 
-TEST(GbdtEngineParity, BitIdenticalAcrossSeedsAndConfigs) {
-  for (const std::uint64_t seed : {11ull, 29ull}) {
-    auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"),
-                                              seed, 0.02);
-    const Dataset data = trace_dataset(trace::SyntheticTraceGenerator(gen).generate());
-    ASSERT_GT(data.rows(), 1000u);
+TEST(GbdtOracle, MatchesAcrossSeedsAndConfigs) {
+  expect_matches_oracle();
+}
 
-    GBDTConfig configs[3];
-    configs[0].n_trees = 10;
-    configs[1].n_trees = 8;
-    configs[1].max_depth = 4;
-    configs[1].max_bins = 33;
-    configs[1].subsample = 1.0;
-    configs[2].n_trees = 8;
-    configs[2].min_samples_leaf = 5;
-    configs[2].max_training_rows = data.rows() / 2;
-    for (GBDTConfig cfg : configs) {
-      cfg.seed = seed;
-      cfg.engine = GBDTEngine::kHistogram;
-      GBDTConfig ref_cfg = cfg;
-      ref_cfg.engine = GBDTEngine::kReference;
-      GBDTRegressor hist_model(cfg);
-      GBDTRegressor ref_model(ref_cfg);
-      hist_model.fit(data);
-      ref_model.fit(data);
-      ASSERT_TRUE(hist_model.trained());
-      expect_models_identical(hist_model, ref_model);
-    }
-  }
+// Lifted row cap: with the packed 24-bit limit injected down to toy scale,
+// nodes shard into wide histograms (observable via the build counter), and
+// every tree must still match the oracle — no fallback, no drift.
+TEST(GbdtOracle, WideShardedHistogramsMatch) {
+  ScopedPackedRowLimit cap(512);
+  const std::uint64_t wide_before = gbdt_wide_histogram_builds();
+  expect_matches_oracle();
+  EXPECT_GT(gbdt_wide_histogram_builds(), wide_before);
 }
 
 TEST(GbdtEngineParity, PredictManyMatchesPerRowBitwise) {
@@ -151,39 +388,6 @@ TEST(GbdtEngineParity, PredictManyMatchesPerRowBitwise) {
   ASSERT_EQ(batched.size(), data.rows());
   for (std::size_t r = 0; r < data.rows(); ++r) {
     ASSERT_EQ(batched[r], model.predict(data.row(r))) << "row " << r;
-  }
-}
-
-// The AVX2 histogram kernel reorders only integer adds, so a fit with the
-// dispatch on must reproduce the scalar fit bit-for-bit — trees, thresholds,
-// leaf values, gains, and per-iteration RMSE — across configs.
-TEST(SimdParity, FitBitIdenticalToScalar) {
-  {
-    ScopedSimd probe(true);
-    if (!probe.active()) GTEST_SKIP() << "AVX2 unavailable: " << common::simd_mode();
-  }
-  auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 23,
-                                            0.02);
-  const Dataset data = trace_dataset(trace::SyntheticTraceGenerator(gen).generate());
-  GBDTConfig configs[2];
-  configs[0].n_trees = 10;
-  configs[1].n_trees = 8;
-  configs[1].max_depth = 4;
-  configs[1].max_bins = 33;
-  configs[1].subsample = 1.0;
-  for (const GBDTConfig& cfg : configs) {
-    GBDTRegressor simd_model(cfg);
-    GBDTRegressor scalar_model(cfg);
-    {
-      ScopedSimd simd(true);
-      simd_model.fit(data);
-    }
-    {
-      ScopedSimd scalar(false);
-      scalar_model.fit(data);
-    }
-    ASSERT_TRUE(simd_model.trained());
-    expect_models_identical(simd_model, scalar_model);
   }
 }
 
@@ -217,42 +421,6 @@ TEST(SimdParity, PredictManyBitIdenticalToScalar) {
   for (std::size_t r = 0; r < data.rows(); ++r) {
     ASSERT_EQ(simd_out[r], scalar_out[r]) << "row " << r;
     ASSERT_EQ(simd_out[r], model.predict(data.row(r))) << "row " << r;
-  }
-}
-
-// Lifted row cap: with the packed 24-bit limit injected down to toy scale,
-// nodes shard into wide histograms (observable via the build counter) and
-// the fit stays bit-identical to both the default-cap fit and the
-// from-scratch reference engine — no fallback, no drift. Runs on both sides
-// of the SIMD dispatch.
-TEST(SimdParity, WideShardedHistogramsMatchPackedAndReference) {
-  auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 37,
-                                            0.02);
-  const Dataset data = trace_dataset(trace::SyntheticTraceGenerator(gen).generate());
-  ASSERT_GT(data.rows(), 1024u);
-  GBDTConfig cfg;
-  cfg.n_trees = 8;
-  GBDTConfig ref_cfg = cfg;
-  ref_cfg.engine = GBDTEngine::kReference;
-
-  GBDTRegressor default_cap_model(cfg);
-  default_cap_model.fit(data);
-  GBDTRegressor ref_model(ref_cfg);
-  ref_model.fit(data);
-
-  for (const bool simd_on : {true, false}) {
-    ScopedSimd simd(simd_on);
-    if (simd_on && !simd.active()) continue;  // covered by the scalar pass
-    ScopedPackedRowLimit cap(512);
-    const std::uint64_t wide_before = gbdt_wide_histogram_builds();
-    GBDTRegressor sharded_model(cfg);
-    sharded_model.fit(data);
-    // The root (and every early node) exceeds the injected cap, so the wide
-    // path must actually have run.
-    EXPECT_GT(gbdt_wide_histogram_builds(), wide_before)
-        << "simd=" << simd_on;
-    expect_models_identical(sharded_model, default_cap_model);
-    expect_models_identical(sharded_model, ref_model);
   }
 }
 

@@ -107,7 +107,6 @@ TEST(SerializeRoundTrip, GbdtBitIdenticalAcrossSeedsAndConfigs) {
     configs[2].n_trees = 8;
     configs[2].min_samples_leaf = 5;
     configs[2].max_training_rows = data.rows() / 2;
-    configs[2].engine = ml::GBDTEngine::kReference;
     for (ml::GBDTConfig cfg : configs) {
       cfg.seed = seed;
       ml::GBDTRegressor model(cfg);
@@ -122,7 +121,6 @@ TEST(SerializeRoundTrip, GbdtBitIdenticalAcrossSeedsAndConfigs) {
       const auto& c = loaded.config();
       EXPECT_EQ(c.n_trees, cfg.n_trees);
       EXPECT_EQ(c.seed, cfg.seed);
-      EXPECT_EQ(c.engine, cfg.engine);
       EXPECT_EQ(c.max_training_rows, cfg.max_training_rows);
 
       const auto batched = model.predict_many(data);
@@ -618,6 +616,57 @@ TEST(SerializeMalformed, EmptyTreeRejected) {
     FAIL() << "expected kCorrupt";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorrupt);
+  }
+}
+
+TEST(SerializeMalformed, GbdtTrainerIdLegacyLoadsUnknownRejected) {
+  // The GBDT config keeps a u8 trainer id: save() writes 0, files from when
+  // the library also had a bit-identical reference trainer may hold 1 and
+  // must load as the same model, and anything above 1 is corrupt.
+  const ml::Dataset data = trace_dataset(venus_trace(11));
+  ml::GBDTConfig cfg;
+  cfg.n_trees = 6;
+  ml::GBDTRegressor model(cfg);
+  model.fit(data);
+  serialize::Writer w;
+  model.save(w);
+  // Section header (u32 tag, u64 length), then the payload: u32 version,
+  // i32 trees, i32 depth, f64 learning rate, i32 min leaf, f64 subsample,
+  // i32 bins, f64 lambda, u64 seed, u64 row cap — 60 bytes — then the id.
+  constexpr std::size_t kTrainerIdOffset = 12 + 60;
+  std::vector<std::uint8_t> body = w.buffer();
+  ASSERT_EQ(body[kTrainerIdOffset], 0);
+
+  // Patch the body, then frame it, so the CRC covers the patched byte.
+  const auto load_patched = [&](std::uint8_t id, ml::GBDTRegressor& out) {
+    body[kTrainerIdOffset] = id;
+    serialize::Writer patched;
+    patched.bytes(body);
+    const std::vector<std::uint8_t> file = serialize::frame(patched);
+    const std::vector<std::uint8_t> unframed = serialize::unframe(file);
+    serialize::Reader r(unframed);
+    out.load(r);
+    r.close("frame body");
+  };
+
+  ml::GBDTRegressor legacy;
+  load_patched(1, legacy);
+  expect_models_identical(model, legacy);
+  ASSERT_EQ(model.predict_many(data), legacy.predict_many(data));
+  for (std::size_t r = 0; r < data.rows(); r += 97) {
+    ASSERT_EQ(model.predict(data.row(r)), legacy.predict(data.row(r)));
+  }
+  // Re-saving a legacy model writes the one trainer id.
+  serialize::Writer resaved;
+  legacy.save(resaved);
+  EXPECT_EQ(resaved.buffer(), w.buffer());
+
+  ml::GBDTRegressor unknown;
+  try {
+    load_patched(2, unknown);
+    FAIL() << "expected kCorrupt";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
   }
 }
 
