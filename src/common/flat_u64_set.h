@@ -3,22 +3,17 @@
 // Built for core::RollingEstimator's observe-dedupe set: tens of thousands of
 // content-hash keys that are only inserted and probed, never erased, and
 // that travel with every copy of the estimator (each svc snapshot publish,
-// each QssfService copy, RollingOverlay::materialize). A node-based set pays
+// each QssfService copy, each evaluator window snapshot). A node-based set pays
 // one allocation per key on insert and again on every copy; here a copy is
 // one contiguous array copy and an insert allocates only when it rehashes.
 //
-// Layout: linear probing over a power-of-two std::pmr::vector of slots, 0
+// Layout: linear probing over a power-of-two std::vector of slots, 0
 // marking an empty slot; the key 0 itself lives in a flag beside the array.
 // Capacity doubles before the load factor would pass 1/2. There is no
 // erase. Slot positions come from a 64-bit finalizer mix of the key, so keys
 // that share their low or their high bits still spread across the table.
 // for_each visits keys in slot order, which depends on the insert history;
 // callers that need canonical order sort (RollingEstimator::save does).
-//
-// Allocation: slots live on the resource given at construction. A plain copy
-// lands on the default resource (select_on_container_copy_construction); the
-// allocator-extended copy rebinds to the given one, which is how an overlay
-// delta keeps its slots on its window arena.
 //
 // Thread-safety: like the standard containers — const members may be called
 // concurrently, anything else needs exclusive access.
@@ -28,7 +23,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory_resource>
 #include <utility>
 #include <vector>
 
@@ -36,15 +30,6 @@ namespace helios::common {
 
 class FlatU64Set {
  public:
-  using allocator_type = std::pmr::polymorphic_allocator<std::uint64_t>;
-
-  FlatU64Set() = default;
-  explicit FlatU64Set(allocator_type alloc) : slots_(alloc) {}
-  FlatU64Set(const FlatU64Set& other, allocator_type alloc)
-      : slots_(other.slots_, alloc),
-        in_slots_(other.in_slots_),
-        has_zero_(other.has_zero_) {}
-
   /// Adds `key`; returns true if it was not already present.
   bool insert(std::uint64_t key) {
     if (key == 0) return !std::exchange(has_zero_, true);
@@ -72,6 +57,9 @@ class FlatU64Set {
   [[nodiscard]] std::size_t size() const noexcept {
     return in_slots_ + (has_zero_ ? 1 : 0);
   }
+
+  /// Slots in the table; key 0 never takes one.
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
   /// Calls fn(key) once per key, key 0 first, then in slot order.
   template <typename Fn>
@@ -104,15 +92,15 @@ class FlatU64Set {
     return k;
   }
 
-  void rehash(std::size_t capacity) {
-    std::pmr::vector<std::uint64_t> old(capacity, 0, slots_.get_allocator());
+  void rehash(std::size_t new_capacity) {
+    std::vector<std::uint64_t> old(new_capacity, 0);
     old.swap(slots_);  // slots_ is now the empty table, old the full one
     for (const std::uint64_t k : old) {
       if (k != 0) slots_[find_slot(k)] = k;
     }
   }
 
-  std::pmr::vector<std::uint64_t> slots_;
+  std::vector<std::uint64_t> slots_;
   std::size_t in_slots_ = 0;  // keys held in slots_ (all but key 0)
   bool has_zero_ = false;
 };

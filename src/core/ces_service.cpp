@@ -70,10 +70,6 @@ CesResult CesService::replay(const Trace& eval_full,
             ? busy / static_cast<double>(window_buckets) / result.total_nodes
             : 0.0;
   }
-  std::vector<std::int64_t> baseline_delay(eval.size(), 0);
-  for (const auto& o : baseline.outcomes) {
-    if (!o.rejected) baseline_delay[o.trace_index] = o.queue_delay();
-  }
 
   // ---- CES replay ----------------------------------------------------------
   sim::ClusterState state(eval.cluster());
@@ -327,7 +323,6 @@ CesResult CesService::replay(const Trace& eval_full,
   for (std::size_t i = 0; i < eval.size(); ++i) {
     if (boot_affected[i]) ++result.affected_jobs;
   }
-  (void)baseline_delay;
   result.saved_kwh = config_.power.saved_kwh(sleeping_node_seconds);
   result.annualized_kwh = config_.power.annualized_kwh(result.saved_kwh, span_days);
   result.forecast_smape = stats::smape(actual_samples, predicted_samples);

@@ -146,107 +146,6 @@ double RollingEstimator::estimate(const std::string& user,
 }
 
 // ---------------------------------------------------------------------------
-// RollingOverlay
-// ---------------------------------------------------------------------------
-
-RollingOverlay::RollingOverlay()
-    : arena_(std::make_unique<common::MonotonicArena>()),
-      delta_(std::make_unique<RollingEstimator>(arena_.get())) {}
-
-RollingOverlay::RollingOverlay(std::shared_ptr<const RollingEstimator> base)
-    : base_(std::move(base)),
-      arena_(std::make_unique<common::MonotonicArena>()),
-      delta_(std::make_unique<RollingEstimator>(arena_.get())) {
-  if (!base_) return;
-  // The delta starts as the base minus its per-user map and dedupe set:
-  // knobs and global fallbacks copy over (globals advance on every observe,
-  // so they must live in the delta), user histories materialize lazily.
-  delta_->use_names_ = base_->use_names_;
-  delta_->name_match_threshold_ = base_->name_match_threshold_;
-  delta_->rolling_decay_ = base_->rolling_decay_;
-  delta_->max_names_per_user_ = base_->max_names_per_user_;
-  delta_->global_by_gpus_ = base_->global_by_gpus_;
-  delta_->global_duration_sum_ = base_->global_duration_sum_;
-  delta_->global_jobs_ = base_->global_jobs_;
-  delta_->observe_counter_ = base_->observe_counter_;
-}
-
-RollingOverlay::RollingOverlay(const RollingOverlay& other)
-    : base_(other.base_),
-      arena_(std::make_unique<common::MonotonicArena>()),
-      delta_(std::make_unique<RollingEstimator>(*other.delta_, arena_.get())) {}
-
-RollingOverlay& RollingOverlay::operator=(const RollingOverlay& other) {
-  if (this != &other) *this = RollingOverlay(other);
-  return *this;
-}
-
-RollingOverlay& RollingOverlay::operator=(RollingOverlay&& other) noexcept {
-  if (this != &other) {
-    // Order matters: retire the old delta while the old arena is still
-    // alive (its container destructors make virtual deallocate calls on
-    // the resource), then the arena, then adopt the incoming pointers.
-    delta_ = std::move(other.delta_);
-    arena_ = std::move(other.arena_);
-    base_ = std::move(other.base_);
-  }
-  return *this;
-}
-
-void RollingOverlay::observe(const Trace& t, const JobRecord& job) {
-  if (!base_) {
-    delta_->observe(t, job);
-    return;
-  }
-  if (!job.is_gpu_job()) return;
-  // The base's dedupe set is checked here (it never migrates into the
-  // delta); a job the base already folded in must stay a no-op.
-  if (base_->observed_ids_.contains(RollingEstimator::dedupe_key(job))) return;
-  const std::string& user = t.user_name(job);
-  if (!delta_->users_.contains(user)) {
-    if (const auto it = base_->users_.find(user); it != base_->users_.end()) {
-      delta_->users_.emplace(user, it->second);  // copy-on-first-touch
-    }
-  }
-  delta_->observe(t, job);
-}
-
-double RollingOverlay::estimate(const Trace& t, const JobRecord& job) const {
-  return estimate(t.user_name(job), t.job_name(job), job.num_gpus);
-}
-
-double RollingOverlay::estimate(const std::string& user,
-                                const std::string& job_name,
-                                int num_gpus) const {
-  // Route by history ownership: a delta user has the evolved copy; a
-  // base-only user's estimate never reads the global fallbacks (known users
-  // have jobs >= 1), so the base answers bit-identically; an unknown user
-  // needs the *live* globals, which the delta carries.
-  if (base_ && !delta_->users_.contains(user) && base_->users_.contains(user)) {
-    return base_->estimate(user, job_name, num_gpus);
-  }
-  return delta_->estimate(user, job_name, num_gpus);
-}
-
-RollingEstimator RollingOverlay::materialize() const {
-  // Both returns produce a default-resource estimator (plain copies go
-  // through select_on_container_copy_construction), so the result is free
-  // to outlive this overlay's arena.
-  if (!base_) return *delta_;
-  RollingEstimator out = *base_;
-  out.global_by_gpus_ = delta_->global_by_gpus_;
-  out.global_duration_sum_ = delta_->global_duration_sum_;
-  out.global_jobs_ = delta_->global_jobs_;
-  out.observe_counter_ = delta_->observe_counter_;
-  for (const auto& [user, hist] : delta_->users_) out.users_[user] = hist;
-  out.observed_ids_.reserve(out.observed_ids_.size() +
-                            delta_->observed_ids_.size());
-  delta_->observed_ids_.for_each(
-      [&out](std::uint64_t id) { out.observed_ids_.insert(id); });
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Persistence (docs/FORMATS.md)
 // ---------------------------------------------------------------------------
 
@@ -624,25 +523,21 @@ void OnlinePriorityEvaluator::run_chunked(QssfService& service,
   }
 
   // Serial pre-pass: replay only the observe stream through all but the last
-  // window, snapshotting (rolling overlay, pending heap) at each boundary.
-  // The service's pre-eval rolling state moves behind one immutable shared
-  // base — copied zero times here — and each boundary snapshot is a
-  // copy-on-write overlay carrying only the user histories the observe
-  // stream has touched so far, not the full multi-month user map. The heap
-  // executes the same push/pop sequence the serial path would, so the
-  // snapshot layouts — and therefore pop order — are identical.
-  const auto base =
-      std::make_shared<const RollingEstimator>(std::move(service.rolling_));
+  // window, snapshotting (rolling estimator, pending heap) at each boundary.
+  // Every window but the last starts from a plain copy; the last takes the
+  // live state by move. The heap executes the same push/pop sequence the
+  // serial path would, so the snapshot layouts — and therefore pop order —
+  // are identical.
   struct Snapshot {
-    RollingOverlay rolling;
+    RollingEstimator rolling;
     ReplayQueue heap;
   };
   std::vector<Snapshot> snaps(n_windows);
   {
-    RollingOverlay live{base};
+    RollingEstimator live = std::move(service.rolling_);
     ReplayQueue pending;
-    snaps[0] = {live, pending};
     for (std::size_t w = 0; w + 1 < n_windows; ++w) {
+      snaps[w] = {live, pending};
       for (std::size_t pos = start[w]; pos < start[w + 1]; ++pos) {
         const JobRecord& job = jobs[gpu[pos]];
         pending.drain(job.submit_time, [&](std::uint32_t idx) {
@@ -650,8 +545,8 @@ void OnlinePriorityEvaluator::run_chunked(QssfService& service,
         });
         pending.push(job, gpu[pos]);
       }
-      snaps[w + 1] = {live, pending};
     }
+    snaps.back() = {std::move(live), std::move(pending)};
   }
 
   // Replay windows concurrently. Window w's snapshot already contains every
@@ -663,14 +558,13 @@ void OnlinePriorityEvaluator::run_chunked(QssfService& service,
     std::vector<double> actual;
   };
   std::vector<WindowResult> results(n_windows);
-  RollingEstimator final_rolling;
   const QssfConfig& cfg = service.config();
   std::vector<std::function<void()>> tasks;
   tasks.reserve(n_windows);
   for (std::size_t w = 0; w < n_windows; ++w) {
     tasks.push_back([&, w] {
-      RollingOverlay local = std::move(snaps[w].rolling);
-      ReplayQueue pending = std::move(snaps[w].heap);
+      RollingEstimator& local = snaps[w].rolling;
+      ReplayQueue& pending = snaps[w].heap;
       WindowResult& out = results[w];
       const std::size_t count = start[w + 1] - start[w];
       out.priorities.reserve(count);
@@ -691,15 +585,13 @@ void OnlinePriorityEvaluator::run_chunked(QssfService& service,
         out.actual.push_back(job.gpu_time());
         pending.push(job, gpu[pos]);
       }
-      // The last window saw every observe the serial path applies;
-      // flattening its overlay (the one full base copy of the whole chunked
-      // pass) reproduces exactly the state kSerial would leave behind.
-      if (w + 1 == n_windows) final_rolling = local.materialize();
     });
   }
   parallel_run_tasks(std::move(tasks));
 
-  service.rolling_ = std::move(final_rolling);
+  // The last window saw every observe the serial path applies, so its final
+  // state is exactly the one kSerial would leave behind.
+  service.rolling_ = std::move(snaps.back().rolling);
 
   priorities_.reserve(gpu.size());
   predicted_.reserve(gpu.size());

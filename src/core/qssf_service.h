@@ -39,13 +39,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/exec_mode.h"
 #include "common/flat_u64_set.h"
 #include "core/framework.h"
@@ -101,36 +99,6 @@ class RollingEstimator {
         rolling_decay_(config.rolling_decay),
         max_names_per_user_(config.max_names_per_user) {}
 
-  /// Construct with the per-user map and dedupe set backed by `mr` — the
-  /// RollingOverlay points its delta at a per-window MonotonicArena so the
-  /// many short-lived map nodes and the dedupe slot array of a snapshot
-  /// bump-allocate instead of hitting the global heap. The default
-  /// constructor (and the plain copies below, via
-  /// select_on_container_copy_construction) stay on the default resource,
-  /// so estimators that outlive a window never reference an arena.
-  explicit RollingEstimator(std::pmr::memory_resource* mr)
-      : users_(mr), observed_ids_(mr) {}
-
-  /// Allocator-extended copy: every field copies, container storage lands
-  /// on `mr` (the overlay's copy constructor rebinds a snapshot's delta to
-  /// its own fresh arena).
-  RollingEstimator(const RollingEstimator& other, std::pmr::memory_resource* mr)
-      : use_names_(other.use_names_),
-        name_match_threshold_(other.name_match_threshold_),
-        rolling_decay_(other.rolling_decay_),
-        max_names_per_user_(other.max_names_per_user_),
-        users_(other.users_, mr),
-        global_by_gpus_(other.global_by_gpus_),
-        global_duration_sum_(other.global_duration_sum_),
-        global_jobs_(other.global_jobs_),
-        observe_counter_(other.observe_counter_),
-        observed_ids_(other.observed_ids_, mr) {}
-
-  RollingEstimator(const RollingEstimator&) = default;
-  RollingEstimator(RollingEstimator&&) = default;
-  RollingEstimator& operator=(const RollingEstimator&) = default;
-  RollingEstimator& operator=(RollingEstimator&&) = default;
-
   /// Absorb one finished GPU job (idempotent per job_id).
   void observe(const trace::Trace& t, const trace::JobRecord& job);
 
@@ -157,8 +125,6 @@ class RollingEstimator {
   void load(serialize::Reader& r);
 
  private:
-  friend class RollingOverlay;  // copy-on-write view; reads the raw maps
-
   struct NameEntry {
     std::string name;
     double ewma_duration = 0.0;
@@ -184,85 +150,14 @@ class RollingEstimator {
   [[nodiscard]] static std::uint64_t dedupe_key(
       const trace::JobRecord& job) noexcept;
 
-  // The per-user map and the dedupe set are pmr so an overlay delta can
-  // point them at its window arena; everything reachable from UserHistory
-  // (strings, inner maps, name vectors) stays on the default heap — the
-  // arena absorbs the user-map nodes and bucket array and the dedupe slot
-  // array, which dominate the allocation count of a snapshot. The dedupe
-  // set is one flat array, so copying the estimator copies it in one piece.
-  std::pmr::unordered_map<std::string, UserHistory> users_;
+  std::unordered_map<std::string, UserHistory> users_;
   std::unordered_map<int, std::pair<double, std::int64_t>> global_by_gpus_;
   double global_duration_sum_ = 0.0;
   std::int64_t global_jobs_ = 0;
   std::uint64_t observe_counter_ = 0;
-  common::FlatU64Set observed_ids_;  // content-hash keys
-};
-
-/// Copy-on-write view over an immutable shared RollingEstimator. Reads fall
-/// through to the base; an observe materializes only the touched user's
-/// history into a private delta estimator (whose global fallbacks are live
-/// from construction, since they advance with every observe). Copying an
-/// overlay copies the delta, not the base — which is what makes windowed
-/// evaluation snapshots cheap: n windows share one multi-month base and each
-/// carries only the users its prefix of the observe stream touched.
-///
-/// Bit-parity contract: observe() delegates to RollingEstimator::observe on
-/// the delta after seeding it with the base's state for that user, and
-/// estimate() routes each user to whichever side owns its history, so an
-/// overlay is observationally bit-identical to a plain estimator that
-/// started from a copy of the base (test_prediction_parity gates this
-/// through the chunked-vs-serial evaluator comparison).
-///
-/// Thread-safety: like RollingEstimator, externally synchronized; distinct
-/// overlays over the same base may be used from distinct threads freely
-/// (the base is never written through this class).
-class RollingOverlay {
- public:
-  RollingOverlay();
-  explicit RollingOverlay(std::shared_ptr<const RollingEstimator> base);
-
-  /// Copying an overlay (the evaluator's per-window snapshot) allocates a
-  /// fresh arena and rebinds the copied delta to it, so each snapshot owns
-  /// its storage and windows free their arena wholesale when they finish.
-  RollingOverlay(const RollingOverlay& other);
-  RollingOverlay& operator=(const RollingOverlay& other);
-  /// Moves transfer the arena and delta as pointers — no element traffic,
-  /// and no pmr element-wise move-assignment across unequal resources.
-  RollingOverlay(RollingOverlay&&) noexcept = default;
-  RollingOverlay& operator=(RollingOverlay&& other) noexcept;
-  ~RollingOverlay() = default;
-
-  /// Absorb one finished GPU job (idempotent per job identity, across both
-  /// the base's and the delta's dedupe sets).
-  void observe(const trace::Trace& t, const trace::JobRecord& job);
-
-  [[nodiscard]] double estimate(const trace::Trace& t,
-                                const trace::JobRecord& job) const;
-  [[nodiscard]] double estimate(const std::string& user,
-                                const std::string& job_name,
-                                int num_gpus) const;
-
-  /// Flatten base + delta into a standalone estimator (one full base copy —
-  /// the windowed evaluator calls this once, for the final window's state).
-  [[nodiscard]] RollingEstimator materialize() const;
-
-  /// Users whose histories the delta owns (introspection for tests).
-  [[nodiscard]] std::size_t delta_users() const noexcept {
-    return delta_->users_.size();
-  }
-  /// Bytes the delta has bump-allocated from this overlay's arena.
-  [[nodiscard]] std::size_t arena_bytes() const noexcept {
-    return arena_->bytes_used();
-  }
-
- private:
-  std::shared_ptr<const RollingEstimator> base_;  // null = plain estimator
-  // arena_ is declared before delta_: members destroy in reverse order, so
-  // the delta's containers deallocate (a no-op, but still a virtual call)
-  // against a live arena. The custom move-assignment preserves the same
-  // property on overwrite.
-  std::unique_ptr<common::MonotonicArena> arena_;
-  std::unique_ptr<RollingEstimator> delta_;
+  // Content-hash keys in one flat array, so copying the estimator (each
+  // evaluator window snapshot) copies the set in one piece.
+  common::FlatU64Set observed_ids_;
 };
 
 /// A job described by raw strings plus pre-resolved feature ids — the query
@@ -435,9 +330,8 @@ struct EvalOptions {
 ///
 /// The chunked mode splits the stream into contiguous replay windows: a
 /// serial pre-pass replays only the (cheap) observe stream, snapshotting a
-/// copy-on-write RollingOverlay (all windows share the immutable pre-eval
-/// rolling state; each snapshot carries only the user histories its prefix
-/// touched) plus the pending-finish ReplayQueue at each window boundary;
+/// plain copy of the RollingEstimator plus the pending-finish ReplayQueue at
+/// each window boundary (the last window takes the live state by move);
 /// windows then replay concurrently from their snapshots while the GBDT
 /// half of every priority comes from one batched predict_many pass. Because
 /// each window replays exactly the observes the serial path would apply,

@@ -126,23 +126,6 @@ void ClusterState::sleep_node(int ni) {
   ++sleeping_count_;
 }
 
-int ClusterState::sleep_idle_nodes(int count) {
-  int slept = 0;
-  // Idle active nodes are exactly the fully-free buckets; VCs hold
-  // contiguous ascending node-id ranges, so per-VC ascending order is global
-  // node order.
-  for (auto& ix : index_) {
-    if (ix.gpn == 0) continue;
-    auto& idle = ix.by_free[static_cast<std::size_t>(ix.gpn)];
-    while (slept < count && !idle.empty()) {
-      sleep_node(idle.front());
-      ++slept;
-    }
-    if (slept == count) break;
-  }
-  return slept;
-}
-
 int ClusterState::sleep_idle_nodes_in_vc(int vc, int count) {
   VcIndex& ix = index_[static_cast<std::size_t>(vc)];
   if (ix.gpn == 0) return 0;
@@ -170,18 +153,6 @@ void ClusterState::wake_node(int ni, std::int64_t now, std::int64_t boot_delay) 
   ix.booting.insert(ni);
   boot_queue_.emplace(n.boot_ready, ni);
   --sleeping_count_;
-}
-
-int ClusterState::wake_nodes(int count, std::int64_t now, std::int64_t boot_delay) {
-  int woken = 0;
-  for (auto& ix : index_) {
-    while (woken < count && !ix.sleeping.empty()) {
-      wake_node(ix.sleeping.front(), now, boot_delay);
-      ++woken;
-    }
-    if (woken == count) break;
-  }
-  return woken;
 }
 
 int ClusterState::wake_nodes_in_vc(int vc, int count, std::int64_t now,

@@ -175,17 +175,14 @@ class ClusterState {
   }
 
   /// -- power control (used by the CES service) ---------------------------
-  /// Put up to `count` idle active nodes of the cluster to sleep, in node
-  /// order. Returns how many slept.
-  int sleep_idle_nodes(int count);
-  /// Same, restricted to one VC.
+  /// Put up to `count` idle active nodes of `vc` to sleep, in node order.
+  /// Returns how many slept.
   int sleep_idle_nodes_in_vc(int vc, int count);
   /// Active nodes of `vc` with no allocations (candidates for DRS).
   [[nodiscard]] int idle_active_nodes_in_vc(int vc) const noexcept;
-  /// Begin waking up to `count` sleeping nodes (any VC); they become
-  /// schedulable at now + boot_delay. Returns how many started booting.
-  int wake_nodes(int count, std::int64_t now, std::int64_t boot_delay);
-  /// Same, but restricted to one VC.
+  /// Begin waking up to `count` sleeping nodes of `vc`, in node order; they
+  /// become schedulable at now + boot_delay. Returns how many started
+  /// booting.
   int wake_nodes_in_vc(int vc, int count, std::int64_t now, std::int64_t boot_delay);
   /// Nodes of `vc` currently booting.
   [[nodiscard]] int booting_nodes_in_vc(int vc) const noexcept;

@@ -48,6 +48,21 @@ SchedulerPolicy policy_from_string(std::string_view name) {
   throw std::invalid_argument("unknown scheduler policy: " + std::string(name));
 }
 
+std::pair<UnixTime, UnixTime> simulation_window(const Trace& t) {
+  UnixTime begin = 0;
+  UnixTime end = 1;
+  bool first = true;
+  for (const JobRecord& j : t.jobs()) {
+    if (!j.is_gpu_job()) continue;
+    if (first) {
+      begin = j.submit_time;
+      first = false;
+    }
+    end = std::max<UnixTime>(end, j.submit_time + j.duration + 1);
+  }
+  return {begin, end};
+}
+
 ClusterSimulator::ClusterSimulator(trace::ClusterSpec spec, SimConfig config)
     : spec_(std::move(spec)), config_(std::move(config)) {}
 
@@ -66,15 +81,14 @@ SimResult ClusterSimulator::run(const Trace& t) const {
   // outcomes in trace order, and route each to its VC shard. Jobs whose VC
   // is not in the cluster spec are rejected immediately, exactly as the
   // event loop used to do on arrival.
-  UnixTime window_begin = 0;
-  UnixTime window_end = 1;
+  const auto window = simulation_window(t);
+  const UnixTime window_begin = window.first;
+  const UnixTime window_end = window.second;
   std::vector<std::vector<std::size_t>> vc_arrivals(n_vcs);
   result.outcomes.reserve(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
     const JobRecord& j = t.jobs()[i];
     if (!j.is_gpu_job()) continue;
-    if (result.outcomes.empty()) window_begin = j.submit_time;
-    window_end = std::max<UnixTime>(window_end, j.submit_time + j.duration + 1);
     JobOutcome o;
     o.trace_index = i;
     o.submit = j.submit_time;

@@ -29,6 +29,7 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/exec_mode.h"
@@ -194,6 +195,12 @@ class ClusterSimulator {
   trace::ClusterSpec spec_;
   SimConfig config_;
 };
+
+/// The window ClusterSimulator::run simulates and bills: [first GPU-job
+/// submit, max over GPU jobs of submit + duration + 1), or [0, 1) when the
+/// trace has no GPU job. Fault plans are drawn over the same window.
+[[nodiscard]] std::pair<UnixTime, UnixTime> simulation_window(
+    const trace::Trace& t);
 
 /// Copy simulated start times back into the trace (GPU jobs only; CPU jobs
 /// keep start == submit). Returns the number of jobs updated.

@@ -17,24 +17,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// [first GPU-job submit, last possible completion) — the window the
-/// simulator itself derives, so fault events cover exactly the simulated
-/// horizon.
-std::pair<UnixTime, UnixTime> sim_window(const trace::Trace& t) {
-  UnixTime begin = 0;
-  UnixTime end = 1;
-  bool first = true;
-  for (const auto& j : t.jobs()) {
-    if (!j.is_gpu_job()) continue;
-    if (first) {
-      begin = j.submit_time;
-      first = false;
-    }
-    end = std::max<UnixTime>(end, j.submit_time + j.duration + 1);
-  }
-  return {begin, end};
-}
-
 }  // namespace
 
 PriorityProvider oracle_gpu_time_provider() {
@@ -57,7 +39,7 @@ sim::FaultPlan ScenarioEngine::make_fault_plan(const FaultSpec& fault,
   cfg.flaky_multiplier = fault.flaky_multiplier;
   cfg.mean_downtime = fault.mean_downtime;
   cfg.seed = fault.seed;
-  const auto [begin, end] = sim_window(t);
+  const auto [begin, end] = sim::simulation_window(t);
   return sim::FaultPlan::generate(t.cluster(), cfg, begin, end);
 }
 

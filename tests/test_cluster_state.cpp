@@ -94,14 +94,15 @@ TEST(ClusterState, BusyCountersTrackAllocations) {
 
 TEST(ClusterState, SleepingNodesAreUnschedulable) {
   ClusterState cs(tiny_spec());
-  EXPECT_EQ(cs.sleep_idle_nodes(2), 2);
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 2), 2);
   EXPECT_EQ(cs.active_nodes(), 3);
   EXPECT_EQ(cs.sleeping_nodes(), 2);
   // vcA lost both nodes -> allocation fails even though capacity exists.
-  const int free_a = cs.free_gpus(0);
-  const int sched_a = cs.schedulable_gpus(0);
-  EXPECT_EQ(free_a, sched_a);
-  EXPECT_LE(sched_a, 16);
+  EXPECT_EQ(cs.free_gpus(0), 0);
+  EXPECT_EQ(cs.schedulable_gpus(0), 0);
+  EXPECT_TRUE(cs.can_ever_fit(0, 8));
+  EXPECT_FALSE(cs.try_allocate(0, 8).has_value());
+  EXPECT_EQ(cs.schedulable_gpus(1), 24);  // vcB untouched
 }
 
 TEST(ClusterState, SleepSkipsBusyNodes) {
@@ -110,15 +111,18 @@ TEST(ClusterState, SleepSkipsBusyNodes) {
   ASSERT_TRUE(a.has_value());
   auto b = cs.try_allocate(1, 24);  // all vcB nodes busy
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(cs.sleep_idle_nodes(5), 0);  // nothing idle to sleep
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 0);  // nothing idle to sleep
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 0);
   cs.release(*a);
-  EXPECT_EQ(cs.sleep_idle_nodes(5), 2);  // only the two vcA nodes
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 0);  // vcB is still busy
+  EXPECT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 2);  // both vcA nodes
 }
 
 TEST(ClusterState, WakeAndBootLifecycle) {
   ClusterState cs(tiny_spec());
-  ASSERT_EQ(cs.sleep_idle_nodes(3), 3);
-  EXPECT_EQ(cs.wake_nodes(2, /*now=*/1000, /*boot_delay=*/300), 2);
+  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(0, 2), 2);
+  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(1, 1), 1);
+  EXPECT_EQ(cs.wake_nodes_in_vc(0, 2, /*now=*/1000, /*boot_delay=*/300), 2);
   // Booting nodes count as active (powered) but are not schedulable.
   EXPECT_EQ(cs.active_nodes(), 4);
   EXPECT_EQ(cs.sleeping_nodes(), 1);
@@ -132,8 +136,9 @@ TEST(ClusterState, WakeAndBootLifecycle) {
 
 TEST(ClusterState, WakeNodesInVc) {
   ClusterState cs(tiny_spec());
-  ASSERT_EQ(cs.sleep_idle_nodes(5), 5);
-  EXPECT_EQ(cs.wake_nodes_in_vc(0, 5, 0, 300), 2);  // vcA only has 2 nodes
+  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(0, 5), 2);  // vcA only has 2 nodes
+  ASSERT_EQ(cs.sleep_idle_nodes_in_vc(1, 5), 3);
+  EXPECT_EQ(cs.wake_nodes_in_vc(0, 5, 0, 300), 2);
   cs.finish_boots(300);
   EXPECT_EQ(cs.schedulable_gpus(0), 16);
   EXPECT_EQ(cs.schedulable_gpus(1), 0);

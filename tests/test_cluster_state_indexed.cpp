@@ -176,17 +176,6 @@ class ReferenceState {
     return c;
   }
 
-  int sleep_idle_nodes(int count) {
-    int slept = 0;
-    for (auto& n : nodes_) {
-      if (slept == count) break;
-      if (n.power == PowerState::kActive && !n.busy()) {
-        n.power = PowerState::kSleeping;
-        ++slept;
-      }
-    }
-    return slept;
-  }
   int sleep_idle_nodes_in_vc(int vc, int count) {
     int slept = 0;
     for (int ni : vc_nodes_[static_cast<std::size_t>(vc)]) {
@@ -198,18 +187,6 @@ class ReferenceState {
       }
     }
     return slept;
-  }
-  int wake_nodes(int count, std::int64_t now, std::int64_t delay) {
-    int woken = 0;
-    for (auto& n : nodes_) {
-      if (woken == count) break;
-      if (n.power == PowerState::kSleeping) {
-        n.power = PowerState::kBooting;
-        n.boot_ready = now + delay;
-        ++woken;
-      }
-    }
-    return woken;
   }
   int wake_nodes_in_vc(int vc, int count, std::int64_t now, std::int64_t delay) {
     int woken = 0;
@@ -333,30 +310,19 @@ void run_sweep(const trace::ClusterSpec& spec, std::uint64_t seed,
         ref.apply(to_pairs(live[i].alloc), -1);
         break;
       }
-      case 7: {  // sleep idle nodes (cluster-wide or per VC)
+      case 7: {  // sleep idle nodes of one VC
         const int count = static_cast<int>(rng.uniform_index(4));
-        if (rng.uniform() < 0.5) {
-          ASSERT_EQ(state.sleep_idle_nodes(count), ref.sleep_idle_nodes(count))
-              << "step " << step;
-        } else {
-          ASSERT_EQ(state.sleep_idle_nodes_in_vc(vc, count),
-                    ref.sleep_idle_nodes_in_vc(vc, count))
-              << "step " << step;
-        }
+        ASSERT_EQ(state.sleep_idle_nodes_in_vc(vc, count),
+                  ref.sleep_idle_nodes_in_vc(vc, count))
+            << "step " << step;
         break;
       }
-      case 8: {  // wake nodes
+      case 8: {  // wake sleeping nodes of one VC
         const int count = static_cast<int>(rng.uniform_index(4));
         const std::int64_t delay = 100 + static_cast<std::int64_t>(rng.uniform_index(300));
-        if (rng.uniform() < 0.5) {
-          ASSERT_EQ(state.wake_nodes(count, now, delay),
-                    ref.wake_nodes(count, now, delay))
-              << "step " << step;
-        } else {
-          ASSERT_EQ(state.wake_nodes_in_vc(vc, count, now, delay),
-                    ref.wake_nodes_in_vc(vc, count, now, delay))
-              << "step " << step;
-        }
+        ASSERT_EQ(state.wake_nodes_in_vc(vc, count, now, delay),
+                  ref.wake_nodes_in_vc(vc, count, now, delay))
+            << "step " << step;
         break;
       }
       case 9: {  // boot completion

@@ -2,17 +2,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <latch>
-#include <memory_resource>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/csv.h"
 #include "common/env.h"
 #include "common/flat_u64_set.h"
@@ -142,59 +139,14 @@ TEST(ThreadPool, EveryTaskRunsBeforeTheFirstExceptionPropagates) {
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(MonotonicArena, BumpAllocatesAndAligns) {
-  common::MonotonicArena arena;
-  EXPECT_EQ(arena.bytes_reserved(), 0u);  // construction allocates nothing
-  EXPECT_EQ(arena.chunk_count(), 0u);
-  void* a = arena.allocate(10, 1);
-  void* b = arena.allocate(16, 16);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 16, 0u);
-  EXPECT_NE(a, b);
-  EXPECT_GE(arena.bytes_used(), 26u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-  // deallocate is a no-op: the memory stays valid until the arena dies.
-  arena.deallocate(a, 10, 1);
-  std::memset(a, 0xab, 10);
-}
-
-TEST(MonotonicArena, ChunksGrowAndOversizedAllocationsWork) {
-  common::MonotonicArena arena(256);
-  for (int i = 0; i < 64; ++i) {
-    void* p = arena.allocate(64, 8);
-    std::memset(p, i, 64);  // every pointer must be distinct, writable memory
-  }
-  EXPECT_GT(arena.chunk_count(), 1u);  // 4 KiB of 64B blocks outgrew 256B
-  // An allocation far beyond the doubling schedule gets its own chunk.
-  void* big = arena.allocate(std::size_t{3} << 20, 64);
-  ASSERT_NE(big, nullptr);
-  std::memset(big, 0xcd, std::size_t{3} << 20);
-  EXPECT_GE(arena.bytes_reserved(), std::size_t{3} << 20);
-}
-
-TEST(MonotonicArena, BacksPmrContainers) {
-  common::MonotonicArena arena;
-  {
-    std::pmr::unordered_map<int, int> m(&arena);
-    for (int i = 0; i < 1000; ++i) m[i] = i * 3;
-    EXPECT_EQ(m.at(999), 2997);
-    EXPECT_GT(arena.bytes_used(), 1000u * sizeof(int) * 2);
-  }
-  // The map's destructor "freed" into the arena (a no-op); only the arena's
-  // destruction releases the chunks.
-  EXPECT_GT(arena.bytes_reserved(), 0u);
-}
-
 TEST(FlatU64Set, KeyZeroIsAnOrdinaryMember) {
-  common::MonotonicArena arena;
-  common::FlatU64Set set(&arena);
+  common::FlatU64Set set;
   EXPECT_FALSE(set.contains(0));
   EXPECT_TRUE(set.insert(0));
   EXPECT_FALSE(set.insert(0));
   EXPECT_TRUE(set.contains(0));
   EXPECT_EQ(set.size(), 1u);
-  EXPECT_EQ(arena.bytes_used(), 0u);  // key 0 never takes a slot
+  EXPECT_EQ(set.capacity(), 0u);  // key 0 never takes a slot
   EXPECT_TRUE(set.insert(7));
   EXPECT_EQ(set.size(), 2u);
   EXPECT_TRUE(set.contains(0));
@@ -232,15 +184,14 @@ TEST(FlatU64Set, GrowsThroughRehashesWithClusteredKeys) {
 }
 
 TEST(FlatU64Set, ReserveSizesForHalfLoadAndAvoidsRehashing) {
-  common::MonotonicArena arena;
-  common::FlatU64Set set(&arena);
+  common::FlatU64Set set;
   set.reserve(1000);
-  const std::size_t used = arena.bytes_used();
-  EXPECT_GE(used, 2000 * sizeof(std::uint64_t));  // load factor <= 1/2
+  const std::size_t capacity = set.capacity();
+  EXPECT_GE(capacity, 2000u);  // load factor <= 1/2
   for (std::uint64_t k = 1; k <= 1000; ++k) set.insert(k);
-  EXPECT_EQ(arena.bytes_used(), used);  // no rehash allocated
+  EXPECT_EQ(set.capacity(), capacity);  // no rehash
   set.reserve(10);                      // never shrinks
-  EXPECT_EQ(arena.bytes_used(), used);
+  EXPECT_EQ(set.capacity(), capacity);
   EXPECT_EQ(set.size(), 1000u);
 }
 
@@ -256,27 +207,6 @@ TEST(FlatU64Set, CopiesAreIndependent) {
   EXPECT_TRUE(a.contains(1000));
   EXPECT_TRUE(a.insert(2000));
   EXPECT_FALSE(b.contains(2000));
-}
-
-TEST(FlatU64Set, AllocatorExtendedCopyLandsOnTheArena) {
-  common::FlatU64Set source;
-  for (std::uint64_t k = 0; k < 500; ++k) source.insert(k * 31);
-  common::MonotonicArena arena;
-  common::FlatU64Set copy(source, &arena);
-  const std::size_t used = arena.bytes_used();
-  EXPECT_GE(used, 1000 * sizeof(std::uint64_t));
-  EXPECT_EQ(copy.size(), source.size());
-  for (std::uint64_t k = 0; k < 500; ++k) EXPECT_TRUE(copy.contains(k * 31));
-  // Growth keeps allocating from the arena, and the source stays put.
-  for (std::uint64_t k = 500; k < 2000; ++k) copy.insert(k * 31);
-  EXPECT_GT(arena.bytes_used(), used);
-  EXPECT_FALSE(source.contains(1999 * 31));
-  EXPECT_EQ(source.size(), 500u);
-  // A plain copy of an arena-backed set goes back to the default heap.
-  const std::size_t before_plain = arena.bytes_used();
-  const common::FlatU64Set plain = copy;
-  EXPECT_EQ(arena.bytes_used(), before_plain);
-  EXPECT_EQ(plain.size(), copy.size());
 }
 
 TEST(FlatU64Set, ForEachVisitsEveryKeyOnce) {

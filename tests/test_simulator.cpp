@@ -159,6 +159,21 @@ TEST(Simulator, BusySeriesMatchesSchedule) {
   if (r.busy_gpus.size() > 4) EXPECT_NEAR(r.busy_gpus.values[4], 0.0, 1e-9);
 }
 
+TEST(Simulator, SimulationWindowSpansGpuJobs) {
+  // CPU jobs (0 GPUs) before and after the GPU jobs do not widen the window.
+  const auto t = make_trace(one_node_spec(), {{5, 100, 0, "vc0"},
+                                              {10, 20, 8, "vc0"},
+                                              {12, 300, 4, "vc0"},
+                                              {400, 30, 0, "vc0"}});
+  const auto [begin, end] = simulation_window(t);
+  EXPECT_EQ(begin, 10);
+  EXPECT_EQ(end, 12 + 300 + 1);
+  EXPECT_EQ(run(t, SchedulerPolicy::kFifo).peak_power_watts.begin, begin);
+
+  const auto cpu_only = make_trace(one_node_spec(), {{5, 100, 0, "vc0"}});
+  EXPECT_EQ(simulation_window(cpu_only), (std::pair<UnixTime, UnixTime>{0, 1}));
+}
+
 TEST(Simulator, ApplyScheduleWritesStartTimes) {
   auto t = make_trace(one_node_spec(), {{0, 100, 8, "vc0"}, {1, 10, 8, "vc0"}});
   const auto r = run(t, SchedulerPolicy::kFifo);
