@@ -41,17 +41,27 @@
 #   ./ci.sh threads    full build + the fast suites at HELIOS_THREADS=1, 2
 #                      and 8, so the parallel ≡ serial parity suites run at
 #                      pool widths other than this machine's
+#   ./ci.sh figs [rev] output parity against another revision: full build of
+#                      the working tree, plus a build of <rev> (default HEAD)
+#                      in a temporary git worktree under build-figs/; then
+#                      runs every fig*/table*/ablation_* binary from both
+#                      builds and exits non-zero, naming each binary whose
+#                      stdout differs (or that fails or is missing at <rev>).
+#                      The binaries are deterministic at a fixed
+#                      HELIOS_SCALE/HELIOS_SEED/HELIOS_THREADS; all 24 take
+#                      about 30 s per build on 4 cores
 #
 # Extra args after the mode are passed through to ctest (full/smoke/asan/
-# tsan/simd/threads) or to the microbenchmarks (bench).
+# tsan/simd/threads) or to the microbenchmarks (bench); figs takes only the
+# revision.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 mode="${1:-full}"
 [ $# -gt 0 ] && shift
 case "$mode" in
-  full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads) ;;
-  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads] [args...]" >&2; exit 2 ;;
+  full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads|figs) ;;
+  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads|figs] [args...]" >&2; exit 2 ;;
 esac
 
 # Grep-based link/target validator: every backticked repo path, every
@@ -196,6 +206,47 @@ if [ "$mode" = sweep ]; then
   HELIOS_SWEEP_CLUSTERS="${HELIOS_SWEEP_CLUSTERS:-Venus,Earth}" \
   HELIOS_SWEEP_SEEDS="${HELIOS_SWEEP_SEEDS:-2}" \
     build/sweep_matrix
+  exit 0
+fi
+
+if [ "$mode" = figs ]; then
+  # The reference revision builds in its own worktree (library + bench
+  # harnesses only); the worktree is removed on exit, the outputs stay in
+  # build-figs/out for inspection.
+  rev="$(git rev-parse --verify "${1:-HEAD}^{commit}")"
+  ref=build-figs
+  rm -rf "$ref/out"
+  [ -d "$ref/src" ] && git worktree remove --force "$ref/src"
+  git worktree add --detach "$ref/src" "$rev"
+  trap 'git worktree remove --force "$ref/src"' EXIT
+  cmake -B "$ref/build" -S "$ref/src" -DCMAKE_BUILD_TYPE=Release \
+    -DHELIOS_BUILD_TESTS=OFF -DHELIOS_BUILD_EXAMPLES=OFF
+  cmake --build "$ref/build" -j "$(nproc)"
+  mkdir -p "$ref/out"
+  fail=0
+  for bin in build/fig* build/table* build/ablation_*; do
+    name="${bin#build/}"
+    if [ ! -x "$ref/build/$name" ]; then
+      echo "FIGS FAIL: $name is not built at $rev" >&2
+      fail=1
+      continue
+    fi
+    if ! "$bin" > "$ref/out/$name.new" || \
+       ! "$ref/build/$name" > "$ref/out/$name.ref"; then
+      echo "FIGS FAIL: $name exited non-zero" >&2
+      fail=1
+    elif cmp -s "$ref/out/$name.new" "$ref/out/$name.ref"; then
+      echo "figs: $name identical"
+    else
+      echo "FIGS FAIL: $name stdout differs from $rev" >&2
+      fail=1
+    fi
+  done
+  if [ "$fail" -ne 0 ]; then
+    echo "FIGS FAIL: outputs differ from $rev (see above; diff build-figs/out/<name>.{new,ref})" >&2
+    exit 1
+  fi
+  echo "figs check OK: every binary matches $rev"
   exit 0
 fi
 

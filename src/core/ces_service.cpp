@@ -6,6 +6,7 @@
 #include <limits>
 #include <queue>
 
+#include "core/power_model.h"
 #include "sim/bucket_integrator.h"
 #include "sim/simulator.h"
 #include "stats/metrics.h"
@@ -34,6 +35,10 @@ void CesService::update(const Trace& new_data) {
 }
 
 namespace {
+
+/// Datacenter cooling draws about twice the server power (§4.3.3), so every
+/// server-watt a sleeping node saves is worth three facility-watts.
+constexpr double kFacilityFactor = 3.0;
 
 struct Finish {
   std::int64_t time = 0;
@@ -72,7 +77,16 @@ CesResult CesService::replay(const Trace& eval_full,
   }
 
   // ---- CES replay ----------------------------------------------------------
-  sim::ClusterState state(eval.cluster());
+  // VCs never share nodes (§2.1): one state per VC, indexed by spec VC.
+  std::vector<sim::ClusterState> states;
+  states.reserve(eval.cluster().vcs.size());
+  for (const auto& vc : eval.cluster().vcs) states.emplace_back(vc);
+  // Cluster-wide total of one per-VC counter.
+  auto total = [&states](auto counter) {
+    int sum = 0;
+    for (const auto& st : states) sum += (st.*counter)();
+    return sum;
+  };
   const int gpn = eval.cluster().gpus_per_node;
 
   // VC interner id -> spec index.
@@ -115,18 +129,20 @@ CesResult CesService::replay(const Trace& eval_full,
   std::int64_t last_account = begin;
   auto account = [&](std::int64_t now) {
     if (now <= last_account) return;
-    running_acc.add(last_account, now, state.busy_nodes());
-    active_acc.add(last_account, now, state.active_nodes());
-    sleeping_node_seconds += static_cast<double>(state.sleeping_nodes()) *
-                             static_cast<double>(now - last_account);
+    running_acc.add(last_account, now, total(&sim::ClusterState::busy_nodes));
+    active_acc.add(last_account, now,
+                   total(&sim::ClusterState::active_nodes));
+    sleeping_node_seconds +=
+        static_cast<double>(total(&sim::ClusterState::sleeping_nodes)) *
+        static_cast<double>(now - last_account);
     last_account = now;
   };
 
   auto wake_for_vc = [&](int vc, int gpus_short, std::int64_t now) {
     const int nodes_needed =
         (gpus_short + gpn - 1) / gpn + config_.sigma;  // R - CA + sigma
-    const int woken = state.wake_nodes_in_vc(vc, nodes_needed, now,
-                                             config_.boot_delay);
+    const int woken = states[static_cast<std::size_t>(vc)].wake_nodes(
+        nodes_needed, now, config_.boot_delay);
     if (woken > 0) {
       ++result.wakeup_events;
       result.woken_nodes += woken;
@@ -135,33 +151,32 @@ CesResult CesService::replay(const Trace& eval_full,
 
   auto schedule_vc = [&](int vc, std::int64_t now) {
     auto& q = queues[static_cast<std::size_t>(vc)];
+    sim::ClusterState& state = states[static_cast<std::size_t>(vc)];
     while (!q.empty()) {
       const std::size_t ji = q.front();
       const JobRecord& j = eval.jobs()[ji];
-      if (!state.can_ever_fit(vc, j.num_gpus)) {
+      if (!state.can_ever_fit(j.num_gpus)) {
         q.pop_front();  // impossible job: drop (counted as unaffected)
         start_time[ji] = j.submit_time;
         continue;
       }
-      auto alloc = state.try_allocate(vc, j.num_gpus);
+      auto alloc = state.try_allocate(j.num_gpus);
       if (!alloc) {
         // Fragmentation rescue: the arrival check compares totals, but gang
         // placement may still fail (a 16-GPU job needs whole free nodes).
         // If the VC has sleeping capacity and nothing already booting for
         // it, wake enough nodes for the head job.
-        if (state.booting_nodes_in_vc(vc) == 0 &&
-            state.sleeping_nodes_in_vc(vc) > 0) {
-          const int shortfall =
-              std::max(gpn, j.num_gpus - state.free_gpus(vc));
+        if (state.booting_nodes() == 0 && state.sleeping_nodes() > 0) {
+          const int shortfall = std::max(gpn, j.num_gpus - state.free_gpus());
           wake_for_vc(vc, shortfall, now);
         }
         // The head job is held back while a reboot it needs is in flight:
         // this is the paper's "affected by the 5-minute boot" population.
-        if (state.booting_nodes_in_vc(vc) > 0) boot_affected[ji] = true;
+        if (state.booting_nodes() > 0) boot_affected[ji] = true;
         // Greedy backfill (production Slurm behaviour; see SimConfig).
         for (auto bit = std::next(q.begin()); bit != q.end();) {
           const std::size_t bji = *bit;
-          auto balloc = state.try_allocate(vc, eval.jobs()[bji].num_gpus);
+          auto balloc = state.try_allocate(eval.jobs()[bji].num_gpus);
           if (balloc) {
             allocs[bji] = *balloc;
             start_time[bji] = now;
@@ -196,9 +211,12 @@ CesResult CesService::replay(const Trace& eval_full,
     const std::int64_t finish_time =
         finishes.empty() ? std::numeric_limits<std::int64_t>::max()
                          : finishes.top().time;
-    const auto boot = state.next_boot_ready();
-    const std::int64_t boot_time =
-        boot ? *boot : std::numeric_limits<std::int64_t>::max();
+    std::int64_t boot_time = std::numeric_limits<std::int64_t>::max();
+    for (const auto& st : states) {
+      if (const auto boot = st.next_boot_ready()) {
+        boot_time = std::min(boot_time, *boot);
+      }
+    }
     const std::int64_t check_time =
         next_check < end ? next_check : std::numeric_limits<std::int64_t>::max();
     const std::int64_t now =
@@ -211,13 +229,15 @@ CesResult CesService::replay(const Trace& eval_full,
     while (!finishes.empty() && finishes.top().time <= now) {
       const Finish f = finishes.top();
       finishes.pop();
-      state.release(allocs[f.job]);
-      const auto id = eval.jobs()[f.job].vc;
-      if (id < vc_of_id.size() && vc_of_id[id] >= 0) dirty.push_back(vc_of_id[id]);
+      // Only jobs of a spec VC start, so a finished job's VC is known.
+      const int vc = vc_of_id[eval.jobs()[f.job].vc];
+      states[static_cast<std::size_t>(vc)].release(allocs[f.job]);
+      dirty.push_back(vc);
     }
-    // 2) boot completions make nodes schedulable.
+    // 2) boot completions make nodes schedulable. A boot completing in any
+    //    VC schedules every VC with a queue.
     if (boot_time <= now) {
-      state.finish_boots(now);
+      for (auto& st : states) st.finish_boots(now);
       for (int vc = 0; vc < static_cast<int>(queues.size()); ++vc) {
         if (!queues[static_cast<std::size_t>(vc)].empty()) dirty.push_back(vc);
       }
@@ -233,7 +253,7 @@ CesResult CesService::replay(const Trace& eval_full,
         start_time[ji] = j.submit_time;
         continue;
       }
-      const int free = state.free_gpus(vc);
+      const int free = states[static_cast<std::size_t>(vc)].free_gpus();
       if (free < j.num_gpus) wake_for_vc(vc, j.num_gpus - free, now);
       queues[static_cast<std::size_t>(vc)].push_back(ji);
       dirty.push_back(vc);
@@ -246,7 +266,7 @@ CesResult CesService::replay(const Trace& eval_full,
     // 5) PeriodicCheck.
     if (check_time <= now) {
       next_check += config_.check_interval;
-      const double running_now = state.busy_nodes();
+      const double running_now = total(&sim::ClusterState::busy_nodes);
       observed.values.push_back(running_now);
       actual_samples.push_back(running_now);
 
@@ -279,19 +299,16 @@ CesResult CesService::replay(const Trace& eval_full,
         const int target_active =
             std::min(result.total_nodes,
                      static_cast<int>(running_now) + config_.sigma);
-        int surplus = state.active_nodes() - target_active;
+        int surplus = total(&sim::ClusterState::active_nodes) - target_active;
         // Sleep per VC, keeping a proportional slice of the sigma buffer
         // idle in each so arrivals anywhere rarely hit a boot wait.
-        const int vcs = state.vc_count();
-        for (int vc = 0; vc < vcs && surplus > 0; ++vc) {
-          const int vc_nodes =
-              static_cast<int>(state.vc_node_indices(vc).size());
+        for (auto it = states.begin(); it != states.end() && surplus > 0; ++it) {
           const int vc_buffer = std::max(
-              1, (config_.sigma * vc_nodes + result.total_nodes - 1) /
+              1, (config_.sigma * it->node_count() + result.total_nodes - 1) /
                      std::max(1, result.total_nodes));
           const int can =
-              std::min(surplus, state.idle_active_nodes_in_vc(vc) - vc_buffer);
-          if (can > 0) surplus -= state.sleep_idle_nodes_in_vc(vc, can);
+              std::min(surplus, it->idle_active_nodes() - vc_buffer);
+          if (can > 0) surplus -= it->sleep_idle_nodes(can);
         }
       }
     }
@@ -323,8 +340,13 @@ CesResult CesService::replay(const Trace& eval_full,
   for (std::size_t i = 0; i < eval.size(); ++i) {
     if (boot_affected[i]) ++result.affected_jobs;
   }
-  result.saved_kwh = config_.power.saved_kwh(sleeping_node_seconds);
-  result.annualized_kwh = config_.power.annualized_kwh(result.saved_kwh, span_days);
+  // A sleeping node saves its idle draw minus its sleep draw.
+  const PowerProfile profile;
+  const double saved_watts = profile.idle_node_watts - profile.sleep_node_watts;
+  result.saved_kwh = sleeping_node_seconds / 3600.0 * (saved_watts / 1000.0) *
+                     kFacilityFactor;
+  result.annualized_kwh =
+      span_days > 0.0 ? result.saved_kwh * 365.0 / span_days : 0.0;
   result.forecast_smape = stats::smape(actual_samples, predicted_samples);
   return result;
 }

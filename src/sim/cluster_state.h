@@ -1,18 +1,20 @@
-// Node-level cluster state with VC partitioning and consolidated placement.
+// Node-level state of one VC partition, with consolidated placement.
 //
-// Models the allocation rules of §2.1/§4.2.2: every node belongs to exactly
-// one VC; GPU jobs are gang-scheduled (all-or-nothing) and placed in the
-// ConsolidateAllocate paradigm — as few nodes as possible, so a 16-GPU job
-// on 8-GPU nodes needs two *completely free* nodes. Also tracks node power
-// states for the Cluster Energy Saving service (sleeping nodes accept no
-// work until woken; waking takes a boot delay).
+// Models the allocation rules of §2.1/§4.2.2 for one virtual cluster: a VC
+// is a dedicated slice of whole nodes that no other VC shares, so one state
+// per VC is the whole picture (the simulator runs one per shard, the CES
+// replay holds one per VC). GPU jobs are gang-scheduled (all-or-nothing) and
+// placed in the ConsolidateAllocate paradigm — as few nodes as possible, so
+// a 16-GPU job on 8-GPU nodes needs two *completely free* nodes. Also tracks
+// node power states for the Cluster Energy Saving service (sleeping nodes
+// accept no work until woken; waking takes a boot delay).
 //
-// Hot paths are indexed instead of scanned: each VC keeps buckets of
-// schedulable nodes keyed by free-GPU count (by_free), ordered sets of its
-// sleeping/booting nodes, and running GPU counters, so
+// Hot paths are indexed instead of scanned: the state keeps buckets of
+// schedulable nodes keyed by free-GPU count (by_free_), the ordered set of
+// sleeping nodes, a boot queue, and running GPU counters, so
 //  * try_allocate is O(gpus_per_node + nodes_in_gang) — best-fit picks the
-//    lowest-id node from the first non-empty bucket, which reproduces the
-//    previous linear scan's choice exactly;
+//    lowest-id node from the first non-empty bucket, which reproduces a
+//    linear scan's choice exactly;
 //  * free_gpus / schedulable_gpus / capacity_gpus / can_ever_fit are O(1);
 //  * infeasible requests (demand > free schedulable GPUs) are rejected O(1)
 //    before any placement work;
@@ -40,7 +42,6 @@ enum class PowerState : std::uint8_t {
 };
 
 struct Node {
-  int vc = -1;
   int total_gpus = 0;
   int free_gpus = 0;
   PowerState power = PowerState::kActive;
@@ -108,15 +109,16 @@ struct Allocation {
 
 class ClusterState {
  public:
-  explicit ClusterState(const trace::ClusterSpec& spec);
+  /// All nodes of `vc`, powered and free; node ids run 0 .. vc.nodes - 1.
+  explicit ClusterState(const trace::VCSpec& vc);
 
-  /// Consolidated gang allocation of `gpus` within VC `vc`:
+  /// Consolidated gang allocation of `gpus`:
   ///  * gpus <= gpus_per_node: best-fit single node (least free GPUs that
   ///    still fit), so small jobs fragment as few nodes as possible;
   ///  * gpus > gpus_per_node: floor(gpus/gpn) completely free nodes plus a
   ///    best-fit node for the remainder.
   /// Returns nullopt when the VC cannot host the job right now.
-  [[nodiscard]] std::optional<Allocation> try_allocate(int vc, int gpus);
+  [[nodiscard]] std::optional<Allocation> try_allocate(int gpus);
 
   void release(const Allocation& a);
 
@@ -125,40 +127,37 @@ class ClusterState {
   void reclaim(const Allocation& a);
 
   /// -- capacity queries (all O(1)) ---------------------------------------
-  [[nodiscard]] int vc_count() const noexcept { return static_cast<int>(vc_nodes_.size()); }
   [[nodiscard]] int node_count() const noexcept { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] const Node& node(int i) const noexcept {
     return nodes_[static_cast<std::size_t>(i)];
   }
-  [[nodiscard]] const std::vector<int>& vc_node_indices(int vc) const noexcept {
-    return vc_nodes_[static_cast<std::size_t>(vc)];
-  }
-  /// Free GPUs on schedulable nodes of a VC.
-  [[nodiscard]] int free_gpus(int vc) const noexcept {
-    return index_[static_cast<std::size_t>(vc)].sched_free;
-  }
-  /// Total GPUs on schedulable nodes of a VC.
-  [[nodiscard]] int schedulable_gpus(int vc) const noexcept {
-    return index_[static_cast<std::size_t>(vc)].sched_total;
-  }
-  /// Total GPUs of the VC regardless of power state.
-  [[nodiscard]] int capacity_gpus(int vc) const noexcept {
-    return index_[static_cast<std::size_t>(vc)].capacity;
-  }
+  /// Free GPUs on schedulable nodes.
+  [[nodiscard]] int free_gpus() const noexcept { return sched_free_; }
+  /// Total GPUs on schedulable nodes.
+  [[nodiscard]] int schedulable_gpus() const noexcept { return sched_total_; }
+  /// Total GPUs regardless of power state.
+  [[nodiscard]] int capacity_gpus() const noexcept { return capacity_; }
   /// Largest job the VC could ever host when fully powered (capacity check).
-  [[nodiscard]] bool can_ever_fit(int vc, int gpus) const noexcept {
-    return vc >= 0 && vc < vc_count() && gpus > 0 && gpus <= capacity_gpus(vc);
+  [[nodiscard]] bool can_ever_fit(int gpus) const noexcept {
+    return gpus > 0 && gpus <= capacity_;
   }
 
-  /// Cluster-wide counters.
+  /// -- node counters (all O(1)) ------------------------------------------
   [[nodiscard]] int busy_nodes() const noexcept { return busy_nodes_; }
   [[nodiscard]] int busy_gpus() const noexcept { return busy_gpus_; }
   [[nodiscard]] int active_nodes() const noexcept {  ///< powered (incl. booting)
-    return node_count() - sleeping_count_ - failed_count_;
+    return node_count() - sleeping_nodes() - failed_count_;
   }
-  [[nodiscard]] int sleeping_nodes() const noexcept { return sleeping_count_; }
+  [[nodiscard]] int sleeping_nodes() const noexcept {
+    return static_cast<int>(sleeping_.size());
+  }
   [[nodiscard]] int booting_nodes() const noexcept {
     return static_cast<int>(boot_queue_.size());
+  }
+  [[nodiscard]] int failed_nodes() const noexcept { return failed_count_; }
+  /// Active nodes with no allocations (candidates for DRS).
+  [[nodiscard]] int idle_active_nodes() const noexcept {
+    return gpn_ == 0 ? 0 : static_cast<int>(idle_bucket().size());
   }
 
   /// Baseline draw of the whole state under `profile`: every node billed by
@@ -168,26 +167,18 @@ class ClusterState {
   [[nodiscard]] double baseline_watts(
       const core::PowerProfile& profile) const noexcept {
     const int booting = booting_nodes();
-    const int active =
-        node_count() - sleeping_count_ - failed_count_ - booting;
-    return profile.baseline_watts(active, booting, sleeping_count_,
+    const int active = active_nodes() - booting;
+    return profile.baseline_watts(active, booting, sleeping_nodes(),
                                   failed_count_);
   }
 
   /// -- power control (used by the CES service) ---------------------------
-  /// Put up to `count` idle active nodes of `vc` to sleep, in node order.
-  /// Returns how many slept.
-  int sleep_idle_nodes_in_vc(int vc, int count);
-  /// Active nodes of `vc` with no allocations (candidates for DRS).
-  [[nodiscard]] int idle_active_nodes_in_vc(int vc) const noexcept;
-  /// Begin waking up to `count` sleeping nodes of `vc`, in node order; they
-  /// become schedulable at now + boot_delay. Returns how many started
-  /// booting.
-  int wake_nodes_in_vc(int vc, int count, std::int64_t now, std::int64_t boot_delay);
-  /// Nodes of `vc` currently booting.
-  [[nodiscard]] int booting_nodes_in_vc(int vc) const noexcept;
-  /// Nodes of `vc` currently asleep.
-  [[nodiscard]] int sleeping_nodes_in_vc(int vc) const noexcept;
+  /// Put up to `count` idle active nodes to sleep, in node order. Returns
+  /// how many slept.
+  int sleep_idle_nodes(int count);
+  /// Begin waking up to `count` sleeping nodes, in node order; they become
+  /// schedulable at now + boot_delay. Returns how many started booting.
+  int wake_nodes(int count, std::int64_t now, std::int64_t boot_delay);
   /// Promote nodes whose boot completed at or before `now` to active.
   void finish_boots(std::int64_t now);
   /// Earliest pending boot-ready time, or nullopt.
@@ -204,8 +195,6 @@ class ClusterState {
   /// Return a repaired node to service, fully free and schedulable.
   /// No-op unless the node is currently failed.
   void recover_node(int ni);
-  [[nodiscard]] int failed_nodes() const noexcept { return failed_count_; }
-  [[nodiscard]] int failed_nodes_in_vc(int vc) const noexcept;
 
  private:
   /// Ascending set of node ids on a flat vector. VCs hold at most a few
@@ -228,35 +217,32 @@ class ClusterState {
     std::vector<int> ids_;
   };
 
-  /// Per-VC index over the flat node array.
-  struct VcIndex {
-    int gpn = 0;        ///< GPUs per node in this VC (0 when the VC is empty)
-    int capacity = 0;   ///< total GPUs, any power state
-    int sched_total = 0;  ///< total GPUs on kActive nodes
-    int sched_free = 0;   ///< free GPUs on kActive nodes
-    /// by_free[f]: kActive nodes with exactly f free GPUs, ordered by node
-    /// id (which is VC-local submission order, so "first in node order").
-    std::vector<NodeIdSet> by_free;
-    NodeIdSet sleeping;  ///< node ids in kSleeping, ordered
-    NodeIdSet booting;   ///< node ids in kBooting, ordered
-    NodeIdSet failed;    ///< node ids in kFailed, ordered
-  };
-
+  [[nodiscard]] NodeIdSet& bucket(const Node& n) noexcept {
+    return by_free_[static_cast<std::size_t>(n.free_gpus)];
+  }
+  /// Fully free kActive nodes.
+  [[nodiscard]] const NodeIdSet& idle_bucket() const noexcept {
+    return by_free_[static_cast<std::size_t>(gpn_)];
+  }
   void apply(const Allocation& a, int sign);
-  void bucket_erase(const Node& n, int ni);
-  void bucket_insert(const Node& n, int ni);
-  void sleep_node(int ni);
-  void wake_node(int ni, std::int64_t now, std::int64_t boot_delay);
+  /// Move a node into / out of the schedulable pool (buckets and GPU sums).
+  void make_schedulable(int ni);
+  void make_unschedulable(int ni);
 
   std::vector<Node> nodes_;
-  std::vector<std::vector<int>> vc_nodes_;
-  std::vector<VcIndex> index_;
+  int gpn_ = 0;          ///< GPUs per node (0 when the VC has no nodes)
+  int capacity_ = 0;     ///< total GPUs, any power state
+  int sched_total_ = 0;  ///< total GPUs on kActive nodes
+  int sched_free_ = 0;   ///< free GPUs on kActive nodes
+  /// by_free_[f]: kActive nodes with exactly f free GPUs, ordered by node id
+  /// (so "first in node order").
+  std::vector<NodeIdSet> by_free_;
+  NodeIdSet sleeping_;  ///< node ids in kSleeping, ordered
   /// Booting nodes ordered by (boot_ready, node id): O(log n) next_boot_ready
   /// and finish_boots touches only completed boots.
   std::set<std::pair<std::int64_t, int>> boot_queue_;
   int busy_nodes_ = 0;  // maintained incrementally: O(1) busy queries
   int busy_gpus_ = 0;
-  int sleeping_count_ = 0;
   int failed_count_ = 0;
 };
 

@@ -477,24 +477,13 @@ class DemandTracker {
   std::size_t size_ = 0;
 };
 
-trace::ClusterSpec single_vc_spec(const trace::ClusterSpec& spec, int vc) {
-  const auto& vcspec = spec.vcs[static_cast<std::size_t>(vc)];
-  trace::ClusterSpec sub;
-  sub.name = spec.name;
-  sub.nodes = vcspec.nodes;
-  sub.gpus_per_node = vcspec.gpus_per_node;
-  sub.cpus_per_node = spec.cpus_per_node;
-  sub.vcs = {vcspec};
-  return sub;
-}
-
 }  // namespace
 
 VcSimulator::VcSimulator(const trace::ClusterSpec& spec, int vc,
                          const SimConfig& config, UnixTime window_begin)
     : config_(&config),
       window_begin_(window_begin),
-      state_(single_vc_spec(spec, vc)) {
+      state_(spec.vcs[static_cast<std::size_t>(vc)]) {
   if (config.power_cap_watts > 0.0) {
     // Budget-constrained admission: VCs never talk to each other, so the
     // cluster cap splits into capacity-proportional per-VC shares. The
@@ -608,11 +597,11 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
   std::vector<std::size_t> run_slot(n, SIZE_MAX);
 
   PolicyQueue queue(config_->policy, config_->backfill);
-  queue.init(jobs, state_.capacity_gpus(0));
+  queue.init(jobs, state_.capacity_gpus());
   // GPU demands of every queued job; min() lets a backfill pass bail out
   // O(1) when nothing queued can possibly fit.
   DemandTracker queued_gpus;
-  queued_gpus.init(state_.capacity_gpus(0));
+  queued_gpus.init(state_.capacity_gpus());
   std::vector<RunningJob> runs;
   runs.reserve(n);  // at most one slot per job; growth would copy Allocations
   std::priority_queue<FinishEvent, std::vector<FinishEvent>, std::greater<>>
@@ -779,7 +768,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
     while (!queue.empty()) {
       const std::size_t lj = queue.head();
       const LocalJob& job = jobs[lj];
-      if (!state_.can_ever_fit(0, job.gpus)) {
+      if (!state_.can_ever_fit(job.gpus)) {
         JobOutcome& o = outcomes[arrivals[lj]];
         o.rejected = true;
         o.start = o.submit;
@@ -795,7 +784,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
       // checked up front so a power-blocked head leaves the run set alone).
       const bool power_ok = power_allows(job.watts);
       auto alloc =
-          power_ok ? state_.try_allocate(0, job.gpus) : std::optional<Allocation>{};
+          power_ok ? state_.try_allocate(job.gpus) : std::optional<Allocation>{};
       if (!alloc && srtf && power_ok) {
         // Preempt running jobs with strictly larger remaining time, largest
         // first, until the head fits; roll back if it never does.
@@ -817,7 +806,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
         for (std::size_t s : candidates) {
           state_.release(runs[s].alloc);
           freed.push_back(s);
-          alloc = state_.try_allocate(0, job.gpus);
+          alloc = state_.try_allocate(job.gpus);
           if (alloc) break;
         }
         if (alloc) {
@@ -842,7 +831,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
       }
       if (!alloc) {
         if (config_->backfill && !queued_gpus.empty() &&
-            queued_gpus.min() <= state_.free_gpus(0) && some_draw_fits()) {
+            queued_gpus.min() <= state_.free_gpus() && some_draw_fits()) {
           // Greedy backfill: start any later queued job that fits right now.
           // The ranked queue skips demand classes that cannot pass either
           // gate below: a demand above the free GPUs fails try_allocate, and
@@ -852,7 +841,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
           queue.backfill_pass(
               config_->backfill_depth,
               [&](const PolicyQueue::DemandClass& c) {
-                return c.gpus <= state_.free_gpus(0) &&
+                return c.gpus <= state_.free_gpus() &&
                        (c.power_exempt || power_allows(c.min_watts));
               },
               [&](std::size_t blj) {
@@ -860,14 +849,14 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
                 // the projected draw stays under the cap; over-budget
                 // candidates are skipped, not blocking the ones behind them.
                 if (!power_allows(jobs[blj].watts)) return Visit::kSkipped;
-                auto balloc = state_.try_allocate(0, jobs[blj].gpus);
+                auto balloc = state_.try_allocate(jobs[blj].gpus);
                 if (!balloc) return Visit::kSkipped;
                 start_job(blj, std::move(*balloc), now);
                 dequeue(blj);
                 // Placements shrink the free pool and the power headroom;
                 // bail once nothing left fits either.
                 if (queued_gpus.empty() ||
-                    queued_gpus.min() > state_.free_gpus(0) || !some_draw_fits()) {
+                    queued_gpus.min() > state_.free_gpus() || !some_draw_fits()) {
                   return Visit::kStop;
                 }
                 return Visit::kStarted;
@@ -955,7 +944,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
         // see the blocked-head memo.
         const bool outranks = !fifo && queue.before(lj, blocked_local);
         const bool backfillable =
-            config_->backfill && jobs[lj].gpus <= state_.free_gpus(0);
+            config_->backfill && jobs[lj].gpus <= state_.free_gpus();
         if (outranks || backfillable) need_schedule = true;
       } else {
         need_schedule = true;

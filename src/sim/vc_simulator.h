@@ -8,8 +8,8 @@
 // series deterministically (in VC order; the series terms are exact integer
 // products, so the merged series is bit-identical to a serial accumulation).
 //
-// Each shard owns a single-VC ClusterState over the VC's nodes, the policy
-// queue, and run slots:
+// Each shard owns its VC's ClusterState (the state models one VC partition),
+// the policy queue, and run slots:
 //  * a per-VC active-run list lets SRTF preemption scan only the jobs
 //    currently running instead of every run slot ever created;
 //  * policies whose priorities never change while a job waits (FIFO; SJF,

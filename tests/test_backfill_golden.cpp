@@ -16,12 +16,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
 
+#include "golden_digest.h"
 #include "sim/simulator.h"
 
 namespace helios::sim {
@@ -119,36 +118,8 @@ SimConfig golden_config(SchedulerPolicy policy, int depth, bool capped,
   return cfg;
 }
 
-class Fnv {
- public:
-  template <typename T>
-  Fnv& add(T v) {
-    unsigned char b[sizeof(T)];
-    std::memcpy(b, &v, sizeof(T));
-    for (unsigned char c : b) {
-      h_ ^= c;
-      h_ *= 1099511628211ull;
-    }
-    return *this;
-  }
-  Fnv& add(const forecast::TimeSeries& s) {
-    add(s.begin).add(s.step).add(s.values.size());
-    for (double v : s.values) add(v);
-    return *this;
-  }
-  [[nodiscard]] std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ull;
-};
-
 std::string digest(const SimResult& r) {
-  Fnv d;
+  golden::Fnv d;
   d.add(r.outcomes.size());
   for (const JobOutcome& o : r.outcomes) {
     d.add(o.trace_index).add(o.submit).add(o.start).add(o.end).add(o.gpus)

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/ces_service.h"
 #include "core/framework.h"
+#include "golden_digest.h"
 #include "sim/simulator.h"
+#include "sweep/studies.h"
+#include "sweep/trace_store.h"
 #include "trace/synthetic.h"
 
 namespace helios::core {
@@ -126,6 +130,48 @@ TEST(CesService, ForecastTracksActual) {
                 1);
 }
 
+TEST(CesService, SavedEnergyPricesSleepAtIdleDrawWithCooling) {
+  CesFixture f;
+  CesService svc(test_config(), naive_model());
+  svc.fit(f.history);
+  const auto r = svc.replay(f.t, f.history, f.eval_begin, f.eval_end);
+  ASSERT_GT(r.avg_drs_nodes, 0.0);
+  // A sleeping node saves its 0.8 kW idle draw, and cooling triples it.
+  const double span_s = static_cast<double>(f.eval_end - f.eval_begin);
+  EXPECT_NEAR(r.saved_kwh, r.avg_drs_nodes * span_s / 3600.0 * 0.8 * 3.0,
+              1e-9 * r.saved_kwh);
+  const double days = span_s / static_cast<double>(kSecondsPerDay);
+  EXPECT_NEAR(r.annualized_kwh, r.saved_kwh * 365.0 / days,
+              1e-9 * r.annualized_kwh);
+}
+
+// Golden digests of table5_ces_perf's Philly column: the GBDT-forecast CES
+// replay and the vanilla-DRS replay on the FIFO-operated Philly trace (seed
+// 42, scale 0.25), December 1-15. Every CesResult field is hashed at full
+// width. The digests were recorded from the replay over one multi-VC
+// ClusterState; any change to the replay's event order or accounting must
+// reproduce them.
+std::string digest(const CesResult& r) {
+  golden::Fnv d;
+  d.add(r.running_nodes).add(r.active_nodes).add(r.predicted_nodes);
+  d.add(r.total_nodes).add(r.avg_drs_nodes).add(r.daily_wakeups)
+      .add(r.avg_woken_per_wakeup).add(r.wakeup_events).add(r.woken_nodes)
+      .add(r.node_util_original).add(r.node_util_ces).add(r.affected_jobs)
+      .add(r.total_jobs).add(r.saved_kwh).add(r.annualized_kwh)
+      .add(r.forecast_smape);
+  return d.hex();
+}
+
+TEST(CesGolden, PhillyTable5Column) {
+  sweep::TraceStore store;
+  const auto operated = store.get(sweep::TraceKey::workload(
+      "Philly", /*seed=*/42, /*scale=*/0.25, /*operated=*/true));
+  const auto study = sweep::run_ces_study(*operated, from_civil(2017, 12, 1),
+                                          from_civil(2017, 12, 15));
+  EXPECT_EQ(digest(study.ces), "9636f1f1f4b9c513");
+  EXPECT_EQ(digest(study.vanilla), "0adfffc1fdf09bcc");
+}
+
 TEST(Framework, RegisterFindUpdate) {
   class CountingService final : public Service {
    public:
@@ -144,14 +190,6 @@ TEST(Framework, RegisterFindUpdate) {
   fw.update_all(t);
   EXPECT_EQ(svc.updates, 2);
   EXPECT_EQ(fw.cluster_name(), "Earth");
-}
-
-TEST(PowerModel, Arithmetic) {
-  PowerModel p;
-  // One node asleep for one hour saves 0.8 kWh * 3 (cooling included).
-  EXPECT_NEAR(p.saved_kwh(3600.0), 2.4, 1e-9);
-  EXPECT_NEAR(p.annualized_kwh(100.0, 36.5), 1000.0, 1e-9);
-  EXPECT_DOUBLE_EQ(p.annualized_kwh(100.0, 0.0), 0.0);
 }
 
 }  // namespace
