@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verify in one command: configure, build, run every gtest suite.
+# Tier-1 verify in one command: configure, build, run every gtest suite and
+# the argument-free examples.
 #
 #   ./ci.sh            full build + docs check + full test sweep
-#   ./ci.sh smoke      full build + fast suites only (ctest -L smoke)
+#   ./ci.sh smoke      full build + fast suites and argument-free examples
+#                      only (ctest -L smoke)
 #   ./ci.sh bench      full build + microbenchmark smoke run (short
 #                      --benchmark_min_time so perf regressions fail loudly
 #                      instead of silently; binaries are built -O2 -DNDEBUG);
@@ -118,10 +120,10 @@ fi
 if [ "$mode" = asan ]; then
   # Own build tree so the sanitized objects never mix with the Release cache.
   # Debug keeps assertions live; -fno-sanitize-recover turns every ASan/UBSan
-  # report into a hard failure instead of a log line. Benches and examples
-  # are skipped — the smoke suites exercise the library paths that matter.
+  # report into a hard failure instead of a log line. Benches are skipped;
+  # the smoke label covers the fast suites and the argument-free examples.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=OFF \
+    -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build build-asan -j "$(nproc)"
@@ -135,9 +137,9 @@ if [ "$mode" = asan ]; then
 fi
 
 if [ "$mode" = tsan ]; then
-  # Same shape as asan: own tree, Debug, library + smoke suites only.
+  # Same shape as asan: own tree, Debug, library + smoke suites + examples.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=OFF \
+    -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j "$(nproc)"

@@ -77,10 +77,11 @@ SimResult ClusterSimulator::run(const Trace& t) const {
     if (id != StringInterner::kNotFound) vc_of_id[id] = vi;
   }
 
-  // Collect GPU jobs (trace is sorted by submit time), pre-fill their
-  // outcomes in trace order, and route each to its VC shard. Jobs whose VC
-  // is not in the cluster spec are rejected immediately, exactly as the
-  // event loop used to do on arrival.
+  // Collect GPU jobs, pre-fill their outcomes in trace order, and route each
+  // to its VC shard. Jobs whose VC is not in the cluster spec are rejected
+  // immediately, exactly as the event loop used to do on arrival. Shards
+  // take arrivals in trace order, so a GPU job submitted before its
+  // predecessor would queue behind it and fall outside the window.
   const auto window = simulation_window(t);
   const UnixTime window_begin = window.first;
   const UnixTime window_end = window.second;
@@ -89,6 +90,12 @@ SimResult ClusterSimulator::run(const Trace& t) const {
   for (std::size_t i = 0; i < t.size(); ++i) {
     const JobRecord& j = t.jobs()[i];
     if (!j.is_gpu_job()) continue;
+    if (!result.outcomes.empty() &&
+        j.submit_time < result.outcomes.back().submit) {
+      throw std::invalid_argument(
+          "ClusterSimulator::run: GPU jobs are not sorted by submit time (job " +
+          std::to_string(i) + ")");
+    }
     JobOutcome o;
     o.trace_index = i;
     o.submit = j.submit_time;

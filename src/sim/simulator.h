@@ -187,8 +187,10 @@ class ClusterSimulator {
  public:
   ClusterSimulator(trace::ClusterSpec spec, SimConfig config);
 
-  /// Simulate all GPU jobs of `t` (must be sorted by submit time). The trace
-  /// is not modified; use apply_schedule to write start times back.
+  /// Simulate all GPU jobs of `t`, which must appear in non-decreasing
+  /// submit order (Trace::sort_by_submit_time; CSV loaders keep row order);
+  /// throws std::invalid_argument otherwise. The trace is not modified; use
+  /// apply_schedule to write start times back.
   [[nodiscard]] SimResult run(const trace::Trace& t) const;
 
  private:

@@ -156,22 +156,17 @@ enum class Visit {
   kStop,     ///< end the pass
 };
 
-/// Head-of-line queue over shard-local job ids, with a backend chosen by
-/// what the policy actually needs:
-///  * kRanked — every policy whose priorities never change while queued
-///    (FIFO always; SJF, QSSF and EQSSF with backfill). init() sorts the
-///    local ids by QueueKey once into ranks (FIFO's rank is its local id, so
-///    it skips the sort) and the live queue is an OrderedBitmap over ranks:
-///    O(1) push/remove and an O(1)-ish head. A job requeued after a
+/// Head-of-line queue over shard-local job ids. The backend follows from one
+/// property of the policy: can a queued job's key change?
+///  * kRanked — no (FIFO, SJF, QSSF, EQSSF). init() sorts the local ids by
+///    QueueKey once into ranks and the live queue is an OrderedBitmap over
+///    ranks: O(1) push/remove and an O(1)-ish head. A job requeued after a
 ///    node-failure kill re-sets its bit, i.e. it rejoins at its priority
-///    position, like every other backend.
-///  * kHeap — the ordered policies without backfill only ever pop the head
-///    or re-push with a new priority (SRTF preemption), so a binary heap
-///    with versioned lazy deletion beats both a red-black tree and the
-///    per-run sort the ranked backend pays.
-///  * kSet — SRTF with backfill: preemption changes the keys of queued
-///    jobs and backfill walks the order behind the head, which only an
-///    ordered set supports. Its backfill pass visits every window entry.
+///    position. FIFO's keys are (0, submit, local) and arrivals come in
+///    submit order, so its rank is its local id.
+///  * kSet — yes (SRTF: a preempted or killed job requeues with its new
+///    remaining time). An ordered set of the current keys; with backfill,
+///    the pass walks the set behind the head and visits every window entry.
 ///
 /// With backfill, the ranked backend also indexes the queue by GPU demand:
 /// each distinct demand in the shard (clamped like DemandTracker) is a
@@ -192,120 +187,73 @@ class PolicyQueue {
   };
 
   PolicyQueue(SchedulerPolicy policy, bool backfill)
-      : backend_(policy == SchedulerPolicy::kFifo ||
-                         (backfill && policy != SchedulerPolicy::kSrtf)
-                     ? Backend::kRanked
-                     : (backfill ? Backend::kSet : Backend::kHeap)),
-        sort_ranks_(policy != SchedulerPolicy::kFifo),
+      : backend_(policy == SchedulerPolicy::kSrtf ? Backend::kSet
+                                                  : Backend::kRanked),
         backfill_(backfill) {}
 
   /// `capacity` is the VC's GPU total; larger demands share one class.
   void init(const std::vector<LocalJob>& jobs, int capacity) {
     const std::size_t n = jobs.size();
-    queued_.assign(n, false);
-    switch (backend_) {
-      case Backend::kRanked:
-        bitmap_.reserve(n);
-        if (sort_ranks_) {
-          std::vector<QueueKey> order(n);
-          for (std::size_t lj = 0; lj < n; ++lj) {
-            order[lj] = {jobs[lj].priority, jobs[lj].submit, lj};
-          }
-          std::sort(order.begin(), order.end());
-          local_of_.resize(n);
-          rank_of_.resize(n);
-          for (std::size_t r = 0; r < n; ++r) {
-            local_of_[r] = order[r].local;
-            rank_of_[order[r].local] = r;
-          }
-        }
-        if (backfill_) init_classes(jobs, capacity);
-        break;
-      case Backend::kHeap:
-        version_.assign(n, 0);
-        keys_.resize(n);
-        break;
-      case Backend::kSet:
-        keys_.resize(n);
-        break;
+    if (backend_ == Backend::kSet) {
+      keys_.resize(n);
+      return;
     }
+    bitmap_.reserve(n);
+    std::vector<QueueKey> order(n);
+    for (std::size_t lj = 0; lj < n; ++lj) {
+      order[lj] = {jobs[lj].priority, jobs[lj].submit, lj};
+    }
+    std::sort(order.begin(), order.end());
+    local_of_.resize(n);
+    rank_of_.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      local_of_[r] = order[r].local;
+      rank_of_[order[r].local] = r;
+    }
+    if (backfill_) init_classes(jobs, capacity);
   }
 
   void push(const QueueKey& key) {
-    queued_[key.local] = true;
     ++live_;
-    switch (backend_) {
-      case Backend::kRanked: {
-        const std::size_t r = rank(key.local);
-        bitmap_.set(r);
-        if (!class_of_.empty()) classes_[class_of_[key.local]].queued.set(r);
-        break;
-      }
-      case Backend::kHeap: {
-        keys_[key.local] = key;
-        HeapEntry e;
-        e.key = key;
-        e.version = version_[key.local];
-        heap_.push_back(e);
-        std::push_heap(heap_.begin(), heap_.end(), HeapGreater{});
-        break;
-      }
-      case Backend::kSet:
-        keys_[key.local] = key;
-        set_.insert(key);
-        break;
+    if (backend_ == Backend::kSet) {
+      keys_[key.local] = key;
+      set_.insert(key);
+      return;
     }
+    const std::size_t r = rank_of_[key.local];
+    bitmap_.set(r);
+    if (!class_of_.empty()) classes_[class_of_[key.local]].queued.set(r);
   }
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 
   /// Local id of the highest-priority queued job; call only when !empty().
-  [[nodiscard]] std::size_t head() {
-    switch (backend_) {
-      case Backend::kRanked:
-        return local(bitmap_.first());
-      case Backend::kHeap:
-        while (!queued_[heap_.front().key.local] ||
-               heap_.front().version != version_[heap_.front().key.local]) {
-          std::pop_heap(heap_.begin(), heap_.end(), HeapGreater{});
-          heap_.pop_back();
-        }
-        return heap_.front().key.local;
-      case Backend::kSet:
-        return set_.begin()->local;
-    }
-    return 0;  // unreachable
+  [[nodiscard]] std::size_t head() const {
+    if (backend_ == Backend::kSet) return set_.begin()->local;
+    return local_of_[bitmap_.first()];
   }
 
   /// Does queued job `a` outrank queued job `b`?
   [[nodiscard]] bool before(std::size_t a, std::size_t b) const noexcept {
-    if (backend_ == Backend::kRanked) return rank(a) < rank(b);
-    return keys_[a] < keys_[b];
+    if (backend_ == Backend::kSet) return keys_[a] < keys_[b];
+    return rank_of_[a] < rank_of_[b];
   }
 
   void remove(std::size_t lj) {
-    queued_[lj] = false;
     --live_;
-    switch (backend_) {
-      case Backend::kRanked: {
-        const std::size_t r = rank(lj);
-        bitmap_.clear(r);
-        if (!class_of_.empty()) classes_[class_of_[lj]].queued.clear(r);
-        break;
-      }
-      case Backend::kHeap:
-        ++version_[lj];  // lazy: head() drops stale entries
-        break;
-      case Backend::kSet:
-        set_.erase(keys_[lj]);
-        break;
+    if (backend_ == Backend::kSet) {
+      set_.erase(keys_[lj]);
+      return;
     }
+    const std::size_t r = rank_of_[lj];
+    bitmap_.clear(r);
+    if (!class_of_.empty()) classes_[class_of_[lj]].queued.clear(r);
   }
 
-  /// One greedy backfill pass behind the head (only with backfill, so the
-  /// heap backend never reaches this). The window is the first `depth`
-  /// queued jobs behind the head; `visit` sees window jobs in priority order
-  /// and may remove() only the job it is handed.
+  /// One greedy backfill pass behind the head (only with backfill). The
+  /// window is the first `depth` queued jobs behind the head; `visit` sees
+  /// window jobs in priority order and may remove() only the job it is
+  /// handed.
   ///
   /// The set backend hands `visit` every window job. The ranked backend
   /// finds the window end with nth_after() and merges, in rank order, the
@@ -348,7 +296,7 @@ class PolicyQueue {
         if (cursors_[i].rank < cursors_[best].rank) best = i;
       }
       const std::size_t r = cursors_[best].rank;
-      switch (visit(local(r))) {
+      switch (visit(local_of_[r])) {
         case Visit::kStop:
           return;
         case Visit::kStarted:
@@ -369,28 +317,12 @@ class PolicyQueue {
   }
 
  private:
-  enum class Backend { kRanked, kHeap, kSet };
+  enum class Backend { kRanked, kSet };
 
-  struct HeapEntry {
-    QueueKey key;
-    std::uint32_t version = 0;
-  };
-  struct HeapGreater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
-      return b.key < a.key;  // min-heap on the full (unique) key
-    }
-  };
   struct Cursor {
     std::size_t rank = 0;
     std::size_t cls = 0;
   };
-
-  [[nodiscard]] std::size_t rank(std::size_t lj) const noexcept {
-    return rank_of_.empty() ? lj : rank_of_[lj];
-  }
-  [[nodiscard]] std::size_t local(std::size_t r) const noexcept {
-    return local_of_.empty() ? r : local_of_[r];
-  }
 
   void init_classes(const std::vector<LocalJob>& jobs, int capacity) {
     std::vector<std::int32_t> class_of_gpus(
@@ -417,20 +349,16 @@ class PolicyQueue {
   }
 
   Backend backend_;
-  bool sort_ranks_;
   bool backfill_;
   std::size_t live_ = 0;
-  std::vector<char> queued_;
   OrderedBitmap bitmap_;                ///< queued ranks (kRanked)
-  std::vector<std::size_t> rank_of_;    ///< local -> rank; empty = identity
-  std::vector<std::size_t> local_of_;   ///< rank -> local; empty = identity
+  std::vector<std::size_t> rank_of_;    ///< local -> rank (kRanked)
+  std::vector<std::size_t> local_of_;   ///< rank -> local (kRanked)
   std::vector<DemandClass> classes_;    ///< kRanked with backfill
   std::vector<std::uint32_t> class_of_; ///< local -> class; empty = no index
   std::vector<Cursor> cursors_;         ///< backfill_pass scratch
-  std::vector<HeapEntry> heap_;
-  std::vector<std::uint32_t> version_;  ///< bumped per remove (kHeap)
-  std::set<QueueKey> set_;
-  std::vector<QueueKey> keys_;  ///< last pushed key per local id (kSet/kHeap)
+  std::set<QueueKey> set_;              ///< queued keys (kSet)
+  std::vector<QueueKey> keys_;  ///< last pushed key per local id (kSet)
 };
 
 /// Multiset of queued GPU demands on a counting array: O(1) insert, O(1)
@@ -540,8 +468,6 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
                                        std::vector<JobOutcome>& outcomes) {
   Counters counters;
   const bool srtf = config_->policy == SchedulerPolicy::kSrtf;
-  // FIFO order: arrivals behind a blocked head can never outrank it.
-  const bool fifo = config_->policy == SchedulerPolicy::kFifo;
   const std::size_t n = arrivals.size();
 
   // `per_gpu_watts` is the job's running draw per GPU; `base_priority` folds
@@ -942,7 +868,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
         // outranks the head (FIFO arrivals never do) or backfill could
         // place it on the leftover GPUs. GPUs only, never the job's draw:
         // see the blocked-head memo.
-        const bool outranks = !fifo && queue.before(lj, blocked_local);
+        const bool outranks = queue.before(lj, blocked_local);
         const bool backfillable =
             config_->backfill && jobs[lj].gpus <= state_.free_gpus();
         if (outranks || backfillable) need_schedule = true;

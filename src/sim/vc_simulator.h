@@ -12,11 +12,11 @@
 // the policy queue, and run slots:
 //  * a per-VC active-run list lets SRTF preemption scan only the jobs
 //    currently running instead of every run slot ever created;
-//  * policies whose priorities never change while a job waits (FIFO; SJF,
-//    QSSF and EQSSF with backfill) queue on a bitmap over priority ranks,
-//    sorted once per run (FIFO's rank is its arrival position); the ordered
-//    policies without backfill use a lazy-deletion heap, and SRTF with
-//    backfill, whose keys change on preemption, an ordered set;
+//  * policies whose priorities never change while a job waits (FIFO, SJF,
+//    QSSF and EQSSF, with or without backfill) queue on a bitmap over
+//    priority ranks, sorted once per run (FIFO's rank is its arrival
+//    position); SRTF, whose keys change on preemption, queues on an ordered
+//    set;
 //  * the smallest queued GPU demand lives in a counting array, so a backfill
 //    pass is skipped outright when even the smallest queued job exceeds the
 //    VC's free GPUs or, under a power cap, the headroom;

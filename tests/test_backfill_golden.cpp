@@ -1,17 +1,22 @@
-// Golden digests of greedy-backfill replays.
+// Golden digests of policy-queue replays, with and without greedy backfill.
 //
 // Each cell runs one small, congested three-VC trace through ClusterSimulator
-// with backfill on and hashes every SimResult field (outcomes, counters,
-// per-VC stats, busy/power series, energy) into one FNV-1a digest. The grid
-// crosses every policy with the backfill window depth, an uncapped and a
+// and hashes every SimResult field (outcomes, counters, per-VC stats,
+// busy/power series, energy) into one FNV-1a digest. The grid crosses every
+// policy with backfill off or on at three window depths, an uncapped and a
 // tight power budget, and four per-GPU draw models: the profile default, a
 // per-job draw, and that per-job draw with one negative or one NaN entry
 // (which switch off the backfill headroom exit). The trace includes jobs that
 // demand more GPUs than their VC holds; they are visited by backfill passes
-// and rejected once they reach the head.
+// and rejected once they reach the head. A further set of cells runs every
+// policy without backfill under a dense node-failure plan, with both restart
+// semantics, so killed jobs re-enter the queue mid-run.
 //
-// The digests were recorded from the std::set/per-entry-scan implementation
-// of the backfill pass. Any change to the scan must reproduce all of them.
+// The backfill digests were recorded from the std::set/per-entry-scan
+// implementation of the backfill pass; the no-backfill and fault digests
+// from the three-backend policy queue (a lazy-deletion heap served the
+// ordered policies without backfill). Any change to the queue or the scan
+// must reproduce all of them.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -85,11 +90,12 @@ double per_job_watts(const trace::JobRecord& j) {
   return 150.0 + 75.0 * static_cast<double>(j.job_id % 7);
 }
 
+/// `depth` 0 turns backfill off.
 SimConfig golden_config(SchedulerPolicy policy, int depth, bool capped,
                         Watts watts) {
   SimConfig cfg;
   cfg.policy = policy;
-  cfg.backfill = true;
+  cfg.backfill = depth > 0;
   cfg.backfill_depth = depth;
   if (capped) {
     // Idle baseline of all 9 nodes plus 60% of the 60 GPUs at 300 W. Jobs
@@ -118,6 +124,23 @@ SimConfig golden_config(SchedulerPolicy policy, int depth, bool capped,
   return cfg;
 }
 
+/// Failures about every six hours per node (flaky nodes eight times as
+/// often) with short repairs, over the trace and a day past its last submit:
+/// enough that every fault cell kills running jobs.
+const FaultPlan& golden_faults() {
+  static const FaultPlan plan = [] {
+    const Trace& t = golden_trace();
+    FaultPlanConfig fp;
+    fp.mtbf_days = 0.25;
+    fp.flaky_fraction = 0.25;
+    fp.mean_downtime = 1800;
+    fp.seed = 7;
+    return FaultPlan::generate(t.cluster(), fp, t.jobs().front().submit_time,
+                               t.jobs().back().submit_time + 86400);
+  }();
+  return plan;
+}
+
 std::string digest(const SimResult& r) {
   golden::Fnv d;
   d.add(r.outcomes.size());
@@ -142,7 +165,8 @@ std::string cell_name(SchedulerPolicy policy, int depth, bool capped,
                       Watts watts) {
   static constexpr const char* kWatts[] = {"profile", "perjob", "negative",
                                            "nan"};
-  return std::string(to_string(policy)) + "/d" + std::to_string(depth) +
+  return std::string(to_string(policy)) +
+         (depth > 0 ? "/d" + std::to_string(depth) : std::string("/nobf")) +
          (capped ? "/tight" : "/off") + "/" +
          kWatts[static_cast<int>(watts)];
 }
@@ -264,6 +288,65 @@ const std::map<std::string, std::string>& golden() {
     {"EQSSF/d256/tight/profile", "e6a977a7ea25d4b5"},
     {"EQSSF/d256/tight/perjob", "26ca2d3ddf4f1814"},
     {"EQSSF/d256/tight/negative", "17cd4d728759a46a"},
+    // Backfill off, and backfill off under golden_faults().
+    {"FIFO/nobf/off/profile", "60498f86272ae8e1"},
+    {"FIFO/nobf/off/perjob", "814166fe3249a84b"},
+    {"FIFO/nobf/off/negative", "814166fe3249a84b"},
+    {"FIFO/nobf/off/nan", "814166fe3249a84b"},
+    {"FIFO/nobf/tight/profile", "3689bf14e424c980"},
+    {"FIFO/nobf/tight/perjob", "4331453b41b86b8d"},
+    {"FIFO/nobf/tight/negative", "4331453b41b86b8d"},
+    {"FIFO/nobf/tight/nan", "4331453b41b86b8d"},
+    {"FIFO/nobf/off/profile/restart", "9d56be6adbe19c16"},
+    {"FIFO/nobf/tight/profile/restart", "19cbab5ed055bae9"},
+    {"FIFO/nobf/off/profile/resume", "ba76d9edadf9bb6d"},
+    {"FIFO/nobf/tight/profile/resume", "1a2b2def4d59b216"},
+    {"SJF/nobf/off/profile", "11b889eba8b63594"},
+    {"SJF/nobf/off/perjob", "0a62464d826e6acd"},
+    {"SJF/nobf/off/negative", "8a7410fdf1e8f06c"},
+    {"SJF/nobf/off/nan", "0a62464d826e6acd"},
+    {"SJF/nobf/tight/profile", "964f71526aa8766d"},
+    {"SJF/nobf/tight/perjob", "086b93b2b6621ffb"},
+    {"SJF/nobf/tight/negative", "086b93b2b6621ffb"},
+    {"SJF/nobf/tight/nan", "086b93b2b6621ffb"},
+    {"SJF/nobf/off/profile/restart", "da47fed91fcfe6cd"},
+    {"SJF/nobf/tight/profile/restart", "38a5867894cc4fc8"},
+    {"SJF/nobf/off/profile/resume", "c7131815a5b593fd"},
+    {"SJF/nobf/tight/profile/resume", "08644c61eb471b0a"},
+    {"SRTF/nobf/off/profile", "83ce214dd17566ce"},
+    {"SRTF/nobf/off/perjob", "bf6690edb524c667"},
+    {"SRTF/nobf/off/negative", "cf6ef94f4d3c030c"},
+    {"SRTF/nobf/off/nan", "bf6690edb524c667"},
+    {"SRTF/nobf/tight/profile", "964f71526aa8766d"},
+    {"SRTF/nobf/tight/perjob", "5d807241150b1874"},
+    {"SRTF/nobf/tight/negative", "5d807241150b1874"},
+    {"SRTF/nobf/tight/nan", "5d807241150b1874"},
+    {"SRTF/nobf/off/profile/restart", "c34c85ab02752314"},
+    {"SRTF/nobf/tight/profile/restart", "e6f8e67c18b79c93"},
+    {"SRTF/nobf/off/profile/resume", "591b27a5c4aaaef6"},
+    {"SRTF/nobf/tight/profile/resume", "3905d42468dbbb1d"},
+    {"QSSF/nobf/off/profile", "191b5555f709376c"},
+    {"QSSF/nobf/off/perjob", "28005b4f1e8fa7fc"},
+    {"QSSF/nobf/off/negative", "22e10ef9ac29a7e4"},
+    {"QSSF/nobf/off/nan", "198a99001fb2601a"},
+    {"QSSF/nobf/tight/profile", "10b68d45a36570ab"},
+    {"QSSF/nobf/tight/perjob", "71be66671948cc90"},
+    {"QSSF/nobf/tight/negative", "f57282dbdfdb39d8"},
+    {"QSSF/nobf/tight/nan", "dacce2d59270557e"},
+    {"QSSF/nobf/off/profile/restart", "c12b7f49b6a2cdeb"},
+    {"QSSF/nobf/tight/profile/restart", "a8362ef9fdc8cd26"},
+    {"QSSF/nobf/off/profile/resume", "8b0761a0bf5822d0"},
+    {"QSSF/nobf/tight/profile/resume", "1d03708e36fa33ca"},
+    {"EQSSF/nobf/off/profile", "191b5555f709376c"},
+    {"EQSSF/nobf/off/perjob", "ec5639b2a8ac3a5d"},
+    {"EQSSF/nobf/off/negative", "edd3f68aff31e9fb"},
+    {"EQSSF/nobf/tight/profile", "10b68d45a36570ab"},
+    {"EQSSF/nobf/tight/perjob", "5100ec4fa5376d37"},
+    {"EQSSF/nobf/tight/negative", "cfe3189972708121"},
+    {"EQSSF/nobf/off/profile/restart", "c12b7f49b6a2cdeb"},
+    {"EQSSF/nobf/tight/profile/restart", "a8362ef9fdc8cd26"},
+    {"EQSSF/nobf/off/profile/resume", "8b0761a0bf5822d0"},
+    {"EQSSF/nobf/tight/profile/resume", "1d03708e36fa33ca"},
   };
   return g;
 }
@@ -272,8 +355,18 @@ const std::map<std::string, std::string>& golden() {
 TEST(BackfillGolden, EveryCellMatchesItsRecordedDigest) {
   const Trace& t = golden_trace();
   int cells = 0;
+  auto check = [&](const std::string& name, const SimResult& r) {
+    const auto it = golden().find(name);
+    if (it == golden().end()) {
+      ADD_FAILURE() << "no recorded digest: {\"" << name << "\", \""
+                    << digest(r) << "\"},";
+      return;
+    }
+    EXPECT_EQ(digest(r), it->second) << name;
+    ++cells;
+  };
   for (SchedulerPolicy policy : all_policies()) {
-    for (int depth : {1, 3, 256}) {
+    for (int depth : {0, 1, 3, 256}) {
       for (bool capped : {false, true}) {
         for (Watts watts :
              {Watts::kProfile, Watts::kPerJob, Watts::kNegative, Watts::kNan}) {
@@ -283,20 +376,25 @@ TEST(BackfillGolden, EveryCellMatchesItsRecordedDigest) {
           if (policy == SchedulerPolicy::kEnergyQssf && watts == Watts::kNan) {
             continue;
           }
-          const std::string name = cell_name(policy, depth, capped, watts);
-          const auto r =
-              ClusterSimulator(t.cluster(),
-                               golden_config(policy, depth, capped, watts))
-                  .run(t);
-          const auto it = golden().find(name);
-          if (it == golden().end()) {
-            ADD_FAILURE() << "no recorded digest: {\"" << name << "\", \""
-                          << digest(r) << "\"},";
-            continue;
-          }
-          EXPECT_EQ(digest(r), it->second) << name;
-          ++cells;
+          check(cell_name(policy, depth, capped, watts),
+                ClusterSimulator(t.cluster(),
+                                 golden_config(policy, depth, capped, watts))
+                    .run(t));
         }
+      }
+    }
+    // Kill requeues: the only way a job re-enters a queue whose keys never
+    // change, and for SRTF a second way a queued key changes.
+    for (FaultRestart restart : {FaultRestart::kRestart, FaultRestart::kResume}) {
+      for (bool capped : {false, true}) {
+        SimConfig cfg = golden_config(policy, 0, capped, Watts::kProfile);
+        cfg.fault_plan = &golden_faults();
+        cfg.restart = restart;
+        const auto r = ClusterSimulator(t.cluster(), cfg).run(t);
+        EXPECT_GT(r.job_kills, 0);
+        check(cell_name(policy, 0, capped, Watts::kProfile) +
+                  (restart == FaultRestart::kRestart ? "/restart" : "/resume"),
+              r);
       }
     }
   }
@@ -307,8 +405,8 @@ TEST(BackfillGolden, NanPriorityQueuesLast) {
   // EQSSF's priority is predicted GPU time x per-GPU draw, so kNanJob's NaN
   // draw makes a NaN priority. It must queue behind every number: the run
   // equals QSSF with the same draws and the same priorities, spelled out,
-  // except +inf for kNanJob. Covers the ranked queue (backfill) and the
-  // heap (no backfill), uncapped (the NaN job runs; its NaN draw poisons
+  // except +inf for kNanJob. Covers the queue with and without backfill,
+  // uncapped (the NaN job runs; its NaN draw poisons
   // the energy sums identically) and capped (it never passes the gate).
   const Trace& t = golden_trace();
   for (bool backfill : {false, true}) {

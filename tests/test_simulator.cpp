@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -172,6 +173,26 @@ TEST(Simulator, SimulationWindowSpansGpuJobs) {
 
   const auto cpu_only = make_trace(one_node_spec(), {{5, 100, 0, "vc0"}});
   EXPECT_EQ(simulation_window(cpu_only), (std::pair<UnixTime, UnixTime>{0, 1}));
+}
+
+TEST(Simulator, RejectsGpuJobsOutOfSubmitOrder) {
+  // CSV loaders keep row order. Replayed as-is, the job submitted at 0 would
+  // wait behind the one submitted at 1000 on an empty node, and the window
+  // would start at 1000.
+  Trace t(one_node_spec());
+  t.add(1000, 100, 8, 8, "u", "vc0", "late", JobState::kCompleted);
+  t.add(0, 100, 8, 8, "u", "vc0", "early", JobState::kCompleted);
+  EXPECT_THROW((void)run(t, SchedulerPolicy::kFifo), std::invalid_argument);
+
+  t.sort_by_submit_time();
+  const auto r = run(t, SchedulerPolicy::kFifo);
+  EXPECT_EQ(r.avg_queue_delay, 0.0);
+  EXPECT_EQ(r.outcomes[0].start, 0);
+  EXPECT_EQ(r.outcomes[1].start, 1000);
+
+  // CPU jobs are not simulated, so their order does not matter.
+  t.add(500, 10, 0, 1, "u", "vc0", "cpu", JobState::kCompleted);
+  EXPECT_NO_THROW((void)run(t, SchedulerPolicy::kFifo));
 }
 
 TEST(Simulator, ApplyScheduleWritesStartTimes) {
