@@ -6,7 +6,9 @@
 // BM_SimulateSerial* runs the retained serial reference for comparison. The
 // *CappedBackfill* benches add greedy backfill under the cap60 power budget,
 // where most backfill candidates fail the power gate rather than the GPU fit;
-// the uncapped *BackfillSjf* benches leave only the GPU fit to skip on.
+// the uncapped *BackfillSjf* benches leave only the GPU fit to skip on. The
+// *BackfillSrtf* benches, capped and uncapped, add SRTF's preemption
+// requeues, which leave their ranks and queue on the overflow set.
 // main() first asserts sharded-vs-serial SimResult parity for every benched
 // configuration — a perf run against a broken simulator must fail loudly, not
 // report a meaningless speedup. See BENCH_sim.json for recorded before/after
@@ -163,6 +165,27 @@ void BM_SimulateSerialBackfillSjf(benchmark::State& state) {
 BENCHMARK(BM_SimulateBackfillSjf)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateSerialBackfillSjf)->Unit(benchmark::kMillisecond);
 
+void BM_SimulateBackfillSrtf(benchmark::State& state) {
+  run_policy(state, sim::SchedulerPolicy::kSrtf, helios::common::ExecMode::kParallel,
+             Extras::kBackfill);
+}
+void BM_SimulateSerialBackfillSrtf(benchmark::State& state) {
+  run_policy(state, sim::SchedulerPolicy::kSrtf, helios::common::ExecMode::kSerial,
+             Extras::kBackfill);
+}
+void BM_SimulateCappedBackfillSrtf(benchmark::State& state) {
+  run_policy(state, sim::SchedulerPolicy::kSrtf, helios::common::ExecMode::kParallel,
+             Extras::kCappedBackfill);
+}
+void BM_SimulateSerialCappedBackfillSrtf(benchmark::State& state) {
+  run_policy(state, sim::SchedulerPolicy::kSrtf, helios::common::ExecMode::kSerial,
+             Extras::kCappedBackfill);
+}
+BENCHMARK(BM_SimulateBackfillSrtf)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateSerialBackfillSrtf)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateCappedBackfillSrtf)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateSerialCappedBackfillSrtf)->Unit(benchmark::kMillisecond);
+
 /// Hard parity gate: the sharded simulator must reproduce the serial
 /// reference exactly on the benchmark workload before any timing runs.
 void verify_sharded_parity() {
@@ -176,6 +199,8 @@ void verify_sharded_parity() {
                        Case{sim::SchedulerPolicy::kSrtf, Extras::kNone},
                        Case{sim::SchedulerPolicy::kQssf, Extras::kNone},
                        Case{sim::SchedulerPolicy::kSjf, Extras::kBackfill},
+                       Case{sim::SchedulerPolicy::kSrtf, Extras::kBackfill},
+                       Case{sim::SchedulerPolicy::kSrtf, Extras::kCappedBackfill},
                        Case{sim::SchedulerPolicy::kFifo, Extras::kCappedBackfill},
                        Case{sim::SchedulerPolicy::kQssf, Extras::kCappedBackfill}}) {
     const auto serial =

@@ -1,21 +1,26 @@
 // Scenario-sweep matrix: the acceptance driver for sweep::ScenarioEngine.
 //
-// Expands a multi-cluster grid (clusters × every policy × seeds), runs it twice:
-//   1. parallel engine (two-level cell × VC sharding) on a fresh TraceStore,
-//   2. serial engine — the literal one-cell-at-a-time reference loop — on its
-//      own fresh store (so trace generation is timed in both legs; the
-//      speedup compares whole pipelines, not just the simulate phase),
-// and gates on
-//   (a) every parallel cell being bit-identical to its serial counterpart
+// Expands a multi-cluster grid (clusters × every policy × seeds) and runs it
+// in legs of two kinds, each on its own fresh TraceStore (so trace
+// generation is timed in every leg; the speedup compares whole pipelines,
+// not just the simulate phase):
+//   * parallel engine (two-level cell × VC sharding),
+//   * serial engine — the literal one-cell-at-a-time reference loop.
+// One parallel warm-up leg runs first and is left out of the timings (the
+// first engine run of a process pays allocator and thread warm-up that
+// would read as a parallel slowdown); then the timed legs alternate,
+// serial and parallel, three times each, and the report gives the
+// median wall of each kind. Every leg, the warm-up included, is gated on
+//   (a) every cell being bit-identical to the first serial leg's
 //       (sweep::results_identical — outcomes, counters, busy series),
-//   (b) each store having materialized every distinct trace key exactly once
+//   (b) its store having materialized every distinct trace key exactly once
 //       (TraceStore::generations() == unique key count).
 // Exit status is non-zero on any violation. The speedup itself is reported,
 // not gated (single-core CI must pass).
 //
 // Prints the consolidated comparison report and, when HELIOS_SWEEP_OUT is
 // set, writes grid/wall-clock/speedup JSON there (ci.sh bench points it at
-// build/BENCH_sweep.json).
+// build/BENCH_sweep.json), with the pool width the legs ran at.
 //
 // Knobs: HELIOS_SWEEP_SCALE (default HELIOS_SCALE, default 0.25),
 // HELIOS_SWEEP_CLUSTERS (csv, default all six workloads),
@@ -26,11 +31,11 @@
 #include <fstream>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/env.h"
+#include "common/thread_pool.h"
 #include "stats/summary.h"
 #include "sweep/scenario_engine.h"
 
@@ -98,62 +103,81 @@ int main() {
   sweep::EngineConfig cfg;
   cfg.priority_provider = sweep::oracle_gpu_time_provider();
 
-  // -- leg 1: parallel engine ----------------------------------------------
-  sweep::TraceStore par_store;
-  cfg.execution = common::ExecMode::kParallel;
-  const auto t_par = Clock::now();
-  const sweep::SweepResult par =
-      sweep::ScenarioEngine(par_store, cfg).run(cells);
-  const double par_s = seconds_since(t_par);
-
-  // -- leg 2: serial reference loop ----------------------------------------
-  sweep::TraceStore ser_store;
-  cfg.execution = common::ExecMode::kSerial;
-  const auto t_ser = Clock::now();
-  const sweep::SweepResult ser =
-      sweep::ScenarioEngine(ser_store, cfg).run(cells);
-  const double ser_s = seconds_since(t_ser);
-
-  // -- gates ----------------------------------------------------------------
-  if (par.cells.size() != cells.size() || ser.cells.size() != cells.size())
-    return fail("cell count mismatch");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!sweep::results_identical(par.cells[i].result, ser.cells[i].result)) {
-      std::fprintf(stderr, "  cell %zu: %s\n", i,
-                   par.cells[i].spec.label().c_str());
-      return fail("parallel != serial for a grid cell");
-    }
-  }
-  std::printf("parity OK: %zu cells bit-identical parallel vs serial\n",
-              cells.size());
-
-  for (const sweep::TraceStore* store : {&par_store, &ser_store}) {
-    if (store->generations() != unique_keys.size()) {
+  // -- legs and gates -------------------------------------------------------
+  const char* error = nullptr;
+  std::uint64_t par_hits = 0;
+  // One leg on a fresh store, with the exactly-once generation gate.
+  auto run_leg = [&](common::ExecMode mode, double* wall_s) {
+    sweep::TraceStore store;
+    cfg.execution = mode;
+    const auto t0 = Clock::now();
+    sweep::SweepResult result = sweep::ScenarioEngine(store, cfg).run(cells);
+    if (wall_s != nullptr) *wall_s = seconds_since(t0);
+    if (result.cells.size() != cells.size()) error = "cell count mismatch";
+    if (store.generations() != unique_keys.size()) {
       std::fprintf(stderr, "  generations=%llu, distinct keys=%zu\n",
-                   static_cast<unsigned long long>(store->generations()),
+                   static_cast<unsigned long long>(store.generations()),
                    unique_keys.size());
-      return fail("a trace was materialized more (or less) than once");
+      error = "a trace was materialized more (or less) than once";
     }
+    if (mode == common::ExecMode::kParallel) par_hits = store.hits();
+    return result;
+  };
+  auto same = [&](const sweep::SweepResult& a, const sweep::SweepResult& b) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (!sweep::results_identical(a.cells[i].result, b.cells[i].result)) {
+        std::fprintf(stderr, "  cell %zu: %s\n", i,
+                     a.cells[i].spec.label().c_str());
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Timed legs per kind: the fewest that give a median.
+  constexpr std::size_t reps = 3;
+  std::vector<double> par_walls(reps);
+  std::vector<double> ser_walls(reps);
+  // Untimed parallel warm-up, then the first serial leg: the parity
+  // reference for every later leg.
+  sweep::SweepResult par = run_leg(common::ExecMode::kParallel, nullptr);
+  const sweep::SweepResult ser = run_leg(common::ExecMode::kSerial, &ser_walls[0]);
+  if (error != nullptr) return fail(error);
+  if (!same(par, ser)) return fail("parallel != serial for a grid cell");
+  for (std::size_t r = 0; r < reps; ++r) {
+    if (r > 0) {
+      const sweep::SweepResult again =
+          run_leg(common::ExecMode::kSerial, &ser_walls[r]);
+      if (error != nullptr) return fail(error);
+      if (!same(again, ser)) return fail("serial legs differ for a grid cell");
+    }
+    par = run_leg(common::ExecMode::kParallel, &par_walls[r]);
+    if (error != nullptr) return fail(error);
+    if (!same(par, ser)) return fail("parallel != serial for a grid cell");
   }
+  std::printf("parity OK: %zu cells bit-identical parallel vs serial in all "
+              "%zu legs\n",
+              cells.size(), 2 * reps + 1);
   std::printf("trace sharing OK: %zu distinct traces, each generated once "
-              "(%llu cache hits)\n",
-              unique_keys.size(),
-              static_cast<unsigned long long>(par_store.hits()));
+              "per leg (%llu cache hits)\n",
+              unique_keys.size(), static_cast<unsigned long long>(par_hits));
 
   // -- report ---------------------------------------------------------------
   std::vector<double> cell_ms;
   cell_ms.reserve(par.cells.size());
   for (const auto& c : par.cells) cell_ms.push_back(c.wall_ms);
   const double med_cell_ms = stats::median(cell_ms);
+  const double par_s = stats::median(par_walls);
+  const double ser_s = stats::median(ser_walls);
   const double speedup = par_s > 0 ? ser_s / par_s : 0.0;
-  const unsigned threads = std::thread::hardware_concurrency();
+  const std::size_t threads = global_pool().thread_count();
   std::printf(
-      "grid wall: parallel %.2fs, serial loop %.2fs -> speedup %.2fx "
-      "(%u hw threads); median cell %.1f ms\n",
-      par_s, ser_s, speedup, threads, med_cell_ms);
+      "grid wall (median of %zu alternating legs after a warm-up): parallel "
+      "%.2fs, serial loop %.2fs -> speedup %.2fx (pool width %zu); median "
+      "cell %.1f ms\n",
+      reps, par_s, ser_s, speedup, threads, med_cell_ms);
 
   std::printf("%s", sweep::comparison_report(par).c_str());
-
   if (!out_path.empty()) {
     std::ofstream out(out_path);
     out << "{\n"
@@ -164,14 +188,15 @@ int main() {
         << "  \"seeds\": " << grid.seeds.size() << ",\n"
         << "  \"cells\": " << cells.size() << ",\n"
         << "  \"distinct_traces\": " << unique_keys.size() << ",\n"
-        << "  \"trace_generations\": " << par_store.generations() << ",\n"
-        << "  \"trace_cache_hits\": " << par_store.hits() << ",\n"
+        << "  \"trace_generations_per_leg\": " << unique_keys.size() << ",\n"
+        << "  \"trace_cache_hits\": " << par_hits << ",\n"
         << "  \"parity\": \"bit-identical\",\n"
+        << "  \"timed_legs_per_mode\": " << reps << ",\n"
         << "  \"parallel_wall_s\": " << par_s << ",\n"
         << "  \"serial_wall_s\": " << ser_s << ",\n"
         << "  \"speedup\": " << speedup << ",\n"
         << "  \"median_cell_ms\": " << med_cell_ms << ",\n"
-        << "  \"hw_threads\": " << threads << "\n"
+        << "  \"pool_threads\": " << threads << "\n"
         << "}\n";
     std::printf("wrote %s\n", out_path.c_str());
   }

@@ -13,11 +13,13 @@
 #                      (writes build/BENCH_sweep.json), and the energy-vs-JCT
 #                      power ablation (writes build/BENCH_power.json)
 #   ./ci.sh sweep      full build + parity-gated scenario sweep at small
-#                      scale: sweep_matrix runs a 2-cluster x 4-policy x
-#                      2-seed grid through sweep::ScenarioEngine twice
-#                      (parallel task graph vs serial reference loop) and
-#                      exits non-zero unless every cell is bit-identical
-#                      and every trace was generated exactly once
+#                      scale: sweep_matrix runs a 2-cluster x 5-policy x
+#                      2-seed grid through sweep::ScenarioEngine in a
+#                      warm-up leg and then alternating legs (parallel task
+#                      graph vs serial reference loop, each on a fresh
+#                      store) and exits non-zero unless every cell of every
+#                      leg is bit-identical and every leg generated each
+#                      trace exactly once
 #   ./ci.sh serve      full build + streaming-service replay at small scale:
 #                      example_serve_replay tails a growing CSV, ingests it
 #                      through svc::PredictionServer with a mid-replay

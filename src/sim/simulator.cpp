@@ -154,12 +154,14 @@ SimResult ClusterSimulator::run(const Trace& t) const {
   BucketIntegrator gpus_acc(window_begin, window_end, config_.series_step);
   BucketIntegrator power_acc(window_begin, window_end, config_.series_step);
   // (time, ±watts) boundaries of every clamped power interval, gathered in
-  // VC order for the deterministic peak sweep below.
+  // VC order for the deterministic peak sweep below. Each VC's edges form one
+  // run in time order: its segments are contiguous and clamping is monotone.
   struct PowerEdge {
     UnixTime time = 0;
     double delta = 0.0;
   };
   std::vector<PowerEdge> edges;
+  std::vector<std::size_t> run_end(n_vcs, 0);  // edges of VC vi end here
   std::vector<double> vc_energy(n_vcs, 0.0);
   auto bill = [&](std::size_t vi, UnixTime t0, UnixTime t1, double watts) {
     t0 = std::max(t0, window_begin);
@@ -179,6 +181,7 @@ SimResult ClusterSimulator::run(const Trace& t) const {
       const auto& vcspec = spec_.vcs[vi];
       bill(vi, window_begin, window_end,
            config_.power_profile.baseline_watts(vcspec.nodes, 0, 0, 0));
+      run_end[vi] = edges.size();
       continue;
     }
     const auto s = static_cast<std::size_t>(shard_of[vi]);
@@ -187,6 +190,7 @@ SimResult ClusterSimulator::run(const Trace& t) const {
       gpus_acc.add(seg.t0, seg.t1, seg.gpus);
       bill(vi, seg.t0, seg.t1, seg.watts);
     }
+    run_end[vi] = edges.size();
     result.preemptions += counters[s].preemptions;
     result.rejected_jobs += counters[s].rejected;
     result.job_kills += counters[s].kills;
@@ -199,14 +203,38 @@ SimResult ClusterSimulator::run(const Trace& t) const {
     result.energy_joules += vc_energy[vi];
   }
 
-  // Peak-power series: sweep the interval boundaries in time order. The
-  // stable sort keeps equal-time edges in their VC-order insertion order, so
+  // Peak-power series: sweep the interval boundaries in time order, merging
+  // the per-VC runs by (time, VC index) through a min-heap of run heads.
+  // Equal-time edges thus apply in VC order, each VC's in its own order —
+  // the order a stable sort of the gathered edges by time would give — so
   // the running sum visits identical partial sums on every run and the peaks
   // are bit-deterministic.
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const PowerEdge& a, const PowerEdge& b) {
-                     return a.time < b.time;
-                   });
+  struct RunHead {
+    UnixTime time = 0;
+    std::size_t next = 0;  // the run's next edge; runs are in VC order
+    std::size_t end = 0;
+  };
+  const auto before = [](const RunHead& a, const RunHead& b) {
+    return a.time != b.time ? a.time < b.time : a.next < b.next;
+  };
+  std::vector<RunHead> heads;
+  for (std::size_t vi = 0, begin = 0; vi < n_vcs; begin = run_end[vi++]) {
+    if (begin < run_end[vi]) heads.push_back({edges[begin].time, begin, run_end[vi]});
+  }
+  std::sort(heads.begin(), heads.end(), before);  // sorted => a min-heap
+  // Restores the heap after the root changed: a run that stays the earliest
+  // costs one or two comparisons.
+  const auto sift_root = [&] {
+    const std::size_t n = heads.size();
+    for (std::size_t i = 0;;) {
+      std::size_t c = 2 * i + 1;
+      if (c >= n) return;
+      if (c + 1 < n && before(heads[c + 1], heads[c])) ++c;
+      if (!before(heads[c], heads[i])) return;
+      std::swap(heads[i], heads[c]);
+      i = c;
+    }
+  };
   result.peak_power_watts.begin = window_begin;
   result.peak_power_watts.step = config_.series_step;
   result.peak_power_watts.values.assign(power_acc.bucket_count(), 0.0);
@@ -214,8 +242,8 @@ SimResult ClusterSimulator::run(const Trace& t) const {
     auto& peak = result.peak_power_watts.values;
     double cur = 0.0;
     std::size_t b = 0;
-    for (std::size_t i = 0; i < edges.size();) {
-      const UnixTime t = edges[i].time;
+    while (!heads.empty()) {
+      const UnixTime t = heads.front().time;
       while (b + 1 < peak.size() &&
              t >= window_begin +
                       static_cast<UnixTime>(b + 1) * config_.series_step) {
@@ -224,8 +252,18 @@ SimResult ClusterSimulator::run(const Trace& t) const {
       }
       // Apply every edge of this instant before sampling: a segment ending
       // and another starting at the same second must not momentarily stack.
-      for (; i < edges.size() && edges[i].time == t; ++i) {
-        cur += edges[i].delta;
+      while (!heads.empty() && heads.front().time == t) {
+        RunHead& h = heads.front();
+        for (; h.next < h.end && edges[h.next].time == t; ++h.next) {
+          cur += edges[h.next].delta;
+        }
+        if (h.next < h.end) {
+          h.time = edges[h.next].time;
+        } else {
+          h = heads.back();
+          heads.pop_back();
+        }
+        sift_root();
       }
       peak[b] = std::max(peak[b], cur);
     }

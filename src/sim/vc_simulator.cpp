@@ -1,6 +1,7 @@
 #include "sim/vc_simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -14,23 +15,29 @@ using trace::Trace;
 
 namespace {
 
+/// Maps a priority to unsigned bits whose order is the queue's priority
+/// order: numeric order, with -0 equal to +0 and every NaN (an EQSSF job
+/// with a NaN draw), whatever its sign or payload, equal to every other NaN
+/// and after +inf. Equal bits tie, and the tie goes to the earlier arrival.
+std::uint64_t order_bits(double priority) noexcept {
+  if (std::isnan(priority)) return ~std::uint64_t{0};
+  if (priority == 0.0) priority = 0.0;  // -0 -> +0
+  const auto b = std::bit_cast<std::uint64_t>(priority);
+  return (b >> 63) != 0 ? ~b : b | (std::uint64_t{1} << 63);
+}
+
 /// Policy-queue ordering: priority, then submit time, then shard-local id as
 /// the final deterministic tie-break. Local ids are assigned in trace order,
 /// so the local-id tie-break is exactly the trace-index tie-break the
-/// cluster-wide loop used. A NaN priority (an EQSSF job with a NaN draw)
-/// ranks after every number, so the order stays strict and total.
+/// cluster-wide loop used. Arrivals come in submit order (ClusterSimulator
+/// rejects a trace that is not), so (submit, local) orders like local alone,
+/// and the key holds just the priority's order_bits() and the local id.
 struct QueueKey {
-  double priority = 0.0;
-  UnixTime submit = 0;
+  std::uint64_t priority = 0;
   std::size_t local = 0;  ///< position in this shard's arrivals
 
   bool operator<(const QueueKey& o) const noexcept {
-    if (priority < o.priority) return true;
-    if (o.priority < priority) return false;
-    const bool nan = std::isnan(priority);
-    if (nan != std::isnan(o.priority)) return !nan;
-    if (submit != o.submit) return submit < o.submit;
-    return local < o.local;
+    return priority != o.priority ? priority < o.priority : local < o.local;
   }
 };
 
@@ -66,9 +73,9 @@ struct FinishEvent {
 };
 
 /// Two-level bitmap over a fixed total order: bit p set <=> the job at
-/// sorted position p is queued. set/clear are O(1); first(), next_after()
-/// and nth_after() skip empty 64-bit words through a summary bitmap, so a
-/// search costs O(n/4096) summary words plus the words it lands on.
+/// sorted position p is queued. set/clear are O(1); first(), next_from() and
+/// nth_from() skip empty 64-bit words through a summary bitmap, so a search
+/// costs O(n/4096) summary words plus the words it lands on.
 class OrderedBitmap {
  public:
   void reserve(std::size_t n) {
@@ -97,24 +104,18 @@ class OrderedBitmap {
     return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits_[w]));
   }
 
-  /// Lowest set position strictly greater than `p`, or SIZE_MAX.
-  [[nodiscard]] std::size_t next_after(std::size_t p) const noexcept {
-    const std::uint64_t rest = bits_[p >> 6] >> (p & 63) >> 1;
-    if (rest != 0) {
-      return p + 1 + static_cast<std::size_t>(std::countr_zero(rest));
-    }
-    const std::size_t w = next_word_after(p >> 6);
-    return w == SIZE_MAX
-               ? SIZE_MAX
-               : (w << 6) + static_cast<std::size_t>(std::countr_zero(bits_[w]));
+  /// Lowest set position >= `p`, or SIZE_MAX.
+  [[nodiscard]] std::size_t next_from(std::size_t p) const noexcept {
+    return nth_from(p, 1);
   }
 
-  /// Position of the k-th (k >= 1) set bit strictly after `p`, or SIZE_MAX
-  /// when fewer than k follow it. Popcounts whole words and selects inside
-  /// the word that holds it.
-  [[nodiscard]] std::size_t nth_after(std::size_t p, std::size_t k) const noexcept {
+  /// Position of the k-th (k >= 1) set bit at or after `p`, or SIZE_MAX when
+  /// fewer than k follow. Popcounts whole words and selects inside the word
+  /// that holds it.
+  [[nodiscard]] std::size_t nth_from(std::size_t p, std::size_t k) const noexcept {
     std::size_t w = p >> 6;
-    std::uint64_t word = bits_[w] >> (p & 63) >> 1 << (p & 63) << 1;  // > p
+    if (w >= bits_.size()) return SIZE_MAX;
+    std::uint64_t word = bits_[w] & (~std::uint64_t{0} << (p & 63));
     for (;;) {
       const auto count = static_cast<std::size_t>(std::popcount(word));
       if (count >= k) {
@@ -156,22 +157,21 @@ enum class Visit {
   kStop,     ///< end the pass
 };
 
-/// Head-of-line queue over shard-local job ids. The backend follows from one
-/// property of the policy: can a queued job's key change?
-///  * kRanked — no (FIFO, SJF, QSSF, EQSSF). init() sorts the local ids by
-///    QueueKey once into ranks and the live queue is an OrderedBitmap over
-///    ranks: O(1) push/remove and an O(1)-ish head. A job requeued after a
-///    node-failure kill re-sets its bit, i.e. it rejoins at its priority
-///    position. FIFO's keys are (0, submit, local) and arrivals come in
-///    submit order, so its rank is its local id.
-///  * kSet — yes (SRTF: a preempted or killed job requeues with its new
-///    remaining time). An ordered set of the current keys; with backfill,
-///    the pass walks the set behind the head and visits every window entry.
+/// Head-of-line queue over shard-local job ids, one design for every policy.
+/// init() ranks the jobs by their initial QueueKeys with a stable LSD radix
+/// sort of order_bits(priority): arrivals are in (submit, local) order, so a
+/// stable sort by priority alone gives QueueKey order. A queued job whose
+/// current key is its initial key sits on an OrderedBitmap over those ranks:
+/// O(1) push/remove and an O(1)-ish head. FIFO, SJF, QSSF and EQSSF never
+/// change a key, so all their jobs live there, a job requeued after a
+/// node-failure kill included. Only SRTF changes keys: a job requeued by a
+/// preemption or a kill with a new remaining time goes to a small ordered
+/// overflow set of QueueKeys, and head() and backfill_pass() merge the two.
 ///
-/// With backfill, the ranked backend also indexes the queue by GPU demand:
-/// each distinct demand in the shard (clamped like DemandTracker) is a
-/// DemandClass whose bitmap, over the same ranks, holds its queued jobs.
-/// A pass then visits only the classes that can pass both O(1) gates (see
+/// With backfill, the queue is also indexed by GPU demand: each distinct
+/// demand in the shard (clamped like DemandTracker) is a DemandClass whose
+/// bitmap, over the same ranks, holds its queued ranked jobs. A pass then
+/// visits only the classes that can pass both O(1) gates (see
 /// backfill_pass).
 class PolicyQueue {
  public:
@@ -186,66 +186,54 @@ class PolicyQueue {
     OrderedBitmap queued;
   };
 
-  PolicyQueue(SchedulerPolicy policy, bool backfill)
-      : backend_(policy == SchedulerPolicy::kSrtf ? Backend::kSet
-                                                  : Backend::kRanked),
-        backfill_(backfill) {}
+  explicit PolicyQueue(bool backfill) : backfill_(backfill) {}
 
-  /// `capacity` is the VC's GPU total; larger demands share one class.
+  /// A job's current key is read from `jobs` (its priority may change only
+  /// while it is not queued). `capacity` is the VC's GPU total; larger
+  /// demands share one class.
   void init(const std::vector<LocalJob>& jobs, int capacity) {
-    const std::size_t n = jobs.size();
-    if (backend_ == Backend::kSet) {
-      keys_.resize(n);
-      return;
-    }
-    bitmap_.reserve(n);
-    std::vector<QueueKey> order(n);
-    for (std::size_t lj = 0; lj < n; ++lj) {
-      order[lj] = {jobs[lj].priority, jobs[lj].submit, lj};
-    }
-    std::sort(order.begin(), order.end());
-    local_of_.resize(n);
-    rank_of_.resize(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      local_of_[r] = order[r].local;
-      rank_of_[order[r].local] = r;
-    }
+    jobs_ = &jobs;
+    rank_jobs(jobs);
+    bitmap_.reserve(jobs.size());
     if (backfill_) init_classes(jobs, capacity);
   }
 
-  void push(const QueueKey& key) {
-    ++live_;
-    if (backend_ == Backend::kSet) {
-      keys_[key.local] = key;
-      set_.insert(key);
+  void push(std::size_t lj) {
+    if (!at_rank(lj)) {
+      overflow_.insert(key_of(lj));
       return;
     }
-    const std::size_t r = rank_of_[key.local];
+    const std::size_t r = rank_of_[lj];
+    ++ranked_;
     bitmap_.set(r);
-    if (!class_of_.empty()) classes_[class_of_[key.local]].queued.set(r);
+    if (!class_of_.empty()) classes_[class_of_[lj]].queued.set(r);
   }
 
-  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+  [[nodiscard]] bool empty() const noexcept {
+    return ranked_ == 0 && overflow_.empty();
+  }
 
   /// Local id of the highest-priority queued job; call only when !empty().
   [[nodiscard]] std::size_t head() const {
-    if (backend_ == Backend::kSet) return set_.begin()->local;
-    return local_of_[bitmap_.first()];
+    if (overflow_.empty()) return local_of_[bitmap_.first()];
+    const QueueKey& o = *overflow_.begin();
+    if (ranked_ == 0) return o.local;
+    const std::size_t r = bitmap_.first();
+    return o < key_at(r) ? o.local : local_of_[r];
   }
 
   /// Does queued job `a` outrank queued job `b`?
   [[nodiscard]] bool before(std::size_t a, std::size_t b) const noexcept {
-    if (backend_ == Backend::kSet) return keys_[a] < keys_[b];
-    return rank_of_[a] < rank_of_[b];
+    return key_of(a) < key_of(b);
   }
 
   void remove(std::size_t lj) {
-    --live_;
-    if (backend_ == Backend::kSet) {
-      set_.erase(keys_[lj]);
+    if (!at_rank(lj)) {
+      overflow_.erase(key_of(lj));
       return;
     }
     const std::size_t r = rank_of_[lj];
+    --ranked_;
     bitmap_.clear(r);
     if (!class_of_.empty()) classes_[class_of_[lj]].queued.clear(r);
   }
@@ -255,55 +243,87 @@ class PolicyQueue {
   /// window jobs in priority order and may remove() only the job it is
   /// handed.
   ///
-  /// The set backend hands `visit` every window job. The ranked backend
-  /// finds the window end with nth_after() and merges, in rank order, the
-  /// bitmaps of the classes for which `qualifies(cls)` holds; it re-asks
-  /// after every start, as starts move free GPUs and power headroom. That
-  /// is exact as long as `qualifies` is false only for classes whose every
-  /// job would fail a side-effect-free gate of `visit` (the caller's
+  /// The window end is found in merged order: each overflow entry behind the
+  /// head is in the window while the ranked jobs before it (those below its
+  /// rank bound) plus the overflow entries already taken leave it a place,
+  /// and nth_from() then ends the window's ranks. The pass merges, in queue
+  /// order, the bitmaps of the classes for which `qualifies(cls)` holds with
+  /// the window's overflow entries whose class qualifies; it re-asks after
+  /// every start, as starts move free GPUs and power headroom. That is exact
+  /// as long as `qualifies` is false only for classes whose every job would
+  /// fail a side-effect-free gate of `visit` (the caller's
   /// demand-vs-free-GPUs and minimum-draw checks): a skipped job would have
-  /// been visited, failed that gate and changed nothing. Nothing enters the
-  /// queue during a pass, so the window, the visiting order and the exits
-  /// are those of a visit-every-entry scan.
+  /// been visited, failed that gate and changed nothing. Qualification only
+  /// narrows during a pass, so an overflow entry is asked once, when it is
+  /// next in line. Nothing enters the queue during a pass, so the window,
+  /// the visiting order and the exits are those of a visit-every-entry scan.
   template <typename Qualifies, typename VisitFn>
   void backfill_pass(int depth, Qualifies&& qualifies, VisitFn&& visit) {
     if (depth <= 0) return;
-    if (backend_ == Backend::kSet) {
-      auto it = std::next(set_.begin());
-      for (int scanned = 0; scanned < depth && it != set_.end(); ++scanned) {
-        const std::size_t lj = it->local;
-        ++it;  // advance first: visit may erase the visited entry
-        if (visit(lj) == Visit::kStop) return;
-      }
-      return;
+    const auto window = static_cast<std::size_t>(depth);
+    // `from`: the first rank behind the head; `it`: the first overflow entry
+    // behind it.
+    const std::size_t h = head();
+    std::size_t from = 0;
+    auto it = overflow_.begin();
+    if (at_rank(h)) {
+      from = rank_of_[h] + 1;
+    } else {
+      ++it;
     }
-    const std::size_t head_rank = bitmap_.first();
-    const std::size_t end =
-        bitmap_.nth_after(head_rank, static_cast<std::size_t>(depth) + 1);
+    spills_.clear();
+    for (; it != overflow_.end() && spills_.size() < window; ++it) {
+      const std::size_t bound = rank_bound(*it);
+      // The (window - taken)-th ranked job behind the head must not precede
+      // this entry.
+      if (bitmap_.nth_from(from, window - spills_.size()) < bound) break;
+      spills_.push_back({bound, it->local});
+    }
+    const std::size_t end = bitmap_.nth_from(from, window - spills_.size() + 1);
     // cursors_: the next window rank of each qualifying class.
-    auto collect = [&](std::size_t after) {
+    auto collect = [&](std::size_t at) {
       cursors_.clear();
       for (std::size_t c = 0; c < classes_.size(); ++c) {
         if (!qualifies(classes_[c])) continue;
-        const std::size_t r = classes_[c].queued.next_after(after);
+        const std::size_t r = classes_[c].queued.next_from(at);
         if (r < end) cursors_.push_back({r, c});
       }
     };
-    collect(head_rank);
-    while (!cursors_.empty()) {
+    collect(from);
+    std::size_t next_spill = 0;
+    for (;;) {
+      while (next_spill < spills_.size() &&
+             !qualifies(classes_[class_of_[spills_[next_spill].local]])) {
+        ++next_spill;
+      }
       std::size_t best = 0;
       for (std::size_t i = 1; i < cursors_.size(); ++i) {
         if (cursors_[i].rank < cursors_[best].rank) best = i;
       }
+      if (next_spill < spills_.size() &&
+          (cursors_.empty() || spills_[next_spill].bound <= cursors_[best].rank)) {
+        const Spill s = spills_[next_spill++];
+        switch (visit(s.local)) {
+          case Visit::kStop:
+            return;
+          case Visit::kStarted:
+            collect(s.bound);
+            break;
+          case Visit::kSkipped:
+            break;
+        }
+        continue;
+      }
+      if (cursors_.empty()) return;
       const std::size_t r = cursors_[best].rank;
       switch (visit(local_of_[r])) {
         case Visit::kStop:
           return;
         case Visit::kStarted:
-          collect(r);
+          collect(r + 1);
           break;
         case Visit::kSkipped: {
-          const std::size_t next = classes_[cursors_[best].cls].queued.next_after(r);
+          const std::size_t next = classes_[cursors_[best].cls].queued.next_from(r + 1);
           if (next < end) {
             cursors_[best].rank = next;
           } else {
@@ -317,12 +337,80 @@ class PolicyQueue {
   }
 
  private:
-  enum class Backend { kRanked, kSet };
-
   struct Cursor {
     std::size_t rank = 0;
     std::size_t cls = 0;
   };
+  /// An overflow entry in a backfill window; ranks below `bound` precede it.
+  struct Spill {
+    std::size_t bound = 0;
+    std::size_t local = 0;
+  };
+
+  [[nodiscard]] QueueKey key_of(std::size_t lj) const noexcept {
+    return {order_bits((*jobs_)[lj].priority), lj};
+  }
+  [[nodiscard]] QueueKey key_at(std::size_t r) const noexcept {
+    return {rank_key_[r], local_of_[r]};
+  }
+  /// Is job `lj`'s current key its initial one, i.e. does it queue at its
+  /// rank?
+  [[nodiscard]] bool at_rank(std::size_t lj) const noexcept {
+    return order_bits((*jobs_)[lj].priority) == rank_key_[rank_of_[lj]];
+  }
+  /// Number of ranks whose initial key precedes `key`.
+  [[nodiscard]] std::size_t rank_bound(const QueueKey& key) const noexcept {
+    std::size_t lo = 0;
+    std::size_t hi = rank_key_.size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (key_at(mid) < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  /// Stable LSD radix sort of the local ids by order_bits(priority), one
+  /// byte per pass. Bytes that are equal in every key are skipped (one
+  /// OR/AND pass finds them): FIFO's keys are all one value, so it skips all
+  /// eight and its ranks are the local ids.
+  void rank_jobs(const std::vector<LocalJob>& jobs) {
+    struct Entry {
+      std::uint64_t key;
+      std::size_t local;
+    };
+    const std::size_t n = jobs.size();
+    std::vector<Entry> cur(n);
+    std::uint64_t any = 0;
+    std::uint64_t all = ~std::uint64_t{0};
+    for (std::size_t lj = 0; lj < n; ++lj) {
+      cur[lj] = {order_bits(jobs[lj].priority), lj};
+      any |= cur[lj].key;
+      all &= cur[lj].key;
+    }
+    const std::uint64_t varying = any ^ all;
+    std::vector<Entry> next;
+    for (int shift = 0; shift < 64; shift += 8) {
+      if (((varying >> shift) & 0xff) == 0) continue;
+      std::array<std::size_t, 257> start{};
+      for (const Entry& e : cur) ++start[((e.key >> shift) & 0xff) + 1];
+      for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+      next.resize(n);
+      for (const Entry& e : cur) next[start[(e.key >> shift) & 0xff]++] = e;
+      cur.swap(next);
+    }
+    rank_key_.resize(n);
+    local_of_.resize(n);
+    rank_of_.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      rank_key_[r] = cur[r].key;
+      local_of_[r] = cur[r].local;
+      rank_of_[cur[r].local] = r;
+    }
+  }
 
   void init_classes(const std::vector<LocalJob>& jobs, int capacity) {
     std::vector<std::int32_t> class_of_gpus(
@@ -348,17 +436,18 @@ class PolicyQueue {
     }
   }
 
-  Backend backend_;
   bool backfill_;
-  std::size_t live_ = 0;
-  OrderedBitmap bitmap_;                ///< queued ranks (kRanked)
-  std::vector<std::size_t> rank_of_;    ///< local -> rank (kRanked)
-  std::vector<std::size_t> local_of_;   ///< rank -> local (kRanked)
-  std::vector<DemandClass> classes_;    ///< kRanked with backfill
-  std::vector<std::uint32_t> class_of_; ///< local -> class; empty = no index
-  std::vector<Cursor> cursors_;         ///< backfill_pass scratch
-  std::set<QueueKey> set_;              ///< queued keys (kSet)
-  std::vector<QueueKey> keys_;  ///< last pushed key per local id (kSet)
+  const std::vector<LocalJob>* jobs_ = nullptr;
+  std::size_t ranked_ = 0;               ///< jobs queued on the bitmap
+  OrderedBitmap bitmap_;                 ///< queued ranks
+  std::vector<std::uint64_t> rank_key_;  ///< rank -> initial order_bits
+  std::vector<std::size_t> rank_of_;     ///< local -> rank
+  std::vector<std::size_t> local_of_;    ///< rank -> local
+  std::set<QueueKey> overflow_;          ///< queued jobs off their rank
+  std::vector<DemandClass> classes_;     ///< with backfill
+  std::vector<std::uint32_t> class_of_;  ///< local -> class; empty = no index
+  std::vector<Cursor> cursors_;          ///< backfill_pass scratch
+  std::vector<Spill> spills_;            ///< backfill_pass scratch
 };
 
 /// Multiset of queued GPU demands on a counting array: O(1) insert, O(1)
@@ -522,7 +611,7 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
   }
   std::vector<std::size_t> run_slot(n, SIZE_MAX);
 
-  PolicyQueue queue(config_->policy, config_->backfill);
+  PolicyQueue queue(config_->backfill);
   queue.init(jobs, state_.capacity_gpus());
   // GPU demands of every queued job; min() lets a backfill pass bail out
   // O(1) when nothing queued can possibly fit.
@@ -599,9 +688,8 @@ VcSimulator::Counters VcSimulator::run(const Trace& t,
   };
 
   auto enqueue = [&](std::size_t lj) {
-    const LocalJob& job = jobs[lj];
-    queue.push({job.priority, job.submit, lj});
-    queued_gpus.insert(job.gpus);
+    queue.push(lj);
+    queued_gpus.insert(jobs[lj].gpus);
   };
   auto dequeue = [&](std::size_t lj) {
     queue.remove(lj);

@@ -12,18 +12,17 @@
 // the policy queue, and run slots:
 //  * a per-VC active-run list lets SRTF preemption scan only the jobs
 //    currently running instead of every run slot ever created;
-//  * policies whose priorities never change while a job waits (FIFO, SJF,
-//    QSSF and EQSSF, with or without backfill) queue on a bitmap over
-//    priority ranks, sorted once per run (FIFO's rank is its arrival
-//    position); SRTF, whose keys change on preemption, queues on an ordered
-//    set;
+//  * every policy queues on a bitmap over priority ranks, built once per run
+//    by a stable radix sort of the initial keys (FIFO's rank is its arrival
+//    position); an SRTF job requeued with a new remaining time waits in a
+//    small ordered overflow that the queue merges with the bitmap;
 //  * the smallest queued GPU demand lives in a counting array, so a backfill
 //    pass is skipped outright when even the smallest queued job exceeds the
 //    VC's free GPUs or, under a power cap, the headroom;
-//  * on the rank bitmap, a backfill pass visits only the GPU-demand classes
-//    whose demand fits the free GPUs and whose smallest draw fits the
-//    headroom, re-checked after every start: the jobs it skips would fail a
-//    side-effect-free gate, so starts and outcomes equal a full window scan;
+//  * a backfill pass visits only the GPU-demand classes whose demand fits
+//    the free GPUs and whose smallest draw fits the headroom, re-checked
+//    after every start: the jobs it skips would fail a side-effect-free
+//    gate, so starts and outcomes equal a full window scan;
 //  * busy-node/GPU accounting coalesces runs of events that leave the busy
 //    counters unchanged into one BusySegment, so the series costs O(busy
 //    changes), not O(events x buckets).

@@ -2,6 +2,7 @@
 // PowerProfile arithmetic, hand-computed energy/power outputs of single runs,
 // the energy-conservation property (per-VC energies sum exactly to the
 // cluster energy; the bucket integrator is add-order independent), the
+// order in which the peak sweep adds equal-time power edges, the
 // cap-is-respected invariant across all policies × backfill × seeds, the
 // budget-constrained admission / power-proportional backfill semantics on
 // hand-built traces, predicted-energy ordering of kEnergyQssf, and
@@ -12,11 +13,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/power_model.h"
+#include "golden_digest.h"
 #include "sim/bucket_integrator.h"
 #include "sim/simulator.h"
 #include "sweep/scenario.h"
@@ -168,6 +171,47 @@ TEST(EnergyAccounting, PerVcEnergiesSumToClusterEnergyOnRealWorkloads) {
     // order (and the default profile keeps every term integer-valued).
     EXPECT_EQ(sum, r.energy_joules) << to_string(policy);
   }
+}
+
+TEST(EnergyAccounting, PeakSeriesAddsEqualTimeEdgesInVcOrder) {
+  // Fractional per-GPU draws make the peak sweep's running sum round, so
+  // the order in which it adds equal-time power edges shows in the last
+  // bits. Submits and durations in whole minutes make the three VCs' edges
+  // coincide often. The sweep adds them VC by VC, each VC's in its own time
+  // order; the digests were recorded from a stable sort of the VC-ordered
+  // edges by time.
+  trace::ClusterSpec spec;
+  spec.name = "minutes";
+  spec.gpus_per_node = 8;
+  spec.vcs = {{"a", 2, 8}, {"b", 1, 8}, {"c", 1, 8}};
+  spec.nodes = 4;
+  Trace t(spec);
+  static constexpr const char* kVcs[] = {"a", "b", "c"};
+  std::uint64_t rng = 7;
+  std::int64_t now = 0;
+  for (int i = 0; i < 240; ++i) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    now += 60 * static_cast<std::int64_t>((rng >> 33) % 3);
+    const auto gpus = static_cast<int>(1u << ((rng >> 40) % 4));
+    const auto dur = static_cast<int>(60 * (1 + (rng >> 45) % 30));
+    t.add(now, dur, gpus, gpus, "u", kVcs[(rng >> 50) % 3], "j",
+          JobState::kCompleted);
+  }
+  std::vector<std::string> digests;
+  for (const SchedulerPolicy policy :
+       {SchedulerPolicy::kFifo, SchedulerPolicy::kSrtf}) {
+    SimConfig cfg;
+    cfg.policy = policy;
+    cfg.backfill = true;
+    cfg.gpu_watts_fn = [](const trace::JobRecord& j) {
+      return 150.0 + 0.1 * static_cast<double>(j.job_id % 97);
+    };
+    const SimResult r = ClusterSimulator(t.cluster(), cfg).run(t);
+    digests.push_back(
+        golden::Fnv().add(r.max_power_watts).add(r.peak_power_watts).hex());
+  }
+  EXPECT_EQ(digests, (std::vector<std::string>{"d36697ca20480d76",
+                                              "1b9aae153bf7a580"}));
 }
 
 TEST(EnergyAccounting, BucketIntegratorIsAddOrderIndependent) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -193,6 +198,51 @@ TEST(Simulator, RejectsGpuJobsOutOfSubmitOrder) {
   // CPU jobs are not simulated, so their order does not matter.
   t.add(500, 10, 0, 1, "u", "vc0", "cpu", JobState::kCompleted);
   EXPECT_NO_THROW((void)run(t, SchedulerPolicy::kFifo));
+}
+
+TEST(Simulator, QueueOrderTiesSignedZeroAndAnyNan) {
+  // The queue orders by priority, then submit time: -0 ties +0, and every
+  // NaN, whatever its sign or payload, ties every other NaN after +inf. A
+  // blocker holds the only GPU while the jobs queue; each job's distinct
+  // duration picks its priority, and the submit order is chosen so that
+  // only the tie rule separates the tied jobs.
+  const auto nan = [](std::uint64_t bits) { return std::bit_cast<double>(bits); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> priorities = {
+      0.0,   nan(0x7ff8000000000002), inf,    -0.0,
+      1.0,   nan(0xfff8000000000001), denorm, -inf,
+      nan(0x7ff8000000000001), -denorm, nan(0xfff8000000000002)};
+  trace::ClusterSpec spec;
+  spec.name = "one-gpu";
+  spec.gpus_per_node = 1;
+  spec.vcs = {{"vc0", 1, 1}};
+  spec.nodes = 1;
+  std::vector<std::tuple<UnixTime, int, int, const char*>> jobs = {
+      {0, 1000, 1, "vc0"}};  // the blocker
+  for (std::size_t k = 0; k < priorities.size(); ++k) {
+    jobs.emplace_back(static_cast<UnixTime>(k + 1), static_cast<int>(10 + k), 1,
+                      "vc0");
+  }
+  const auto t = make_trace(spec, jobs);
+  const auto r = run(t, SchedulerPolicy::kQssf, [&](const trace::JobRecord& j) {
+    return j.duration >= 1000 ? 0.0
+                              : priorities[static_cast<std::size_t>(j.duration - 10)];
+  });
+  ASSERT_EQ(r.outcomes.size(), priorities.size() + 1);
+  std::vector<std::size_t> by_start(priorities.size());
+  for (std::size_t k = 0; k < by_start.size(); ++k) by_start[k] = k;
+  std::sort(by_start.begin(), by_start.end(), [&](std::size_t a, std::size_t b) {
+    return r.outcomes[a + 1].start < r.outcomes[b + 1].start;
+  });
+  // -inf, -denorm, +0 (submit 1) before -0 (submit 4), +denorm, 1, +inf,
+  // then the four NaNs in submit order.
+  const std::vector<std::size_t> expected = {7, 9, 0, 3, 6, 4, 2, 1, 5, 8, 10};
+  EXPECT_EQ(by_start, expected);
+  for (std::size_t k = 1; k < expected.size(); ++k) {
+    EXPECT_EQ(r.outcomes[expected[k] + 1].start,
+              r.outcomes[expected[k - 1] + 1].end);
+  }
 }
 
 TEST(Simulator, ApplyScheduleWritesStartTimes) {
