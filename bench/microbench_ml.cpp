@@ -14,6 +14,8 @@
 // BM_SnapshotPublish / BM_RollingObserve time the QSSF service state at the
 // size the perfbench `serve` workload reaches, after a gate that a published
 // snapshot prices every streamed job shape exactly like the live service.
+// BM_CesReplay times one CES September replay (Algorithm 2 PeriodicChecks
+// over a fitted GBDT forecaster), the CES stage of perfbench `pipeline`.
 // See BENCH_ml.json for recorded before/after numbers.
 #include <benchmark/benchmark.h>
 
@@ -21,18 +23,22 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "core/ces_service.h"
 #include "core/qssf_service.h"
+#include "forecast/models.h"
 #include "ml/dataset.h"
 #include "ml/gbdt.h"
 #include "ml/gbdt_kernels.h"
 #include "ml/levenshtein.h"
 #include "serialize/binary.h"
+#include "sim/simulator.h"
 #include "svc/prediction_server.h"
 #include "trace/synthetic.h"
 
@@ -338,6 +344,55 @@ void BM_RollingObserve(benchmark::State& state) {
                           observed);
 }
 BENCHMARK(BM_RollingObserve)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// CES replay (paper §4.3, Algorithm 2)
+// ---------------------------------------------------------------------------
+
+/// Earth at scale 0.1 (seed 42), FIFO-operated, with a GBDT forecaster fit on
+/// the running-nodes series before Sep 1 — the CES stage of perfbench
+/// `pipeline` (and sweep::run_ces_study) for one cluster.
+struct CesFixture {
+  trace::Trace operated;
+  forecast::TimeSeries history;
+  std::unique_ptr<core::CesService> ces;
+  UnixTime begin = from_civil(2020, 9, 1);
+  UnixTime end = trace::helios_trace_end();
+
+  CesFixture() : operated(trace::helios_cluster("Earth")) {
+    auto cfg = trace::GeneratorConfig::helios(trace::helios_cluster("Earth"),
+                                              42, 0.1);
+    operated = trace::SyntheticTraceGenerator(cfg).generate();
+    (void)sim::operate_fifo(operated);
+    const sim::SimResult whole =
+        sim::ClusterSimulator(operated.cluster(), sim::SimConfig{})
+            .run(operated);
+    history = whole.busy_nodes.between(whole.busy_nodes.begin, begin);
+    core::CesConfig ces_cfg;
+    ces_cfg.sigma = std::max(1, operated.cluster().nodes / 30);
+    ces = std::make_unique<core::CesService>(
+        ces_cfg, std::make_unique<forecast::GBDTForecaster>());
+    ces->fit(history);
+  }
+
+  static const CesFixture& instance() {
+    static const CesFixture fx;
+    return fx;
+  }
+};
+
+void BM_CesReplay(benchmark::State& state) {
+  const auto& fx = CesFixture::instance();
+  std::size_t checks = 0;
+  for (auto _ : state) {
+    const core::CesResult r = fx.ces->replay(fx.operated, fx.history, fx.begin, fx.end);
+    checks = r.predicted_nodes.values.size();
+    benchmark::DoNotOptimize(r.avg_drs_nodes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(checks));
+}
+BENCHMARK(BM_CesReplay)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Model persistence (serialize:: frame round trip, docs/FORMATS.md)

@@ -4,6 +4,20 @@
 // GPUs, computed from the jobs' (start, end, num_gpus) intervals. The series
 // is exact (busy GPU-seconds per bucket / capacity / bucket length), not a
 // sampling approximation.
+//
+// Known defect (kept so recorded outputs stay comparable): vc_behaviors
+// builds each VC's utilization series with vc_utilization_series(t, vi, ...),
+// which keeps jobs whose interned `j.vc == vi`, i.e. it takes the cluster
+// spec index for the trace's VC interner id. The job-stat loop beside it
+// matches by name. The two agree only when VCs were interned in spec order,
+// as in generated Venus and Earth traces. After a ParallelLoader load, 9-18
+// of each Helios cluster's 10-18 VCs have id != spec index (scale 0.1,
+// seeds 1, 3, 42), and generated Saturn and Uranus traces mismatch on 12
+// VCs. There the utilization box stats describe another VC's jobs over this
+// VC's capacity (perfbench `pipeline`'s vc_behaviors digest,
+// example_characterize_cluster). fig04_vc_behaviors uses generated Earth and
+// is unaffected. Matching by name moves recorded benchmark digests, so the
+// fix waits for a benchmark re-record.
 #pragma once
 
 #include <array>

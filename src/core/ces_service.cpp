@@ -270,31 +270,36 @@ CesResult CesService::replay(const Trace& eval_full,
       observed.values.push_back(running_now);
       actual_samples.push_back(running_now);
 
-      // One-step prediction (for Figure 14's "prediction" curve) and the
-      // future trend over the full horizon.
-      const auto pred = model_->forecast(observed, horizon_steps);
-      predicted_samples.push_back(pred.empty() ? running_now : pred.front());
-      // Expected demand at the end of the future window: mean of the last
-      // few horizon steps (robust to single-step forecast noise).
-      double pred_future = running_now;
-      if (!pred.empty()) {
-        const std::size_t tail = std::min<std::size_t>(3, pred.size());
-        pred_future = 0.0;
-        for (std::size_t k = pred.size() - tail; k < pred.size(); ++k) {
-          pred_future += pred[k];
-        }
-        pred_future /= static_cast<double>(tail);
-      }
-
       const std::size_t n = observed.values.size();
       const double running_past =
           n > recent_steps ? observed.values[n - 1 - recent_steps] : running_now;
       const double trend_recent = running_past - running_now;   // T_H
-      const double trend_future = running_now - pred_future;    // T_P
 
-      const bool sleep_ok =
-          config_.vanilla_drs ||
-          (trend_recent >= config_.xi_h && trend_future >= config_.xi_p);
+      // Algorithm 2 reads T_P only when T_H already passes; otherwise only
+      // the one-step prediction (Figure 14's "prediction" curve) is needed.
+      // A forecast's first steps do not depend on the horizon asked for
+      // (Forecaster::forecast), so the short call is exact.
+      const bool need_future = !config_.vanilla_drs && trend_recent >= config_.xi_h;
+      const auto pred = model_->forecast(
+          observed, need_future ? horizon_steps : std::min(1, horizon_steps));
+      predicted_samples.push_back(pred.empty() ? running_now : pred.front());
+
+      bool sleep_ok = config_.vanilla_drs;
+      if (need_future) {
+        // Expected demand at the end of the future window: mean of the last
+        // few horizon steps (robust to single-step forecast noise).
+        double pred_future = running_now;
+        if (!pred.empty()) {
+          const std::size_t tail = std::min<std::size_t>(3, pred.size());
+          pred_future = 0.0;
+          for (std::size_t k = pred.size() - tail; k < pred.size(); ++k) {
+            pred_future += pred[k];
+          }
+          pred_future /= static_cast<double>(tail);
+        }
+        const double trend_future = running_now - pred_future;  // T_P
+        sleep_ok = trend_future >= config_.xi_p;
+      }
       if (sleep_ok) {
         const int target_active =
             std::min(result.total_nodes,

@@ -9,6 +9,11 @@
 //    busy nodes (T_H, from observed history) and the predicted reduction
 //    over the coming future_window (T_P, from the forecaster). When both
 //    exceed their thresholds ξ_H/ξ_P, sleep idle nodes down to CR + σ.
+//    The future_window forecast runs only when T_H passes (T_P is read only
+//    then); every other check forecasts one step. That one-step forecast is
+//    Figure 14's prediction curve (CesResult::predicted_nodes), and it is the
+//    same value either way, because a forecast's first steps do not depend
+//    on its horizon (forecast::Forecaster::forecast).
 // The "vanilla DRS" baseline skips both trend conditions and sleeps whenever
 // idle nodes exist — the paper reports it wakes nodes ~34x/day vs 1.1-2.6x.
 //
@@ -53,7 +58,7 @@ struct CesConfig {
 struct CesResult {
   forecast::TimeSeries running_nodes;    ///< busy nodes under CES
   forecast::TimeSeries active_nodes;     ///< powered nodes under CES
-  forecast::TimeSeries predicted_nodes;  ///< forecaster output per bucket
+  forecast::TimeSeries predicted_nodes;  ///< one-step forecast per check
   int total_nodes = 0;
 
   double avg_drs_nodes = 0.0;       ///< time-average sleeping nodes

@@ -223,13 +223,25 @@ void GBDTForecaster::fit(const TimeSeries& history) {
 
 std::vector<double> GBDTForecaster::forecast(const TimeSeries& prefix,
                                              int horizon) const {
-  std::vector<double> v = prefix.values;
+  // The features read at most max_lag() values before the predicted index,
+  // so copy only that window of the prefix. Exact: with a full window every
+  // (positive) lag lands inside it, so the v[0] fallback never fires, and
+  // each rolling window sums the same values in the same order.
+  const auto steps = static_cast<std::size_t>(std::max(0, horizon));
+  const auto keep = static_cast<std::size_t>(features_.max_lag());
+  const std::size_t skip =
+      prefix.values.size() > keep ? prefix.values.size() - keep : 0;
+  std::vector<double> v;
+  v.reserve(prefix.values.size() - skip + steps);
+  v.assign(prefix.values.begin() + static_cast<std::ptrdiff_t>(skip),
+           prefix.values.end());
   std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(std::max(0, horizon)));
+  out.reserve(steps);
   std::vector<double> row;
   for (int h = 0; h < horizon; ++h) {
     const std::size_t idx = v.size();
-    const UnixTime t_pred = prefix.begin + static_cast<UnixTime>(idx) * prefix.step;
+    const UnixTime t_pred =
+        prefix.begin + static_cast<UnixTime>(skip + idx) * prefix.step;
     build_features(v, idx, t_pred, row);
     const double pred = model_.trained() ? model_.predict(row)
                         : v.empty()      ? 0.0

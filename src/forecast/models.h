@@ -55,6 +55,13 @@ class Forecaster {
 
   /// Predict the `horizon` values following `prefix` (the prefix supplies
   /// the lags; it may extend beyond the fitted history).
+  ///
+  /// Contract: a short horizon is a prefix of a long one — for k <= h,
+  /// forecast(p, k) equals the first k values of forecast(p, h) bitwise,
+  /// because step i never reads the horizon (closed form or forward
+  /// recursion). CesService's PeriodicCheck relies on this to ask for one
+  /// step unless it needs the full future window. A non-positive horizon
+  /// yields an empty vector.
   [[nodiscard]] virtual std::vector<double> forecast(const TimeSeries& prefix,
                                                      int horizon) const = 0;
 
@@ -148,7 +155,9 @@ class ARForecaster final : public Forecaster {
   ml::RidgeRegression model_;
 };
 
-/// Feature layout shared by GBDTForecaster training and inference.
+/// Feature layout shared by GBDTForecaster training and inference. Lags and
+/// rolling windows are positive (load_forecaster rejects others), so a
+/// feature row reads only the max_lag() values before the predicted index.
 struct LagFeatureConfig {
   std::vector<int> lags = {1, 2, 3, 6, 12, 24, 36, 72, 144, 1008};
   std::vector<int> rolling_windows = {6, 36, 144};

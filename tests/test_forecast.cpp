@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
+#include "common/civil_time.h"
 #include "common/rng.h"
 #include "forecast/models.h"
 #include "forecast/series.h"
@@ -158,6 +160,108 @@ TEST(GbdtForecaster, RecursiveForecastStaysBounded) {
   for (double p : pred) {
     EXPECT_GT(p, 0.0);
     EXPECT_LT(p, 250.0);
+  }
+}
+
+/// Oracle for GBDTForecaster::forecast: the same lag, rolling and calendar
+/// features (mirroring GBDTForecaster::build_features), built from the
+/// *whole* prefix and recursed through model().predict.
+std::vector<double> full_prefix_reference(const GBDTForecaster& model,
+                                          const LagFeatureConfig& cfg,
+                                          const TimeSeries& prefix, int horizon) {
+  std::vector<double> v = prefix.values;
+  std::vector<double> out;
+  std::vector<double> row;
+  for (int h = 0; h < horizon; ++h) {
+    const std::size_t idx = v.size();
+    const UnixTime t_pred = prefix.begin + static_cast<UnixTime>(idx) * prefix.step;
+    row.clear();
+    for (int l : cfg.lags) {
+      const auto lag = static_cast<std::size_t>(l);
+      row.push_back(lag <= idx ? v[idx - lag] : v[0]);
+    }
+    for (int w : cfg.rolling_windows) {
+      const auto win = static_cast<std::size_t>(w);
+      const std::size_t lo = idx > win ? idx - win : 0;
+      double sum = 0.0;
+      double sum2 = 0.0;
+      for (std::size_t i = lo; i < idx; ++i) {
+        sum += v[i];
+        sum2 += v[i] * v[i];
+      }
+      const double n = idx > lo ? static_cast<double>(idx - lo) : 1.0;
+      const double mean = sum / n;
+      row.push_back(mean);
+      row.push_back(std::sqrt(std::max(0.0, sum2 / n - mean * mean)));
+    }
+    if (cfg.calendar) {
+      const CivilTime c = to_civil(t_pred);
+      row.push_back(static_cast<double>(c.hour));
+      row.push_back(static_cast<double>(minute_of_day(t_pred) / 10));
+      row.push_back(static_cast<double>(c.weekday));
+      row.push_back(is_holiday(t_pred) ? 1.0 : 0.0);
+    }
+    const double pred = model.model().predict(row);
+    out.push_back(pred);
+    v.push_back(pred);
+  }
+  return out;
+}
+
+TEST(GbdtForecaster, ForecastReadsOnlyTheLagWindow) {
+  // A weekly (1008-step) pattern of distinct random levels plus a strictly
+  // increasing drift: every value is distinct, and the longest lag is the
+  // best predictor, so the trees split on it. A forecaster that keeps one
+  // sample too few reads the wrong value for that lag on the first step.
+  const LagFeatureConfig cfg;
+  const auto week = static_cast<std::size_t>(cfg.max_lag());
+  Rng rng(31);
+  std::vector<double> level(week);
+  for (double& x : level) x = rng.uniform(0.0, 100.0);
+  TimeSeries s;
+  s.begin = from_civil(2020, 4, 1);
+  s.step = 600;
+  for (std::size_t i = 0; i < 3200; ++i) {
+    s.values.push_back(level[i % week] + 1e-3 * static_cast<double>(i));
+  }
+  GBDTForecaster model(cfg);
+  model.fit(s);
+  ASSERT_TRUE(model.model().trained());
+  for (const std::size_t n : {week - 1, week, week + 1, std::size_t{3000}}) {
+    const TimeSeries prefix = s.slice(0, n);
+    const auto got = model.forecast(prefix, 18);
+    const auto want = full_prefix_reference(model, cfg, prefix, 18);
+    ASSERT_EQ(got.size(), want.size()) << "prefix " << n;
+    for (std::size_t h = 0; h < got.size(); ++h) {
+      EXPECT_EQ(got[h], want[h]) << "prefix " << n << " step " << h;
+    }
+  }
+}
+
+TEST(Forecaster, ShortHorizonIsPrefixOfLongHorizon) {
+  TimeSeries s = sinusoid_series(2200, 3.0, 37);
+  const TimeSeries train = s.slice(0, 1700);
+  SeasonalNaiveForecaster naive(144);
+  HoltWintersForecaster hw(144);
+  ARForecaster ar0(36, 0);
+  ARForecaster ar1(36, 1);
+  GBDTForecaster gbdt;
+  const std::vector<Forecaster*> models = {&naive, &hw, &ar0, &ar1, &gbdt};
+  for (Forecaster* m : models) m->fit(train);
+  for (const Forecaster* m : models) {
+    for (const std::size_t n : {std::size_t{1200}, std::size_t{2200}}) {
+      const TimeSeries prefix = s.slice(0, n);
+      const auto full = m->forecast(prefix, 18);
+      ASSERT_EQ(full.size(), 18u) << m->name();
+      for (const int k : {0, 1, 5}) {
+        const auto part = m->forecast(prefix, k);
+        ASSERT_EQ(part.size(), static_cast<std::size_t>(k)) << m->name();
+        for (std::size_t h = 0; h < part.size(); ++h) {
+          EXPECT_EQ(part[h], full[h])
+              << m->name() << " prefix " << n << " k " << k << " step " << h;
+        }
+      }
+    }
   }
 }
 
