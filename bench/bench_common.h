@@ -62,7 +62,6 @@ void print_expectation(const std::string& what, const std::string& paper,
 using sweep::CesStudy;
 using sweep::SchedulerStudy;
 using sweep::jct_values;
-using sweep::queue_delay_values;
 using sweep::run_ces_study;
 using sweep::run_scheduler_study;
 

@@ -54,6 +54,16 @@
 #                      The binaries are deterministic at a fixed
 #                      HELIOS_SCALE/HELIOS_SEED/HELIOS_THREADS; all 24 take
 #                      about 30 s per build on 4 cores
+#   ./ci.sh unreached  report only (exits 0 whatever it lists; non-zero
+#                      only when the build fails): builds every non-test
+#                      target and perfbench's own CMake project in
+#                      build-unreached/ with -ffunction-sections
+#                      -fdata-sections and -Wl,--gc-sections, then prints
+#                      the helios:: functions (nm T/W symbols) that
+#                      libhelios.a defines but no linked binary keeps, and
+#                      their count. Inlined helpers and functions called only
+#                      inside their own file also show up, so grep a name
+#                      before deleting it
 #
 # Extra args after the mode are passed through to ctest (full/smoke/asan/
 # tsan/simd/threads) or to the microbenchmarks (bench); figs takes only the
@@ -64,8 +74,8 @@ cd "$(dirname "$0")"
 mode="${1:-full}"
 [ $# -gt 0 ] && shift
 case "$mode" in
-  full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads|figs) ;;
-  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads|figs] [args...]" >&2; exit 2 ;;
+  full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads|figs|unreached) ;;
+  *) echo "usage: ./ci.sh [full|smoke|bench|serve|sweep|docs|asan|tsan|simd|threads|figs|unreached] [args...]" >&2; exit 2 ;;
 esac
 
 # Grep-based link/target validator: every backticked repo path, every
@@ -118,6 +128,45 @@ if [ "$mode" = docs ]; then
   exit 0
 fi
 [ "$mode" = full ] && docs_check
+
+if [ "$mode" = unreached ]; then
+  # Dead-section GC drops every function no entry point reaches, so a
+  # library symbol missing from all the linked binaries has no caller
+  # outside tests/ (tests are not built here).
+  out=build-unreached
+  gc=(-DCMAKE_BUILD_TYPE=Release
+      -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections"
+      -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections")
+  mkdir -p "$out"
+  if ! { cmake -B "$out/repo" -S . -DHELIOS_BUILD_TESTS=OFF "${gc[@]}" &&
+         cmake --build "$out/repo" -j "$(nproc)" &&
+         cmake -B "$out/perfbench" -S perfbench "${gc[@]}" &&
+         cmake --build "$out/perfbench" -j "$(nproc)"; } > "$out/build.log" 2>&1
+  then
+    tail -n 40 "$out/build.log" >&2
+    echo "UNREACHED FAIL: build failed (full log in $out/build.log)" >&2
+    exit 1
+  fi
+  # nm -C line: "<address> <type> <demangled name with spaces>".
+  tw_names() {
+    nm -C --defined-only "$@" 2>/dev/null \
+      | awk '$2 == "T" || $2 == "W" { sub(/^[^ ]+ [^ ]+ /, ""); print }'
+  }
+  bins=()
+  for f in "$out"/repo/* "$out/perfbench/perfbench"; do
+    [ -f "$f" ] && [ -x "$f" ] && bins+=("$f")
+  done
+  tw_names "${bins[@]}" | LC_ALL=C sort -u > "$out/reached.txt"
+  tw_names "$out/repo/libhelios.a" | grep '^helios::' \
+    | LC_ALL=C sort -u > "$out/library.txt"
+  LC_ALL=C comm -23 "$out/library.txt" "$out/reached.txt" \
+    > "$out/unreached.txt"
+  cat "$out/unreached.txt"
+  echo "unreached: $(wc -l < "$out/unreached.txt") helios:: functions in" \
+       "libhelios.a that none of ${#bins[@]} binaries keeps" \
+       "(list in $out/unreached.txt)"
+  exit 0
+fi
 
 if [ "$mode" = asan ]; then
   # Own build tree so the sanitized objects never mix with the Release cache.

@@ -51,8 +51,6 @@ UnixTime from_civil(int year, int month, int day, int hour, int minute,
          hour * kSecondsPerHour + minute * kSecondsPerMinute + second;
 }
 
-int weekday_of(UnixTime t) noexcept { return to_civil(t).weekday; }
-
 int hour_of(UnixTime t) noexcept {
   std::int64_t rem = t % kSecondsPerDay;
   if (rem < 0) rem += kSecondsPerDay;
@@ -68,12 +66,6 @@ int minute_of_day(UnixTime t) noexcept {
 UnixTime floor_day(UnixTime t) noexcept {
   std::int64_t rem = t % kSecondsPerDay;
   if (rem < 0) rem += kSecondsPerDay;
-  return t - rem;
-}
-
-UnixTime floor_hour(UnixTime t) noexcept {
-  std::int64_t rem = t % kSecondsPerHour;
-  if (rem < 0) rem += kSecondsPerHour;
   return t - rem;
 }
 
@@ -93,13 +85,6 @@ std::string format_time(UnixTime t) {
   std::array<char, 32> buf{};
   std::snprintf(buf.data(), buf.size(), "%04d-%02d-%02d %02d:%02d:%02d", c.year,
                 c.month, c.day, c.hour, c.minute, c.second);
-  return buf.data();
-}
-
-std::string format_date(UnixTime t) {
-  const CivilTime c = to_civil(t);
-  std::array<char, 16> buf{};
-  std::snprintf(buf.data(), buf.size(), "%04d-%02d-%02d", c.year, c.month, c.day);
   return buf.data();
 }
 

@@ -47,9 +47,6 @@ void civil_from_days(std::int64_t days, int& year, int& month, int& day) noexcep
 [[nodiscard]] UnixTime from_civil(int year, int month, int day, int hour = 0,
                                   int minute = 0, int second = 0) noexcept;
 
-/// 0 = Monday .. 6 = Sunday.
-[[nodiscard]] int weekday_of(UnixTime t) noexcept;
-
 /// Hour of day 0..23.
 [[nodiscard]] int hour_of(UnixTime t) noexcept;
 
@@ -59,9 +56,6 @@ void civil_from_days(std::int64_t days, int& year, int& month, int& day) noexcep
 /// Truncate a timestamp to the start of its UTC day.
 [[nodiscard]] UnixTime floor_day(UnixTime t) noexcept;
 
-/// Truncate a timestamp to the start of its UTC hour.
-[[nodiscard]] UnixTime floor_hour(UnixTime t) noexcept;
-
 /// True for Saturdays, Sundays, and the 2020 mainland-China public holidays
 /// that fall inside the Helios trace window (Labour Day May 1-5, Dragon Boat
 /// June 25-27, Mid-Autumn/National Day Oct 1-8). Used as a forecast feature,
@@ -70,8 +64,5 @@ void civil_from_days(std::int64_t days, int& year, int& month, int& day) noexcep
 
 /// "YYYY-MM-DD HH:MM:SS" (UTC).
 [[nodiscard]] std::string format_time(UnixTime t);
-
-/// "YYYY-MM-DD".
-[[nodiscard]] std::string format_date(UnixTime t);
 
 }  // namespace helios

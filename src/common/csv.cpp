@@ -1,7 +1,6 @@
 #include "common/csv.h"
 
 #include <charconv>
-#include <istream>
 #include <ostream>
 
 namespace helios {
@@ -29,12 +28,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
     }
   }
   *out_ << '\n';
-}
-
-std::string CsvWriter::field(double v) {
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("nan");
 }
 
 std::string CsvWriter::field(std::int64_t v) {
@@ -78,16 +71,6 @@ std::vector<std::string> CsvReader::parse_line(std::string_view line) {
   }
   fields.push_back(std::move(cur));
   return fields;
-}
-
-std::vector<std::vector<std::string>> CsvReader::read_all(std::istream& in) {
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (is_blank_line(line)) continue;
-    rows.push_back(parse_line(line));
-  }
-  return rows;
 }
 
 }  // namespace helios

@@ -17,8 +17,7 @@ class CsvWriter {
   /// Write one row; fields are quoted only when needed.
   void write_row(const std::vector<std::string>& fields);
 
-  /// Convenience: format doubles with enough precision to round-trip.
-  static std::string field(double v);
+  /// Convenience: format an integer column.
   static std::string field(std::int64_t v);
 
  private:
@@ -32,10 +31,6 @@ class CsvReader {
   /// never produces). Quotes open a quoted field only at the field start
   /// (RFC 4180); mid-field quotes are literal text.
   static std::vector<std::string> parse_line(std::string_view line);
-
-  /// Read all rows from a stream; skips blank lines (including '\r'-only
-  /// lines from CRLF input).
-  static std::vector<std::vector<std::string>> read_all(std::istream& in);
 
   /// True for lines every reader skips: empty, or the lone '\r' that
   /// std::getline / byte-chunked iteration leave behind on blank lines of

@@ -1,23 +1,42 @@
 #include "common/env.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace helios {
 
-double env_double(const char* name, double fallback) noexcept {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end == v ? fallback : parsed;
+namespace {
+
+/// After errno = 0 and strto*(v, &end): reject a value that has no digits,
+/// a trailing suffix, or is out of range (ERANGE).
+void require_whole_number(const char* name, const char* v, const char* end) {
+  if (end == v || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument(std::string(name) + "=\"" + v +
+                                "\" is not a valid number");
+  }
 }
 
-std::int64_t env_int(const char* name, std::int64_t fallback) noexcept {
+}  // namespace
+
+double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(v, &end);
+  require_whole_number(name, v, end);
+  return parsed;
+}
+
+std::int64_t env_int(const char* name, std::int64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v, &end, 10);
-  return end == v ? fallback : static_cast<std::int64_t>(parsed);
+  require_whole_number(name, v, end);
+  return static_cast<std::int64_t>(parsed);
 }
 
 std::string env_string(const char* name, const std::string& fallback) {

@@ -23,8 +23,6 @@ void Rng::reseed(std::uint64_t seed) noexcept {
   has_cached_normal_ = false;
 }
 
-Rng Rng::split() noexcept { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
-
 std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
   // Lemire's nearly-divisionless bounded sampling; bias is negligible for
   // the n used here but we keep the rejection loop for exactness.
@@ -71,41 +69,10 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(u) / rate;
 }
 
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth's product-of-uniforms method.
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction; exact enough for the
-  // arrival-count use cases (mean counts per time bucket).
-  const double x = normal(mean, std::sqrt(mean));
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
-
 double Rng::pareto(double xm, double alpha) noexcept {
   double u = uniform();
   while (u <= 1e-300) u = uniform();
   return xm / std::pow(u, 1.0 / alpha);
-}
-
-std::size_t Rng::categorical(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += std::max(0.0, w);
-  if (total <= 0.0 || weights.empty()) return 0;
-  double x = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= std::max(0.0, weights[i]);
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
 }
 
 CategoricalSampler::CategoricalSampler(std::span<const double> weights) {
@@ -119,29 +86,6 @@ CategoricalSampler::CategoricalSampler(std::span<const double> weights) {
 
 std::size_t CategoricalSampler::sample(Rng& rng) const noexcept {
   if (cdf_.empty() || cdf_.back() <= 0.0) return 0;
-  const double x = rng.uniform() * cdf_.back();
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), x);
-  return static_cast<std::size_t>(std::min<std::ptrdiff_t>(
-      it - cdf_.begin(), static_cast<std::ptrdiff_t>(cdf_.size()) - 1));
-}
-
-double CategoricalSampler::probability(std::size_t i) const noexcept {
-  if (i >= cdf_.size() || cdf_.back() <= 0.0) return 0.0;
-  const double lo = i == 0 ? 0.0 : cdf_[i - 1];
-  return (cdf_[i] - lo) / cdf_.back();
-}
-
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  cdf_.reserve(n);
-  double acc = 0.0;
-  for (std::size_t rank = 1; rank <= n; ++rank) {
-    acc += 1.0 / std::pow(static_cast<double>(rank), s);
-    cdf_.push_back(acc);
-  }
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const noexcept {
-  if (cdf_.empty()) return 0;
   const double x = rng.uniform() * cdf_.back();
   const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), x);
   return static_cast<std::size_t>(std::min<std::ptrdiff_t>(

@@ -41,9 +41,6 @@ class Rng {
     return result;
   }
 
-  /// Derive an independent stream (for per-worker / per-cluster RNGs).
-  [[nodiscard]] Rng split() noexcept;
-
   /// Uniform double in [0, 1).
   double uniform() noexcept {
     // 53 random mantissa bits -> [0, 1).
@@ -67,14 +64,8 @@ class Rng {
   double lognormal(double mu, double sigma) noexcept;
   /// Exponential with given rate (mean = 1/rate).
   double exponential(double rate) noexcept;
-  /// Poisson count with given mean (Knuth for small, normal approx for large).
-  std::uint64_t poisson(double mean) noexcept;
   /// Pareto with scale xm > 0 and shape alpha > 0.
   double pareto(double xm, double alpha) noexcept;
-
-  /// Index sampled from unnormalised non-negative weights. Empty or all-zero
-  /// weights return 0.
-  std::size_t categorical(std::span<const double> weights) noexcept;
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -105,26 +96,9 @@ class CategoricalSampler {
   [[nodiscard]] std::size_t sample(Rng& rng) const noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
   [[nodiscard]] bool empty() const noexcept { return cdf_.empty(); }
-  /// Probability of category i (normalised).
-  [[nodiscard]] double probability(std::size_t i) const noexcept;
 
  private:
   std::vector<double> cdf_;  // strictly increasing, back() == total weight
-};
-
-/// Zipf(s) distribution over ranks 1..n via precomputed CDF. Used for user
-/// activity skew (a few users dominate submissions / resource usage).
-class ZipfSampler {
- public:
-  ZipfSampler() = default;
-  ZipfSampler(std::size_t n, double s);
-
-  /// Returns a 0-based rank in [0, n).
-  [[nodiscard]] std::size_t sample(Rng& rng) const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace helios

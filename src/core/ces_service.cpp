@@ -21,17 +21,7 @@ CesService::CesService(CesConfig config,
     : config_(config), model_(std::move(model)) {}
 
 void CesService::fit(const forecast::TimeSeries& running_nodes_history) {
-  fitted_history_ = running_nodes_history;
-  model_->fit(fitted_history_);
-}
-
-void CesService::update(const Trace& new_data) {
-  // Re-derive the running-nodes series by operating the new data under FIFO
-  // and re-fit the forecaster.
-  Trace copy = new_data;
-  copy.sort_by_submit_time();
-  const auto r = sim::operate_fifo(copy, config_.series_step);
-  fit(r.busy_nodes);
+  model_->fit(running_nodes_history);
 }
 
 namespace {

@@ -35,7 +35,6 @@
 #include <memory>
 #include <string>
 
-#include "core/framework.h"
 #include "forecast/models.h"
 #include "sim/cluster_state.h"
 #include "trace/trace.h"
@@ -77,21 +76,16 @@ struct CesResult {
   double forecast_smape = 0.0;      ///< predicted vs actual running nodes
 };
 
-class CesService final : public Service {
+class CesService {
  public:
   /// The forecaster models the *running nodes* series; the paper's choice is
   /// a GBDT (forecast::GBDTForecaster), compared against ARIMA/Prophet-like
   /// baselines in ablation_forecast.
   CesService(CesConfig config, std::unique_ptr<forecast::Forecaster> model);
 
-  [[nodiscard]] std::string name() const override { return "ces"; }
-
   /// Train the forecaster on the historical running-nodes series (e.g. the
   /// FIFO-operated April-August trace).
   void fit(const forecast::TimeSeries& running_nodes_history);
-
-  /// Model Update Engine hook (re-fits from the operated trace's series).
-  void update(const trace::Trace& new_data) override;
 
   /// Replay `eval` (GPU jobs inside [begin, end), FIFO order) under
   /// Algorithm 2. `history` is the observed running-nodes series preceding
@@ -109,7 +103,6 @@ class CesService final : public Service {
  private:
   CesConfig config_;
   std::unique_ptr<forecast::Forecaster> model_;
-  forecast::TimeSeries fitted_history_;
 };
 
 }  // namespace helios::core

@@ -67,7 +67,7 @@ std::uint64_t RollingEstimator::dedupe_key(const JobRecord& job) noexcept {
 void RollingEstimator::observe(const Trace& t, const JobRecord& job) {
   if (!job.is_gpu_job()) return;
   // Dedupe: the Model Update Engine may be fed cumulative traces
-  // (QssfService::update), and re-observing a job would double-count the
+  // (QssfService::fit), and re-observing a job would double-count the
   // global/user sums and re-decay the name EWMAs.
   if (!observed_ids_.insert(dedupe_key(job))) return;
   const double dur = static_cast<double>(job.duration);
@@ -332,8 +332,6 @@ void QssfService::fit(const Trace& history) {
   }
   model_.fit(data);
 }
-
-void QssfService::update(const Trace& new_data) { fit(new_data); }
 
 void QssfService::save(serialize::Writer& w) const {
   w.begin_section(kQssfTag);

@@ -27,11 +27,11 @@
 // service still cannot double-count.
 //
 // Thread-safety: QssfService and RollingEstimator are externally
-// synchronized — fit()/update()/observe()/load() mutate and must be
-// exclusive; the const estimate/predict accessors are safe to share across
-// threads between mutations (predict-time name bucketing is memoized behind
-// logical constness, so even const use requires external synchronization if
-// callers race on previously-unseen job names). OnlinePriorityEvaluator
+// synchronized — fit()/observe()/load() mutate and must be exclusive; the
+// const estimate/predict accessors are safe to share across threads between
+// mutations (predict-time name bucketing is memoized behind logical
+// constness, so even const use requires external synchronization if callers
+// race on previously-unseen job names). OnlinePriorityEvaluator
 // parallelizes internally on the shared global_pool() and is safe to read
 // from any thread once constructed.
 #pragma once
@@ -46,7 +46,6 @@
 
 #include "common/exec_mode.h"
 #include "common/flat_u64_set.h"
-#include "core/framework.h"
 #include "ml/gbdt.h"
 #include "ml/levenshtein.h"
 #include "sim/simulator.h"
@@ -175,20 +174,15 @@ struct JobQuery {
   UnixTime submit_time = 0;
 };
 
-class QssfService final : public Service {
+class QssfService {
  public:
   explicit QssfService(QssfConfig config = {});
 
-  [[nodiscard]] std::string name() const override { return "qssf"; }
-
-  /// Train the GBDT and seed the rolling estimator from a historical trace
-  /// (the paper trains on April-August and evaluates on September).
+  /// Train the GBDT on `history` and absorb its finished jobs into the
+  /// rolling estimator (the paper trains on April-August and evaluates on
+  /// September). Already-seen jobs are skipped, so a cumulative feed — each
+  /// call's trace a superset of the last — cannot double-count history.
   void fit(const trace::Trace& history);
-
-  /// Model Update Engine hook: absorb finished jobs into the rolling
-  /// estimator (already-seen job ids are skipped, so cumulative feeds are
-  /// safe) and refresh the GBDT on the given trace.
-  void update(const trace::Trace& new_data) override;
 
   /// Absorb a single finished job into the rolling estimator (no GBDT refit).
   void observe(const trace::Trace& t, const trace::JobRecord& job);

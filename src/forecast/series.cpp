@@ -29,38 +29,6 @@ std::size_t TimeSeries::index_of(UnixTime t) const noexcept {
   return std::min(idx, values.size());
 }
 
-std::vector<double> rolling_mean(std::span<const double> v, std::size_t w) {
-  std::vector<double> out(v.size(), 0.0);
-  if (w == 0) return out;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    sum += v[i];
-    if (i >= w) sum -= v[i - w];
-    const std::size_t n = std::min(i + 1, w);
-    out[i] = sum / static_cast<double>(n);
-  }
-  return out;
-}
-
-std::vector<double> rolling_std(std::span<const double> v, std::size_t w) {
-  std::vector<double> out(v.size(), 0.0);
-  if (w == 0) return out;
-  double sum = 0.0;
-  double sum2 = 0.0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    sum += v[i];
-    sum2 += v[i] * v[i];
-    if (i >= w) {
-      sum -= v[i - w];
-      sum2 -= v[i - w] * v[i - w];
-    }
-    const auto n = static_cast<double>(std::min(i + 1, w));
-    const double mean = sum / n;
-    out[i] = std::sqrt(std::max(0.0, sum2 / n - mean * mean));
-  }
-  return out;
-}
-
 std::vector<double> diff(std::span<const double> v) {
   std::vector<double> out;
   if (v.size() < 2) return out;

@@ -34,15 +34,6 @@ struct TimeSeries {
   [[nodiscard]] std::size_t index_of(UnixTime t) const noexcept;
 };
 
-/// Trailing rolling mean with window w (first w-1 entries use the partial
-/// prefix).
-[[nodiscard]] std::vector<double> rolling_mean(std::span<const double> v,
-                                               std::size_t w);
-
-/// Trailing rolling standard deviation (population), same edge handling.
-[[nodiscard]] std::vector<double> rolling_std(std::span<const double> v,
-                                              std::size_t w);
-
 /// First difference (size n-1); empty for n < 2.
 [[nodiscard]] std::vector<double> diff(std::span<const double> v);
 

@@ -15,14 +15,6 @@ void Dataset::add_row(std::span<const double> features, double target) {
   y_.push_back(target);
 }
 
-DatasetSplit Dataset::split(double train_fraction, Rng& rng) const {
-  DatasetSplit s{Dataset(n_features_), Dataset(n_features_)};
-  for (std::size_t r = 0; r < rows(); ++r) {
-    (rng.bernoulli(train_fraction) ? s.train : s.test).add_row(row(r), y_[r]);
-  }
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // FeatureBinner
 // ---------------------------------------------------------------------------

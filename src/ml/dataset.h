@@ -16,11 +16,6 @@ class Writer;
 
 namespace helios::ml {
 
-class Dataset;
-
-/// Result of a random train/test row split.
-struct DatasetSplit;
-
 class Dataset {
  public:
   Dataset() = default;
@@ -47,19 +42,10 @@ class Dataset {
     y_.reserve(n);
   }
 
-  /// Deterministic row-level split: each row goes to train with probability
-  /// `train_fraction`.
-  [[nodiscard]] DatasetSplit split(double train_fraction, Rng& rng) const;
-
  private:
   std::size_t n_features_ = 0;
   std::vector<double> x_;
   std::vector<double> y_;
-};
-
-struct DatasetSplit {
-  Dataset train;
-  Dataset test;
 };
 
 /// Per-feature quantile binning. Bin ids are 0..bins-1; values above the

@@ -925,16 +925,4 @@ void PackedForest::build(std::span<const RegressionTree> trees) {
   levels = max_depth;
 }
 
-std::vector<double> GBDTRegressor::feature_importance() const {
-  std::vector<double> importance(n_features_, 0.0);
-  for (const auto& tree : trees_) {
-    for (const auto& node : tree.nodes()) {
-      if (node.feature >= 0) {
-        importance[static_cast<std::size_t>(node.feature)] += node.gain;
-      }
-    }
-  }
-  return importance;
-}
-
 }  // namespace helios::ml

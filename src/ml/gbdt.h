@@ -107,7 +107,7 @@ class RegressionTree {
     std::int32_t left = -1;
     std::int32_t right = -1;
     double value = 0.0;  ///< leaf output
-    double gain = 0.0;   ///< split gain (for feature importance)
+    double gain = 0.0;   ///< split gain (kept in the TREE frame)
   };
 
   /// Fit to the quantized gradients of `rows` over the binned matrix.
@@ -188,9 +188,6 @@ class GBDTRegressor {
   /// Batched inference: bins `data` once and walks it tree-at-a-time,
   /// row-parallel. Bitwise-identical to calling predict() per row.
   [[nodiscard]] std::vector<double> predict_many(const Dataset& data) const;
-
-  /// Total split gain accumulated per feature.
-  [[nodiscard]] std::vector<double> feature_importance() const;
 
   /// Training RMSE after each boosting iteration (for convergence tests).
   [[nodiscard]] const std::vector<double>& training_rmse() const noexcept {

@@ -119,11 +119,4 @@ double RidgeRegression::predict(std::span<const double> features) const noexcept
   return out;
 }
 
-std::vector<double> RidgeRegression::predict_many(const Dataset& data) const {
-  std::vector<double> out;
-  out.reserve(data.rows());
-  for (std::size_t r = 0; r < data.rows(); ++r) out.push_back(predict(data.row(r)));
-  return out;
-}
-
 }  // namespace helios::ml

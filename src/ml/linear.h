@@ -19,7 +19,6 @@ class RidgeRegression {
   void fit(const Dataset& data);
 
   [[nodiscard]] double predict(std::span<const double> features) const noexcept;
-  [[nodiscard]] std::vector<double> predict_many(const Dataset& data) const;
 
   [[nodiscard]] const std::vector<double>& weights() const noexcept { return w_; }
   [[nodiscard]] double intercept() const noexcept { return b_; }

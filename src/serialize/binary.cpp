@@ -59,11 +59,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
 // Writer
 // ---------------------------------------------------------------------------
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
 void Writer::u32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -133,16 +128,6 @@ void Reader::need(std::size_t n) const {
 std::uint8_t Reader::u8() {
   need(1);
   return *p_++;
-}
-
-std::uint16_t Reader::u16() {
-  need(2);
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) {
-    v = static_cast<std::uint16_t>(v | static_cast<std::uint16_t>(p_[i]) << (8 * i));
-  }
-  p_ += 2;
-  return v;
 }
 
 std::uint32_t Reader::u32() {

@@ -80,7 +80,6 @@ constexpr std::uint32_t fourcc(const char (&s)[5]) noexcept {
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
@@ -116,7 +115,6 @@ class Reader {
       : p_(data.data()), end_(data.data() + data.size()) {}
 
   [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(u32()); }

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -37,15 +36,6 @@ std::span<const SchedulerPolicy> all_policies() noexcept {
       SchedulerPolicy::kFifo, SchedulerPolicy::kSjf, SchedulerPolicy::kSrtf,
       SchedulerPolicy::kQssf, SchedulerPolicy::kEnergyQssf};
   return kAll;
-}
-
-SchedulerPolicy policy_from_string(std::string_view name) {
-  std::string upper(name);
-  for (char& c : upper) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  for (SchedulerPolicy p : all_policies()) {
-    if (upper == to_string(p)) return p;
-  }
-  throw std::invalid_argument("unknown scheduler policy: " + std::string(name));
 }
 
 std::pair<UnixTime, UnixTime> simulation_window(const Trace& t) {

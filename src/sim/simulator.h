@@ -55,10 +55,6 @@ enum class SchedulerPolicy {
 /// iterates (sweep/scenario.h).
 [[nodiscard]] std::span<const SchedulerPolicy> all_policies() noexcept;
 
-/// Parse "FIFO" / "SJF" / "SRTF" / "QSSF" / "EQSSF"
-/// (case-insensitive). Throws std::invalid_argument on anything else.
-[[nodiscard]] SchedulerPolicy policy_from_string(std::string_view name);
-
 /// Priority for kQssf/kEnergyQssf: expected GPU time of the job; lower runs
 /// first (kEnergyQssf multiplies it by the job's per-GPU draw). Called
 /// concurrently from VC shards under common::ExecMode::kParallel, so it must

@@ -24,13 +24,6 @@ double Ecdf::inverse(double q) const noexcept {
   return sorted_[std::min(idx > 0 ? idx - 1 : 0, sorted_.size() - 1)];
 }
 
-std::vector<double> Ecdf::evaluate(std::span<const double> xs) const {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back((*this)(x));
-  return out;
-}
-
 std::vector<double> log_space_points(double lo, double hi, int n) {
   std::vector<double> pts;
   if (n <= 0 || lo <= 0.0 || hi <= lo) return pts;
@@ -42,24 +35,6 @@ std::vector<double> log_space_points(double lo, double hi, int n) {
     pts.push_back(std::exp(llo + f * (lhi - llo)));
   }
   return pts;
-}
-
-std::vector<double> lin_space_points(double lo, double hi, int n) {
-  std::vector<double> pts;
-  if (n <= 0) return pts;
-  pts.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double f = n == 1 ? 0.0 : static_cast<double>(i) / (n - 1);
-    pts.push_back(lo + f * (hi - lo));
-  }
-  return pts;
-}
-
-double ks_statistic(const Ecdf& a, const Ecdf& b) {
-  double sup = 0.0;
-  for (double x : a.sorted_sample()) sup = std::max(sup, std::abs(a(x) - b(x)));
-  for (double x : b.sorted_sample()) sup = std::max(sup, std::abs(a(x) - b(x)));
-  return sup;
 }
 
 }  // namespace helios::stats

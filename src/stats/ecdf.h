@@ -6,7 +6,6 @@
 // the figure benches so series line up across clusters.
 #pragma once
 
-#include <span>
 #include <vector>
 
 namespace helios::stats {
@@ -24,12 +23,6 @@ class Ecdf {
 
   [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
   [[nodiscard]] bool empty() const noexcept { return sorted_.empty(); }
-  [[nodiscard]] const std::vector<double>& sorted_sample() const noexcept {
-    return sorted_;
-  }
-
-  /// Evaluate at many points at once (points need not be sorted).
-  [[nodiscard]] std::vector<double> evaluate(std::span<const double> xs) const;
 
  private:
   std::vector<double> sorted_;
@@ -37,12 +30,5 @@ class Ecdf {
 
 /// `n` log-spaced points from lo to hi inclusive (lo, hi > 0).
 [[nodiscard]] std::vector<double> log_space_points(double lo, double hi, int n);
-
-/// `n` linearly spaced points from lo to hi inclusive.
-[[nodiscard]] std::vector<double> lin_space_points(double lo, double hi, int n);
-
-/// Two-sample Kolmogorov-Smirnov statistic sup_x |F1(x) - F2(x)|.
-/// Used by property tests to compare generated distributions against targets.
-[[nodiscard]] double ks_statistic(const Ecdf& a, const Ecdf& b);
 
 }  // namespace helios::stats

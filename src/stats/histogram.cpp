@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace helios::stats {
 
@@ -32,48 +31,7 @@ double Histogram::bin_hi(std::size_t bin) const noexcept {
   return lo_ + width_ * static_cast<double>(bin + 1);
 }
 
-double Histogram::bin_center(std::size_t bin) const noexcept {
-  return lo_ + width_ * (static_cast<double>(bin) + 0.5);
-}
-
 double Histogram::fraction(std::size_t bin) const noexcept {
-  return total_ > 0.0 ? counts_[bin] / total_ : 0.0;
-}
-
-LogHistogram::LogHistogram(double lo, double hi, std::size_t bins)
-    : log_lo_(std::log(lo)), log_hi_(std::log(hi)),
-      log_width_((std::log(hi) - std::log(lo)) / static_cast<double>(bins)),
-      counts_(bins, 0.0) {
-  assert(bins > 0 && lo > 0.0 && hi > lo);
-}
-
-std::size_t LogHistogram::bin_index(double x) const noexcept {
-  if (x <= 0.0) return 0;
-  const double lx = std::log(x);
-  if (lx <= log_lo_) return 0;
-  if (lx >= log_hi_) return counts_.size() - 1;
-  return std::min(static_cast<std::size_t>((lx - log_lo_) / log_width_),
-                  counts_.size() - 1);
-}
-
-void LogHistogram::add(double x, double weight) noexcept {
-  counts_[bin_index(x)] += weight;
-  total_ += weight;
-}
-
-double LogHistogram::bin_lo(std::size_t bin) const noexcept {
-  return std::exp(log_lo_ + log_width_ * static_cast<double>(bin));
-}
-
-double LogHistogram::bin_hi(std::size_t bin) const noexcept {
-  return std::exp(log_lo_ + log_width_ * static_cast<double>(bin + 1));
-}
-
-double LogHistogram::bin_center(std::size_t bin) const noexcept {
-  return std::exp(log_lo_ + log_width_ * (static_cast<double>(bin) + 0.5));
-}
-
-double LogHistogram::fraction(std::size_t bin) const noexcept {
   return total_ > 0.0 ? counts_[bin] / total_ : 0.0;
 }
 

@@ -1,4 +1,4 @@
-// Fixed-width and logarithmic histograms.
+// Fixed-width histogram.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +18,6 @@ class Histogram {
   [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] double count(std::size_t bin) const noexcept { return counts_[bin]; }
   [[nodiscard]] double total() const noexcept { return total_; }
-  /// Center of bucket `bin`.
-  [[nodiscard]] double bin_center(std::size_t bin) const noexcept;
   [[nodiscard]] double bin_lo(std::size_t bin) const noexcept;
   [[nodiscard]] double bin_hi(std::size_t bin) const noexcept;
   /// Fraction of total weight in bucket `bin` (0 when empty).
@@ -31,33 +29,6 @@ class Histogram {
   double lo_;
   double hi_;
   double width_;
-  double total_ = 0.0;
-  std::vector<double> counts_;
-};
-
-/// Histogram with logarithmically spaced bucket edges over [lo, hi), lo > 0.
-/// Natural for job durations spanning seconds to weeks.
-class LogHistogram {
- public:
-  LogHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0) noexcept;
-
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] double count(std::size_t bin) const noexcept { return counts_[bin]; }
-  [[nodiscard]] double total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t bin) const noexcept;
-  /// Geometric center of bucket `bin`.
-  [[nodiscard]] double bin_center(std::size_t bin) const noexcept;
-  [[nodiscard]] double fraction(std::size_t bin) const noexcept;
-
-  [[nodiscard]] std::size_t bin_index(double x) const noexcept;
-
- private:
-  double log_lo_;
-  double log_hi_;
-  double log_width_;
   double total_ = 0.0;
   std::vector<double> counts_;
 };

@@ -18,23 +18,6 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double nt = na + nb;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  mean_ += delta * nb / nt;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }

@@ -11,7 +11,6 @@ namespace helios::stats {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   [[nodiscard]] std::int64_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }

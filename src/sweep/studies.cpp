@@ -92,15 +92,4 @@ std::vector<double> jct_values(const sim::SimResult& r) {
   return out;
 }
 
-std::vector<double> queue_delay_values(const sim::SimResult& r) {
-  std::vector<double> out;
-  out.reserve(r.outcomes.size());
-  for (const auto& o : r.outcomes) {
-    if (!o.rejected && o.start != trace::kNeverStarted) {
-      out.push_back(static_cast<double>(o.queue_delay()));
-    }
-  }
-  return out;
-}
-
 }  // namespace helios::sweep

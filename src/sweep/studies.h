@@ -51,7 +51,4 @@ struct CesStudy {
 /// JCT values (seconds) from a sim result, excluding rejected jobs.
 [[nodiscard]] std::vector<double> jct_values(const sim::SimResult& r);
 
-/// Queue-delay values (seconds) from a sim result.
-[[nodiscard]] std::vector<double> queue_delay_values(const sim::SimResult& r);
-
 }  // namespace helios::sweep

@@ -688,17 +688,6 @@ Trace SyntheticTraceGenerator::generate() {
   return trace;
 }
 
-std::vector<Trace> generate_helios(std::uint64_t seed, double scale) {
-  const auto clusters = helios_clusters();
-  std::vector<Trace> traces;
-  traces.reserve(clusters.size());
-  for (const auto& c : clusters) {
-    traces.push_back(
-        SyntheticTraceGenerator(GeneratorConfig::helios(c, seed, scale)).generate());
-  }
-  return traces;
-}
-
 Trace generate_philly(std::uint64_t seed, double scale) {
   return SyntheticTraceGenerator(GeneratorConfig::philly(seed, scale)).generate();
 }

@@ -127,9 +127,6 @@ class SyntheticTraceGenerator {
   GeneratorConfig config_;
 };
 
-/// All four Helios cluster traces (seed derives per-cluster sub-seeds).
-[[nodiscard]] std::vector<Trace> generate_helios(std::uint64_t seed, double scale);
-
 /// The Philly comparison trace.
 [[nodiscard]] Trace generate_philly(std::uint64_t seed, double scale);
 

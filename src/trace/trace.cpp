@@ -87,14 +87,6 @@ Trace Trace::between(UnixTime begin, UnixTime end) const {
   });
 }
 
-Trace Trace::gpu_jobs() const {
-  return filter([](const JobRecord& j) { return j.is_gpu_job(); });
-}
-
-Trace Trace::cpu_jobs() const {
-  return filter([](const JobRecord& j) { return j.is_cpu_job(); });
-}
-
 void Trace::save_csv(std::ostream& out) const {
   CsvWriter w(out);
   w.write_row({"job_id", "submit_time", "start_time", "duration", "num_gpus",

@@ -78,10 +78,6 @@ class Trace {
   /// Jobs whose submit time falls in [begin, end).
   [[nodiscard]] Trace between(UnixTime begin, UnixTime end) const;
 
-  /// GPU jobs only / CPU jobs only.
-  [[nodiscard]] Trace gpu_jobs() const;
-  [[nodiscard]] Trace cpu_jobs() const;
-
   /// True when both traces hold the same job records and identical interner
   /// tables (ids included) — i.e. their save_csv output is byte-identical.
   /// Cluster specs are not compared.

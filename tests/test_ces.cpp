@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/ces_service.h"
-#include "core/framework.h"
 #include "golden_digest.h"
 #include "sim/simulator.h"
 #include "sweep/studies.h"
@@ -170,26 +169,6 @@ TEST(CesGolden, PhillyTable5Column) {
                                           from_civil(2017, 12, 15));
   EXPECT_EQ(digest(study.ces), "9636f1f1f4b9c513");
   EXPECT_EQ(digest(study.vanilla), "0adfffc1fdf09bcc");
-}
-
-TEST(Framework, RegisterFindUpdate) {
-  class CountingService final : public Service {
-   public:
-    [[nodiscard]] std::string name() const override { return "counting"; }
-    void update(const Trace&) override { ++updates; }
-    int updates = 0;
-  };
-  PredictionFramework fw("Earth");
-  auto& svc = dynamic_cast<CountingService&>(
-      fw.register_service(std::make_unique<CountingService>()));
-  EXPECT_EQ(fw.service_count(), 1u);
-  EXPECT_EQ(fw.find("counting"), &svc);
-  EXPECT_EQ(fw.find("missing"), nullptr);
-  Trace t;
-  fw.update_all(t);
-  fw.update_all(t);
-  EXPECT_EQ(svc.updates, 2);
-  EXPECT_EQ(fw.cluster_name(), "Earth");
 }
 
 }  // namespace

@@ -48,15 +48,14 @@ TEST(CivilTime, RoundTripSweep) {
 TEST(CivilTime, WeekdayProgression) {
   // 2020-04-01 was a Wednesday (index 2).
   const UnixTime apr1 = from_civil(2020, 4, 1);
-  EXPECT_EQ(weekday_of(apr1), 2);
-  EXPECT_EQ(weekday_of(apr1 + 4 * kSecondsPerDay), 6);  // Sunday
-  EXPECT_EQ(weekday_of(apr1 + 5 * kSecondsPerDay), 0);  // Monday
+  EXPECT_EQ(to_civil(apr1).weekday, 2);
+  EXPECT_EQ(to_civil(apr1 + 4 * kSecondsPerDay).weekday, 6);  // Sunday
+  EXPECT_EQ(to_civil(apr1 + 5 * kSecondsPerDay).weekday, 0);  // Monday
 }
 
 TEST(CivilTime, FloorDayAndHour) {
   const UnixTime t = from_civil(2020, 6, 15, 13, 45, 30);
   EXPECT_EQ(floor_day(t), from_civil(2020, 6, 15));
-  EXPECT_EQ(floor_hour(t), from_civil(2020, 6, 15, 13));
   EXPECT_EQ(hour_of(t), 13);
   EXPECT_EQ(minute_of_day(t), 13 * 60 + 45);
 }
@@ -83,7 +82,6 @@ TEST(CivilTime, HolidaysIncludeWeekendsAndCnHolidays) {
 
 TEST(CivilTime, Format) {
   EXPECT_EQ(format_time(from_civil(2020, 4, 1, 9, 5, 3)), "2020-04-01 09:05:03");
-  EXPECT_EQ(format_date(from_civil(2020, 4, 1, 9, 5, 3)), "2020-04-01");
 }
 
 TEST(CivilTime, LeapYearHandling) {

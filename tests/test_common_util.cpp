@@ -6,6 +6,7 @@
 #include <latch>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -48,15 +49,13 @@ TEST(Csv, QuotedRoundTrip) {
 
 TEST(Csv, NumericFieldsRoundTrip) {
   EXPECT_EQ(CsvWriter::field(static_cast<std::int64_t>(-42)), "-42");
-  const std::string d = CsvWriter::field(3.25);
-  EXPECT_EQ(std::stod(d), 3.25);
 }
 
-TEST(Csv, ReadAllSkipsEmptyLines) {
-  std::istringstream in("a,b\n\nc,d\n");
-  const auto rows = CsvReader::read_all(in);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][1], "d");
+TEST(Csv, BlankLineIsEmptyOrLoneCarriageReturn) {
+  EXPECT_TRUE(CsvReader::is_blank_line(""));
+  EXPECT_TRUE(CsvReader::is_blank_line("\r"));  // blank line of CRLF input
+  EXPECT_FALSE(CsvReader::is_blank_line(" "));
+  EXPECT_FALSE(CsvReader::is_blank_line("a,b\r"));
 }
 
 TEST(TextTable, AlignsColumns) {
@@ -254,6 +253,34 @@ TEST(Env, FallbacksAndParsing) {
   ::setenv("HELIOS_TEST_SET_VAR", "19", 1);
   EXPECT_EQ(env_int("HELIOS_TEST_SET_VAR", 0), 19);
   EXPECT_EQ(env_string("HELIOS_TEST_SET_VAR", ""), "19");
+  ::setenv("HELIOS_TEST_SET_VAR", "-3", 1);
+  EXPECT_EQ(env_int("HELIOS_TEST_SET_VAR", 0), -3);
+  ::setenv("HELIOS_TEST_SET_VAR", "", 1);
+  EXPECT_EQ(env_int("HELIOS_TEST_SET_VAR", 7), 7);
+  EXPECT_DOUBLE_EQ(env_double("HELIOS_TEST_SET_VAR", 1.5), 1.5);
+
+  // Only a whole, in-range number is accepted: a partial parse used to keep
+  // its prefix ("8x" read as 8) and an overflow saturated to LLONG_MAX.
+  // Parser only — never build a pool from these values.
+  for (const char* bad : {"8x", "1.5", "abc", "99999999999999999999", " 8 "}) {
+    ::setenv("HELIOS_TEST_SET_VAR", bad, 1);
+    EXPECT_THROW((void)env_int("HELIOS_TEST_SET_VAR", 0), std::invalid_argument)
+        << bad;
+  }
+  for (const char* bad : {"0.1x", "x", "1e999", "2.5 "}) {
+    ::setenv("HELIOS_TEST_SET_VAR", bad, 1);
+    EXPECT_THROW((void)env_double("HELIOS_TEST_SET_VAR", 0.0),
+                 std::invalid_argument)
+        << bad;
+  }
+  ::setenv("HELIOS_TEST_SET_VAR", "8x", 1);
+  try {
+    (void)env_int("HELIOS_TEST_SET_VAR", 0);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("HELIOS_TEST_SET_VAR"),
+              std::string::npos);
+  }
   ::unsetenv("HELIOS_TEST_SET_VAR");
 }
 

@@ -27,15 +27,6 @@ TEST(EdgeCase, HistogramWeightedAdds) {
   EXPECT_DOUBLE_EQ(h.fraction(0), 1.0);
 }
 
-TEST(EdgeCase, EcdfBatchEvaluate) {
-  stats::Ecdf e({1.0, 2.0, 3.0});
-  const auto ys = e.evaluate(std::vector<double>{0.0, 2.0, 9.0});
-  ASSERT_EQ(ys.size(), 3u);
-  EXPECT_DOUBLE_EQ(ys[0], 0.0);
-  EXPECT_NEAR(ys[1], 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(ys[2], 1.0);
-}
-
 TEST(EdgeCase, EmptyEcdf) {
   stats::Ecdf e;
   EXPECT_TRUE(e.empty());

@@ -12,8 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
+#include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -83,15 +84,14 @@ TEST(PowerProfile, BaselineWattsBillsEveryPowerState) {
   EXPECT_EQ(core::PowerProfile{}, core::PowerProfile{});
 }
 
-TEST(PowerPolicies, RegistryRoundTripsTheEnergyFamily) {
+TEST(PowerPolicies, RegistryHoldsTheEnergyFamily) {
+  // Budget-constrained FIFO is kFifo on a capped config, not a policy.
   EXPECT_EQ(all_policies().size(), 5u);
   EXPECT_EQ(to_string(SchedulerPolicy::kEnergyQssf), "EQSSF");
-  EXPECT_EQ(policy_from_string("EQSSF"), SchedulerPolicy::kEnergyQssf);
-  // Budget-constrained FIFO is kFifo on a capped config, not a policy.
-  EXPECT_THROW((void)policy_from_string("POWERCAP"), std::invalid_argument);
-  for (SchedulerPolicy p : all_policies()) {
-    EXPECT_EQ(policy_from_string(to_string(p)), p);
-  }
+  std::set<std::string_view> names;
+  for (SchedulerPolicy p : all_policies()) names.insert(to_string(p));
+  EXPECT_EQ(names.size(), all_policies().size());
+  EXPECT_EQ(names.count("?"), 0u);
 }
 
 // ---------------------------------------------------------------------------

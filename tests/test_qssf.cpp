@@ -125,8 +125,8 @@ TEST(QssfService, LambdaExtremesSelectEstimator) {
   EXPECT_DOUBLE_EQ(b.predict_duration(probe, j), b.ml_estimate(probe, j));
 }
 
-TEST(QssfService, UpdateWithOverlappingTraceDoesNotDoubleCount) {
-  // The Model Update Engine hook may be fed cumulative traces; re-observing
+TEST(QssfService, RefitWithOverlappingTraceDoesNotDoubleCount) {
+  // The Model Update Engine may refit on cumulative traces; re-observing
   // a job used to double-count the rolling sums and re-decay the name
   // EWMAs, skewing rolling_estimate.
   QssfService svc(fast_config());
@@ -139,7 +139,7 @@ TEST(QssfService, UpdateWithOverlappingTraceDoesNotDoubleCount) {
   const double before = svc.rolling_estimate(probe, j);
 
   // Same trace again (fully overlapping): every estimate must be unchanged.
-  svc.update(h);
+  svc.fit(h);
   EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
   svc.observe(h, h.jobs().front());  // single stray re-observe is a no-op too
   EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
@@ -151,7 +151,7 @@ TEST(QssfService, UpdateWithOverlappingTraceDoesNotDoubleCount) {
                    "dave_train_vit", JobState::kCompleted);
   }
   cumulative.sort_by_submit_time();
-  svc.update(cumulative);
+  svc.fit(cumulative);
   EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
   const auto& nj = probe.add(from_civil(2020, 9, 10), 0, 2, 12, "dave", "vc0",
                              "dave_train_vit", JobState::kCompleted);

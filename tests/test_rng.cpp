@@ -24,14 +24,6 @@ TEST(Rng, DifferentSeedsDiffer) {
   EXPECT_LT(same, 3);
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(7);
-  Rng b = a.split();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += a.next() == b.next();
-  EXPECT_LT(same, 3);
-}
-
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(42);
   for (int i = 0; i < 10000; ++i) {
@@ -86,18 +78,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(rs.mean(), 4.0, 0.1);
 }
 
-TEST(Rng, PoissonMeanSmallAndLarge) {
-  Rng rng(13);
-  stats::RunningStats small;
-  stats::RunningStats large;
-  for (int i = 0; i < 50000; ++i) {
-    small.add(static_cast<double>(rng.poisson(3.0)));
-    large.add(static_cast<double>(rng.poisson(120.0)));
-  }
-  EXPECT_NEAR(small.mean(), 3.0, 0.06);
-  EXPECT_NEAR(large.mean(), 120.0, 0.5);
-}
-
 TEST(Rng, ParetoRespectsScale) {
   Rng rng(17);
   for (int i = 0; i < 10000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
@@ -110,38 +90,17 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
 }
 
-TEST(Rng, CategoricalFollowsWeights) {
-  Rng rng(23);
-  const std::vector<double> w = {1.0, 2.0, 7.0};
-  std::array<int, 3> counts{};
-  for (int i = 0; i < 100000; ++i) ++counts[rng.categorical(w)];
-  EXPECT_NEAR(counts[0] / 100000.0, 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / 100000.0, 0.2, 0.01);
-  EXPECT_NEAR(counts[2] / 100000.0, 0.7, 0.01);
-}
-
-TEST(CategoricalSampler, MatchesWeightsAndProbability) {
+TEST(CategoricalSampler, MatchesWeights) {
   Rng rng(29);
   const std::vector<double> w = {5.0, 0.0, 3.0, 2.0};
   CategoricalSampler s{std::span<const double>(w)};
   ASSERT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s.probability(0), 0.5);
-  EXPECT_DOUBLE_EQ(s.probability(1), 0.0);
   std::array<int, 4> counts{};
   for (int i = 0; i < 100000; ++i) ++counts[s.sample(rng)];
   EXPECT_EQ(counts[1], 0);
   EXPECT_NEAR(counts[0] / 100000.0, 0.5, 0.01);
   EXPECT_NEAR(counts[2] / 100000.0, 0.3, 0.01);
   EXPECT_NEAR(counts[3] / 100000.0, 0.2, 0.01);
-}
-
-TEST(ZipfSampler, RankOneDominates) {
-  Rng rng(31);
-  ZipfSampler z(100, 1.2);
-  std::vector<int> counts(100, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[z.sample(rng)];
-  EXPECT_GT(counts[0], counts[9]);
-  EXPECT_GT(counts[9], counts[99]);
 }
 
 TEST(Rng, ShuffleIsPermutation) {

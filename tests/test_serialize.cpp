@@ -72,7 +72,6 @@ void expect_models_identical(const ml::GBDTRegressor& a,
                              const ml::GBDTRegressor& b) {
   ASSERT_EQ(a.tree_count(), b.tree_count());
   ASSERT_EQ(a.training_rmse(), b.training_rmse());
-  ASSERT_EQ(a.feature_importance(), b.feature_importance());
   for (std::size_t t = 0; t < a.tree_count(); ++t) {
     const auto& na = a.trees()[t].nodes();
     const auto& nb = b.trees()[t].nodes();
@@ -159,7 +158,9 @@ TEST(SerializeRoundTrip, RidgeRegression) {
              [&](serialize::Reader& r) { loaded.load(r); });
   ASSERT_EQ(model.weights(), loaded.weights());
   ASSERT_EQ(model.intercept(), loaded.intercept());
-  ASSERT_EQ(model.predict_many(data), loaded.predict_many(data));
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    ASSERT_EQ(model.predict(data.row(r)), loaded.predict(data.row(r))) << r;
+  }
 }
 
 TEST(SerializeRoundTrip, NameBucketizerKeepsAssignments) {

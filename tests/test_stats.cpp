@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "stats/correlation.h"
-#include "stats/distribution.h"
 #include "stats/ecdf.h"
 #include "stats/histogram.h"
 #include "stats/metrics.h"
@@ -23,35 +22,6 @@ TEST(RunningStats, BasicMoments) {
   EXPECT_DOUBLE_EQ(rs.min(), 2.0);
   EXPECT_DOUBLE_EQ(rs.max(), 9.0);
   EXPECT_DOUBLE_EQ(rs.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(3);
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 7.0);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
 }
 
 TEST(Quantile, InterpolatesLikeNumpy) {
@@ -108,12 +78,6 @@ TEST(Ecdf, InverseRoundTrip) {
   EXPECT_DOUBLE_EQ(e.inverse(1.0), 40.0);
 }
 
-TEST(Ecdf, KsStatisticZeroForIdentical) {
-  std::vector<double> v = {1.0, 5.0, 9.0, 2.0};
-  EXPECT_DOUBLE_EQ(ks_statistic(Ecdf(v), Ecdf(v)), 0.0);
-  EXPECT_GT(ks_statistic(Ecdf({1.0, 2.0}), Ecdf({10.0, 20.0})), 0.9);
-}
-
 TEST(LogSpacePoints, EndpointsAndMonotone) {
   const auto pts = log_space_points(1.0, 1e6, 7);
   ASSERT_EQ(pts.size(), 7u);
@@ -132,19 +96,6 @@ TEST(Histogram, BinningAndFractions) {
   EXPECT_DOUBLE_EQ(h.count(5), 2.0);
   EXPECT_DOUBLE_EQ(h.count(9), 1.0);
   EXPECT_DOUBLE_EQ(h.fraction(5), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-}
-
-TEST(LogHistogram, CoversDecades) {
-  LogHistogram h(1.0, 1e6, 6);
-  h.add(3.0);      // decade 0
-  h.add(300.0);    // decade 2
-  h.add(3e5);      // decade 5
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(2), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(5), 1.0);
-  EXPECT_NEAR(h.bin_lo(1), 10.0, 1e-6);
-  EXPECT_NEAR(h.bin_hi(1), 100.0, 1e-4);
 }
 
 TEST(Metrics, SmapeBounds) {
@@ -186,29 +137,6 @@ TEST(Correlation, SpearmanMonotoneNonlinear) {
   }
   EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
   EXPECT_LT(pearson(x, y), 0.99);  // pearson penalises nonlinearity
-}
-
-TEST(Distribution, NormalCdfQuantileRoundTrip) {
-  for (double p : {0.01, 0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_NEAR(normal_cdf(normal_quantile(p)), p, 1e-6);
-  }
-  EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-9);
-}
-
-TEST(Distribution, LognormalFitRecoversParams) {
-  Rng rng(13);
-  std::vector<double> v;
-  for (int i = 0; i < 100000; ++i) v.push_back(rng.lognormal(2.0, 0.7));
-  const auto fit = fit_lognormal(v);
-  EXPECT_NEAR(fit.mu, 2.0, 0.02);
-  EXPECT_NEAR(fit.sigma, 0.7, 0.02);
-  EXPECT_NEAR(fit.median(), std::exp(2.0), 0.3);
-}
-
-TEST(Distribution, FromMedianMean) {
-  const auto p = lognormal_from_median_mean(206.0, 6652.0);
-  EXPECT_NEAR(p.median(), 206.0, 1e-9);
-  EXPECT_NEAR(p.mean(), 6652.0, 1.0);
 }
 
 }  // namespace
