@@ -101,7 +101,7 @@ int main() {
   if (par.cells.size() != cells.size() || ser.cells.size() != cells.size())
     return fail("cell count mismatch");
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!sweep::results_identical(par.cells[i].result, ser.cells[i].result)) {
+    if (!sim::results_identical(par.cells[i].result, ser.cells[i].result)) {
       std::fprintf(stderr, "  cell %zu: %s\n", i,
                    par.cells[i].spec.label().c_str());
       return fail("parallel != serial for a power-grid cell");

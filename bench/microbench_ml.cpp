@@ -478,17 +478,7 @@ bool models_equal(const ml::GBDTRegressor& a, const ml::GBDTRegressor& b) {
   if (a.tree_count() != b.tree_count()) return false;
   if (a.training_rmse() != b.training_rmse()) return false;
   for (std::size_t t = 0; t < a.tree_count(); ++t) {
-    const auto& na = a.trees()[t].nodes();
-    const auto& nb = b.trees()[t].nodes();
-    if (na.size() != nb.size()) return false;
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      if (na[i].feature != nb[i].feature || na[i].split_bin != nb[i].split_bin ||
-          na[i].threshold != nb[i].threshold || na[i].left != nb[i].left ||
-          na[i].right != nb[i].right || na[i].value != nb[i].value ||
-          na[i].gain != nb[i].gain) {
-        return false;
-      }
-    }
+    if (a.trees()[t].nodes() != b.trees()[t].nodes()) return false;
   }
   return true;
 }

@@ -213,21 +213,7 @@ void verify_sharded_parity() {
             t.cluster(),
             policy_config(c.policy, helios::common::ExecMode::kParallel, c.extras))
             .run(t);
-    bool ok = serial.outcomes.size() == sharded.outcomes.size() &&
-              serial.avg_jct == sharded.avg_jct &&
-              serial.avg_queue_delay == sharded.avg_queue_delay &&
-              serial.preemptions == sharded.preemptions &&
-              serial.rejected_jobs == sharded.rejected_jobs &&
-              serial.busy_gpus.values == sharded.busy_gpus.values &&
-              serial.busy_nodes.values == sharded.busy_nodes.values &&
-              serial.energy_joules == sharded.energy_joules &&
-              serial.max_power_watts == sharded.max_power_watts;
-    for (std::size_t i = 0; ok && i < serial.outcomes.size(); ++i) {
-      ok = serial.outcomes[i].start == sharded.outcomes[i].start &&
-           serial.outcomes[i].end == sharded.outcomes[i].end &&
-           serial.outcomes[i].rejected == sharded.outcomes[i].rejected;
-    }
-    if (!ok) {
+    if (!sim::results_identical(serial, sharded)) {
       std::fprintf(stderr,
                    "FATAL: sharded simulator diverges from serial reference "
                    "under %.*s%s\n",

@@ -12,7 +12,7 @@
 // serial and parallel, three times each, and the report gives the
 // median wall of each kind. Every leg, the warm-up included, is gated on
 //   (a) every cell being bit-identical to the first serial leg's
-//       (sweep::results_identical — outcomes, counters, busy series),
+//       (sim::results_identical — every SimResult field, bit for bit),
 //   (b) its store having materialized every distinct trace key exactly once
 //       (TraceStore::generations() == unique key count).
 // Exit status is non-zero on any violation. The speedup itself is reported,
@@ -125,7 +125,7 @@ int main() {
   };
   auto same = [&](const sweep::SweepResult& a, const sweep::SweepResult& b) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (!sweep::results_identical(a.cells[i].result, b.cells[i].result)) {
+      if (!sim::results_identical(a.cells[i].result, b.cells[i].result)) {
         std::fprintf(stderr, "  cell %zu: %s\n", i,
                      a.cells[i].spec.label().c_str());
         return false;

@@ -2,7 +2,8 @@
 # Tier-1 verify in one command: configure, build, run every gtest suite and
 # the argument-free examples.
 #
-#   ./ci.sh            full build + docs check + full test sweep
+#   ./ci.sh            full build (warnings are errors in build/) + docs
+#                      check + full test sweep
 #   ./ci.sh smoke      full build + fast suites and argument-free examples
 #                      only (ctest -L smoke)
 #   ./ci.sh bench      full build + microbenchmark smoke run (short
@@ -201,8 +202,11 @@ if [ "$mode" = tsan ]; then
 fi
 
 # Release is the CMake default here, but pin it so benches are always built
-# -O2 -DNDEBUG even if a stale cache says otherwise.
-cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+# -O2 -DNDEBUG even if a stale cache says otherwise. Every target in build/
+# (library, tests, benches, examples) compiles with warnings as errors; the
+# sanitizer trees and the figs reference build do not.
+cmake -B build -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$(nproc)"
 
 if [ "$mode" = bench ]; then

@@ -197,11 +197,11 @@ struct HistogramBuilder {
 
   std::size_t p = 0;
   int total_bins = 0;
-  std::vector<int> offset;             // per-feature slice into a histogram
+  std::vector<int> offset{};           // per-feature slice into a histogram
   std::size_t packed_limit = kPackedRowLimit;  // node rows >= this go wide
   // Freed node histograms for reuse (allocating + zeroing ~9KB per node adds
   // up over thousands of nodes per fit).
-  std::vector<std::vector<std::int64_t>> hist_pool;
+  std::vector<std::vector<std::int64_t>> hist_pool{};
 
   void init() {
     p = x.features;

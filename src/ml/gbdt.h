@@ -70,6 +70,8 @@ struct GBDTConfig {
   std::uint64_t seed = 42;
   /// Cap on training rows (uniform subsample above it); 0 = no cap.
   std::size_t max_training_rows = 0;
+
+  bool operator==(const GBDTConfig&) const = default;
 };
 
 /// Per-tree gradients quantized to a fixed-point int64 grid. The scale is a
@@ -108,6 +110,8 @@ class RegressionTree {
     std::int32_t right = -1;
     double value = 0.0;  ///< leaf output
     double gain = 0.0;   ///< split gain (kept in the TREE frame)
+
+    bool operator==(const Node&) const = default;  ///< every field, `==`
   };
 
   /// Fit to the quantized gradients of `rows` over the binned matrix.

@@ -49,18 +49,26 @@ inline __m256i walk_step(const int* sp, const std::uint8_t* bins,
       _mm256_add_epi32(_mm256_slli_epi32(idx, 1), one), right);
 }
 
+/// _mm256_i32gather_pd(value, idx, 8) without its undefined source operand,
+/// which GCC 12 flags as -Wmaybe-uninitialized: the all-ones mask gathers
+/// every lane.
+inline __m256d gather4(const double* value, __m128i idx) noexcept {
+  return _mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), value, idx,
+      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+}
+
 /// lr * value[vidx lane] accumulated into (acc_lo, acc_hi) — separate mul
 /// then add (no FMA): the same two roundings as the scalar out[r] += lr *
 /// value accumulation.
 inline void accumulate_leaves(const double* value, __m256i vidx, __m256d lr,
                               __m256d& acc_lo, __m256d& acc_hi) noexcept {
   acc_lo = _mm256_add_pd(
-      acc_lo, _mm256_mul_pd(lr, _mm256_i32gather_pd(
-                                    value, _mm256_castsi256_si128(vidx), 8)));
+      acc_lo,
+      _mm256_mul_pd(lr, gather4(value, _mm256_castsi256_si128(vidx))));
   acc_hi = _mm256_add_pd(
-      acc_hi, _mm256_mul_pd(lr, _mm256_i32gather_pd(
-                                    value, _mm256_extracti128_si256(vidx, 1),
-                                    8)));
+      acc_hi,
+      _mm256_mul_pd(lr, gather4(value, _mm256_extracti128_si256(vidx, 1))));
 }
 
 }  // namespace

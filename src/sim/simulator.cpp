@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -36,6 +38,25 @@ std::span<const SchedulerPolicy> all_policies() noexcept {
       SchedulerPolicy::kFifo, SchedulerPolicy::kSjf, SchedulerPolicy::kSrtf,
       SchedulerPolicy::kQssf, SchedulerPolicy::kEnergyQssf};
   return kAll;
+}
+
+bool results_identical(const SimResult& a, const SimResult& b) noexcept {
+  constexpr auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  return for_each_field(
+      [same_bits](const auto& x, const auto& y) {
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, double>) {
+          return same_bits(x, y);
+        } else if constexpr (std::is_same_v<T, forecast::TimeSeries>) {
+          return x.begin == y.begin && x.step == y.step &&
+                 std::ranges::equal(x.values, y.values, same_bits);
+        } else {
+          return x == y;  // integers, bools, VCStat::name
+        }
+      },
+      a, b);
 }
 
 std::pair<UnixTime, UnixTime> simulation_window(const Trace& t) {

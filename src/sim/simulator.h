@@ -29,6 +29,8 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -144,6 +146,8 @@ struct VCStat {
   double energy_joules = 0.0;
 };
 
+/// A member added here, to JobOutcome or to VCStat must also be listed in
+/// detail::fields (below); until then the header does not compile.
 struct SimResult {
   std::vector<JobOutcome> outcomes;  ///< GPU jobs, in input order
   double avg_jct = 0.0;
@@ -174,11 +178,99 @@ struct SimResult {
   forecast::TimeSeries peak_power_watts;  ///< peak cluster draw per bucket
 };
 
+namespace detail {
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// The one field list: every member of `r` in declaration order, as a tuple
+/// of references. Each list is a structured binding, which stops compiling
+/// when its struct gains or loses a member.
+template <typename R>
+auto fields(R& r) {
+  using T = std::remove_const_t<R>;
+  if constexpr (std::is_same_v<T, JobOutcome>) {
+    auto& [trace_index, submit, start, end, gpus, kills, vc, rejected] = r;
+    return std::tie(trace_index, submit, start, end, gpus, kills, vc,
+                    rejected);
+  } else if constexpr (std::is_same_v<T, VCStat>) {
+    auto& [name, gpus, jobs, avg_queue_delay, avg_jct, energy_joules] = r;
+    return std::tie(name, gpus, jobs, avg_queue_delay, avg_jct,
+                    energy_joules);
+  } else {
+    static_assert(std::is_same_v<T, SimResult>);
+    auto& [outcomes, avg_jct, avg_queue_delay, queued_jobs, preemptions,
+           rejected_jobs, unfinished_jobs, job_kills, node_failures, vc_stats,
+           busy_nodes, busy_gpus, energy_joules, max_power_watts, power_watts,
+           peak_power_watts] = r;
+    return std::tie(outcomes, avg_jct, avg_queue_delay, queued_jobs,
+                    preemptions, rejected_jobs, unfinished_jobs, job_kills,
+                    node_failures, vc_stats, busy_nodes, busy_gpus,
+                    energy_joules, max_power_watts, power_watts,
+                    peak_power_watts);
+  }
+}
+
+/// The paired walk behind both for_each_field forms.
+template <typename F, typename A, typename B>
+bool visit(F& f, A& a, B& b) {
+  using T = std::remove_const_t<A>;
+  if constexpr (kIsVector<T>) {
+    const std::size_t n = a.size();
+    const std::size_t m = b.size();
+    if (!f(n, m) || n != m) return false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!visit(f, a[i], b[i])) return false;
+    }
+    return true;
+  } else if constexpr (std::is_same_v<T, SimResult> ||
+                       std::is_same_v<T, JobOutcome> ||
+                       std::is_same_v<T, VCStat>) {
+    constexpr std::size_t kMembers = std::tuple_size_v<decltype(fields(a))>;
+    return [&]<std::size_t... I>(auto fa, auto fb, std::index_sequence<I...>) {
+      return (visit(f, std::get<I>(fa), std::get<I>(fb)) && ...);
+    }(fields(a), fields(b), std::make_index_sequence<kMembers>{});
+  } else {
+    return f(a, b);
+  }
+}
+
+}  // namespace detail
+
+/// Visits the matching leaves of two results, `f(leaf_a, leaf_b)`, or every
+/// leaf of one, `f(leaf)`, in declaration order, each JobOutcome's and
+/// VCStat's members in place of their vector. A leaf is a number,
+/// VCStat::name or a whole forecast::TimeSeries; a vector's size comes first,
+/// as a `const std::size_t` leaf, so a mutable visit can write every leaf but
+/// cannot resize. `f` returns bool: false stops the visit, which returns
+/// false, as it does after two results' sizes differ. detail::fields is the
+/// one list of these fields that equality, the golden digest and the parity
+/// gates read: a new member does not compile until it is listed there.
+template <typename F, typename R, typename... Other>
+  requires std::is_same_v<std::remove_const_t<R>, SimResult> &&
+           (sizeof...(Other) <= 1) && (std::is_same_v<Other, R> && ...)
+bool for_each_field(F&& f, R& r, Other&... other) {
+  if constexpr (sizeof...(Other) == 1) {
+    return detail::visit(f, r, other...);
+  } else {
+    auto first = [&f](auto& leaf, auto&) { return f(leaf); };
+    return detail::visit(first, r, r);
+  }
+}
+
+/// Exact equality of two results: every leaf compares by bit pattern, so a
+/// NaN (the energy of a run with a NaN per-GPU draw) equals itself and -0.0
+/// differs from +0.0. Every parallel ≡ serial gate compares through this.
+[[nodiscard]] bool results_identical(const SimResult& a,
+                                     const SimResult& b) noexcept;
+
 /// Trace-driven simulator over all VCs of a cluster. VCs are dedicated and
 /// non-shared, so the event loop is sharded per VC (see vc_simulator.h) and
 /// shards run concurrently under common::ExecMode::kParallel; outcomes,
 /// counters, and busy series merge deterministically, bit-identical to
-/// kSerial.
+/// kSerial (results_identical).
 class ClusterSimulator {
  public:
   ClusterSimulator(trace::ClusterSpec spec, SimConfig config);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "serialize/binary.h"
 #include "trace/parallel_loader.h"
 
@@ -16,17 +15,15 @@ namespace {
 constexpr std::uint32_t kSvcTag = serialize::fourcc("SVCK");
 constexpr std::uint32_t kSvcVersion = 1;
 
-/// Calls fn(line) for every line of `data`, excluding the '\n' terminator
-/// (a final line without one is still delivered).
-template <typename Fn>
-void for_each_line(std::string_view data, Fn&& fn) {
-  std::size_t lo = 0;
-  while (lo < data.size()) {
-    const auto nl = data.find('\n', lo);
-    const auto hi = nl == std::string_view::npos ? data.size() : nl;
-    fn(data.substr(lo, hi - lo));
-    lo = nl == std::string_view::npos ? data.size() : nl + 1;
-  }
+/// Parses headerless CSV rows into a batch trace. Batches of at least
+/// `parallel_parse_bytes` shard-parse on the global pool, the rest inline;
+/// appending the batch to a trace assigns the same interner ids as
+/// appending its rows one by one.
+trace::Trace parse_rows(std::string_view csv_rows,
+                        std::size_t parallel_parse_bytes) {
+  trace::LoadOptions opts;
+  opts.min_chunk_bytes = parallel_parse_bytes;
+  return trace::ParallelLoader(opts).load_rows(csv_rows);
 }
 
 }  // namespace
@@ -95,32 +92,11 @@ void PredictionServer::publish() {
                    std::memory_order_release);
 }
 
-void PredictionServer::append_rows(std::string_view csv_rows) {
-  // Every row parses into shard traces before stream_ is touched, so a
-  // malformed row rejects the whole batch and leaves the server as it was.
-  // Large batches shard-parse on the pool; the rest are one inline chunk.
-  // Merging the shards in input order assigns the same interner ids as
-  // appending the rows one by one (trace::ParallelLoader's invariant).
-  const std::size_t threads = global_pool().thread_count();
-  const bool sharded =
-      csv_rows.size() >= config_.parallel_parse_bytes && threads > 1;
-  const auto chunks = trace::ParallelLoader::split_chunks(
-      csv_rows, sharded ? threads : 1, config_.parallel_parse_bytes);
-  std::vector<trace::Trace> shards(chunks.size());
-  parallel_run_chunks(chunks, [&shards, csv_rows](std::size_t c, std::size_t lo,
-                                                  std::size_t hi) {
-    trace::Trace& shard = shards[c];
-    for_each_line(csv_rows.substr(lo, hi - lo), [&shard](std::string_view line) {
-      shard.append_csv_row(line);
-    });
-  });
-  for (const auto& shard : shards) stream_.append(shard);
-}
-
 std::size_t PredictionServer::ingest_csv(std::string_view csv_rows) {
   if (csv_rows.empty()) return 0;
   const std::size_t first = stream_.size();
-  append_rows(csv_rows);
+  // A malformed row throws here, before stream_ is touched.
+  stream_.append(parse_rows(csv_rows, config_.parallel_parse_bytes));
   bytes_ingested_ += csv_rows.size();
   const std::size_t appended = stream_.size() - first;
   rows_ingested_ += appended;
@@ -227,27 +203,25 @@ void PredictionServer::load(serialize::Reader& r) {
   core::QssfService service;
   service.load(s);
 
-  const std::string rows_csv = s.str();
-  trace::Trace stream = stream_;  // context copy; mutate only on full success
+  trace::Trace rows;  // appended onto stream_ only on full success
   try {
-    for_each_line(rows_csv, [&stream](std::string_view line) {
-      stream.append_csv_row(line);
-    });
+    rows = parse_rows(s.str(), config_.parallel_parse_bytes);
   } catch (const std::runtime_error& e) {
     throw serialize::Error(serialize::ErrorCode::kCorrupt,
                            std::string("svc streamed rows: ") + e.what());
   }
-  if (stream.size() - context_rows_ != rows_ingested) {
+  if (rows.size() != rows_ingested) {
     throw serialize::Error(serialize::ErrorCode::kCorrupt,
                            "svc streamed row count mismatch");
   }
+  const std::size_t stream_rows = context_rows_ + rows.size();
 
   const std::size_t n_queue = s.length(12);  // i64 + u32 per entry
   std::vector<core::ReplayQueue::Entry> entries(n_queue);
   for (core::ReplayQueue::Entry& e : entries) {
     e.finish = s.i64();
     e.index = s.u32();
-    if (e.index < context_rows_ || e.index >= stream.size()) {
+    if (e.index < context_rows_ || e.index >= stream_rows) {
       throw serialize::Error(serialize::ErrorCode::kCorrupt,
                              "svc queue entry outside the streamed rows");
     }
@@ -266,7 +240,7 @@ void PredictionServer::load(serialize::Reader& r) {
   s.close("svc");
 
   service_ = std::move(service);
-  stream_ = std::move(stream);
+  stream_.append(rows);
   queue_.restore(std::move(entries));
   log_ = std::move(log);
   rows_ingested_ = rows_ingested;

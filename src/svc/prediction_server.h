@@ -54,9 +54,9 @@ struct ServerConfig {
   /// Additionally publish a fresh snapshot every N ingested GPU jobs.
   /// 0 = publish only at batch ends and checkpoints.
   std::size_t publish_every = 0;
-  /// Ingest batches at least this large parse sharded on the global pool
-  /// (trace::ParallelLoader's line-aligned chunking); smaller ones parse
-  /// inline. Parsing is id-identical either way.
+  /// Ingest batches (and a checkpoint's rows on load) at least this large
+  /// parse sharded on the global pool (trace::ParallelLoader's line-aligned
+  /// chunking); smaller ones parse inline. Parsing is id-identical either way.
   std::size_t parallel_parse_bytes = 1 << 20;
 };
 
@@ -192,8 +192,6 @@ class PredictionServer {
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
 
  private:
-  void append_rows(std::string_view csv_rows);
-
   ServerConfig config_;
   core::QssfService service_;
   trace::Trace stream_;  // context + every ingested row

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <span>
-#include <tuple>
 
 #include "common/text_table.h"
 #include "stats/summary.h"
@@ -56,49 +54,6 @@ std::vector<ScenarioSpec> SweepGrid::expand() const {
 std::size_t SweepGrid::cell_count() const noexcept {
   return clusters.size() * scales.size() * seeds.size() * policies.size() *
          backfills.size() * faults.size() * powers.size();
-}
-
-bool results_identical(const sim::SimResult& a,
-                       const sim::SimResult& b) noexcept {
-  if (a.outcomes.size() != b.outcomes.size()) return false;
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    const sim::JobOutcome& x = a.outcomes[i];
-    const sim::JobOutcome& y = b.outcomes[i];
-    if (x.trace_index != y.trace_index || x.submit != y.submit ||
-        x.start != y.start || x.end != y.end || x.gpus != y.gpus ||
-        x.kills != y.kills || x.vc != y.vc || x.rejected != y.rejected) {
-      return false;
-    }
-  }
-  if (a.avg_jct != b.avg_jct || a.avg_queue_delay != b.avg_queue_delay ||
-      a.queued_jobs != b.queued_jobs || a.preemptions != b.preemptions ||
-      a.rejected_jobs != b.rejected_jobs ||
-      a.unfinished_jobs != b.unfinished_jobs || a.job_kills != b.job_kills ||
-      a.node_failures != b.node_failures) {
-    return false;
-  }
-  if (a.vc_stats.size() != b.vc_stats.size()) return false;
-  for (std::size_t v = 0; v < a.vc_stats.size(); ++v) {
-    const sim::VCStat& x = a.vc_stats[v];
-    const sim::VCStat& y = b.vc_stats[v];
-    if (x.name != y.name || x.gpus != y.gpus || x.jobs != y.jobs ||
-        x.avg_queue_delay != y.avg_queue_delay || x.avg_jct != y.avg_jct ||
-        x.energy_joules != y.energy_joules) {
-      return false;
-    }
-  }
-  if (a.energy_joules != b.energy_joules ||
-      a.max_power_watts != b.max_power_watts) {
-    return false;
-  }
-  auto series_identical = [](const forecast::TimeSeries& s,
-                             const forecast::TimeSeries& t) {
-    return s.begin == t.begin && s.step == t.step && s.values == t.values;
-  };
-  return series_identical(a.busy_nodes, b.busy_nodes) &&
-         series_identical(a.busy_gpus, b.busy_gpus) &&
-         series_identical(a.power_watts, b.power_watts) &&
-         series_identical(a.peak_power_watts, b.peak_power_watts);
 }
 
 namespace {

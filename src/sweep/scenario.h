@@ -107,14 +107,6 @@ struct SweepResult {
   std::int64_t traces_used = 0;      ///< distinct workload keys this run
 };
 
-/// Exact (bitwise, not approximate) equality of two simulation results —
-/// outcomes, counters, per-VC stats (energy included), busy series, and the
-/// energy/power outputs (cumulative joules, max watts, mean and peak power
-/// series). The parity gates of the sweep drivers and tests compare through
-/// this.
-[[nodiscard]] bool results_identical(const sim::SimResult& a,
-                                     const sim::SimResult& b) noexcept;
-
 /// Consolidated cross-cluster comparison report: for each (scale, backfill,
 /// fault, power) slice, one TextTable per metric (avg JCT, avg queue delay,
 /// queued jobs, energy in kWh) with policies as rows and workloads as

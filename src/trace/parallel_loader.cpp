@@ -64,25 +64,28 @@ Trace ParallelLoader::load(std::string_view csv, ClusterSpec cluster) const {
     pos = nl == std::string_view::npos ? csv.size() : nl + 1;
     if (!CsvReader::is_blank_line(line)) break;  // consumed the header
   }
-  const std::string_view body = csv.substr(pos);
+  return load_rows(csv.substr(pos), std::move(cluster));
+}
 
+Trace ParallelLoader::load_rows(std::string_view rows,
+                                ClusterSpec cluster) const {
   Trace out(std::move(cluster));
   const std::size_t threads =
       opts_.threads != 0 ? opts_.threads : global_pool().thread_count();
-  const auto chunks = split_chunks(body, threads, opts_.min_chunk_bytes);
+  const auto chunks = split_chunks(rows, threads, opts_.min_chunk_bytes);
 
   if (threads <= 1 || chunks.size() <= 1) {
-    for_each_line(body, [&out](std::string_view line) {
+    for_each_line(rows, [&out](std::string_view line) {
       out.append_csv_row(line);
     });
   } else {
     // Parse each chunk into a shard with its own interners, then merge in
     // input order. Ids come out identical to a serial load (see header).
     std::vector<Trace> shards(chunks.size());
-    parallel_run_chunks(chunks, [&shards, body](std::size_t c, std::size_t lo,
+    parallel_run_chunks(chunks, [&shards, rows](std::size_t c, std::size_t lo,
                                                 std::size_t hi) {
       Trace& shard = shards[c];
-      for_each_line(body.substr(lo, hi - lo), [&shard](std::string_view line) {
+      for_each_line(rows.substr(lo, hi - lo), [&shard](std::string_view line) {
         shard.append_csv_row(line);
       });
     });

@@ -39,6 +39,11 @@ class ParallelLoader {
   /// Load a whole trace CSV (header row + records) held in memory.
   [[nodiscard]] Trace load(std::string_view csv, ClusterSpec cluster) const;
 
+  /// Parse headerless CSV records: the body that load() parses after the
+  /// header. A malformed row throws what Trace::append_csv_row throws.
+  [[nodiscard]] Trace load_rows(std::string_view rows,
+                                ClusterSpec cluster = {}) const;
+
   /// Slurps the stream, then parses in parallel.
   [[nodiscard]] Trace load(std::istream& in, ClusterSpec cluster) const;
 

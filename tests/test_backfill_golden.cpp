@@ -19,11 +19,13 @@
 // must reproduce all of them.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "golden_digest.h"
 #include "sim/simulator.h"
@@ -141,23 +143,16 @@ const FaultPlan& golden_faults() {
   return plan;
 }
 
+/// Every leaf of `r` in for_each_field order, except VCStat::name; each
+/// TimeSeries hashes as begin, step, size, values.
 std::string digest(const SimResult& r) {
   golden::Fnv d;
-  d.add(r.outcomes.size());
-  for (const JobOutcome& o : r.outcomes) {
-    d.add(o.trace_index).add(o.submit).add(o.start).add(o.end).add(o.gpus)
-        .add(o.kills).add(o.vc).add(o.rejected);
-  }
-  d.add(r.avg_jct).add(r.avg_queue_delay).add(r.queued_jobs)
-      .add(r.preemptions).add(r.rejected_jobs).add(r.unfinished_jobs)
-      .add(r.job_kills).add(r.node_failures);
-  d.add(r.vc_stats.size());
-  for (const VCStat& v : r.vc_stats) {
-    d.add(v.gpus).add(v.jobs).add(v.avg_queue_delay).add(v.avg_jct)
-        .add(v.energy_joules);
-  }
-  d.add(r.busy_nodes).add(r.busy_gpus).add(r.energy_joules)
-      .add(r.max_power_watts).add(r.power_watts).add(r.peak_power_watts);
+  auto hash = [&d](const auto& leaf) {
+    using T = std::decay_t<decltype(leaf)>;
+    if constexpr (!std::is_same_v<T, std::string>) d.add(leaf);
+    return true;
+  };
+  for_each_field(hash, r);
   return d.hex();
 }
 
@@ -425,9 +420,115 @@ TEST(BackfillGolden, NanPriorityQueuesLast) {
       };
       const auto a = ClusterSimulator(t.cluster(), eqssf).run(t);
       const auto b = ClusterSimulator(t.cluster(), qssf).run(t);
-      EXPECT_EQ(digest(a), digest(b));
-      EXPECT_EQ(a.unfinished_jobs, b.unfinished_jobs);
+      EXPECT_TRUE(results_identical(a, b));
     }
+  }
+}
+
+// results_identical compares bit patterns: a run whose energy outputs are
+// NaN (kNanJob starts, here backfilled) equals itself and its kSerial twin,
+// and -0.0 differs from +0.0.
+TEST(BackfillGolden, NanDrawRunEqualsItselfAndItsSerialTwin) {
+  const Trace& t = golden_trace();
+  SimConfig cfg = golden_config(SchedulerPolicy::kFifo, 3, false, Watts::kNan);
+  const SimResult parallel = ClusterSimulator(t.cluster(), cfg).run(t);
+  ASSERT_TRUE(std::isnan(parallel.energy_joules));
+  EXPECT_TRUE(results_identical(parallel, parallel));
+  cfg.execution = common::ExecMode::kSerial;
+  EXPECT_TRUE(
+      results_identical(parallel, ClusterSimulator(t.cluster(), cfg).run(t)));
+}
+
+TEST(BackfillGolden, NegativeZeroDiffersFromPositiveZero) {
+  const Trace& t = golden_trace();
+  const SimConfig cfg =
+      golden_config(SchedulerPolicy::kFifo, 0, false, Watts::kProfile);
+  SimResult a = ClusterSimulator(t.cluster(), cfg).run(t);
+  a.avg_queue_delay = 0.0;
+  SimResult b = a;
+  b.avg_queue_delay = -0.0;
+  EXPECT_FALSE(results_identical(a, b));
+}
+
+/// Flips the lowest bit of a numeric `leaf` or extends a name (way 0); a
+/// TimeSeries changes its begin, step or last value (ways 0-2). False when
+/// `leaf` has no such way, as for the const vector sizes.
+template <typename T>
+bool perturb(T& leaf, int way) {
+  if constexpr (std::is_same_v<T, forecast::TimeSeries>) {
+    if (way == 0) ++leaf.begin;
+    if (way == 1) ++leaf.step;
+    return way < 2 || perturb(leaf.values.back(), way - 2);
+  } else if constexpr (!std::is_const_v<T>) {
+    if (way != 0) return false;
+    if constexpr (std::is_same_v<T, double>) {
+      leaf = std::bit_cast<double>(std::bit_cast<std::uint64_t>(leaf) ^ 1u);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      leaf += '!';
+    } else {
+      leaf ^= 1;
+    }
+    return true;
+  }
+  return false;
+}
+
+// Changing any one leaf of a result breaks results_identical and moves the
+// digest (except VCStat::name, which the recorded encoding leaves out).
+TEST(BackfillGolden, EveryLeafReachesEqualityAndTheDigest) {
+  SimResult base;
+  base.outcomes = {{0, 10, 20, 90, 8, 0, 0, false},
+                   {3, 15, 15, 40, 2, 1, 1, true}};
+  base.avg_jct = 52.5;
+  base.queued_jobs = 1;
+  base.vc_stats = {{"vc0", 8, 1, 10.0, 80.0, 1.5e6},
+                   {"vc1", 16, 1, 0.0, 25.0, 2.5e6}};
+  base.busy_nodes = {0, 600, {1.0, 2.0}};
+  base.busy_gpus = {0, 600, {8.0, 10.0}};
+  base.energy_joules = 4e6;
+  base.power_watts = {0, 600, {2800.0, 3100.0}};
+  base.peak_power_watts = {0, 600, {3000.0, 3200.0}};
+  const std::string base_digest = digest(base);
+
+  std::size_t leaves = 0;
+  for_each_field([&leaves](const auto&) { ++leaves; return true; }, base);
+  // 16 members (a vector counts as its size), 8 per outcome, 6 per VC.
+  EXPECT_EQ(leaves, 16u + 8u * 2u + 6u * 2u);
+
+  std::size_t changes = 0;
+  for (std::size_t k = 0; k < leaves; ++k) {
+    for (int way = 0; way < 3; ++way) {
+      SimResult copy = base;
+      std::size_t i = 0;
+      bool changed = false;
+      bool is_name = false;
+      for_each_field(
+          [&](auto& leaf) {
+            if (i++ == k) {
+              changed = perturb(leaf, way);
+              is_name = std::is_same_v<std::decay_t<decltype(leaf)>,
+                                       std::string>;
+            }
+            return true;
+          },
+          copy);
+      if (!changed) continue;
+      ++changes;
+      SCOPED_TRACE("leaf " + std::to_string(k) + " way " + std::to_string(way));
+      EXPECT_FALSE(results_identical(base, copy));
+      EXPECT_EQ(digest(copy) == base_digest, is_name);
+    }
+  }
+  // Every leaf but the two sizes, plus two more ways for each of 4 series.
+  EXPECT_EQ(changes, leaves - 2 + 2 * 4);
+
+  SimResult fewer_jobs = base;
+  SimResult fewer_vcs = base;
+  fewer_jobs.outcomes.pop_back();
+  fewer_vcs.vc_stats.pop_back();
+  for (const SimResult* r : {&fewer_jobs, &fewer_vcs}) {
+    EXPECT_FALSE(results_identical(base, *r));
+    EXPECT_NE(digest(*r), base_digest);
   }
 }
 

@@ -211,21 +211,6 @@ struct OracleTreeBuilder {
   }
 };
 
-void expect_nodes_identical(const std::vector<RegressionTree::Node>& na,
-                            const std::vector<RegressionTree::Node>& nb,
-                            std::size_t t) {
-  ASSERT_EQ(na.size(), nb.size()) << "tree " << t;
-  for (std::size_t i = 0; i < na.size(); ++i) {
-    ASSERT_EQ(na[i].feature, nb[i].feature) << "tree " << t << " node " << i;
-    ASSERT_EQ(na[i].split_bin, nb[i].split_bin) << "tree " << t << " node " << i;
-    ASSERT_EQ(na[i].threshold, nb[i].threshold) << "tree " << t << " node " << i;
-    ASSERT_EQ(na[i].left, nb[i].left) << "tree " << t << " node " << i;
-    ASSERT_EQ(na[i].right, nb[i].right) << "tree " << t << " node " << i;
-    ASSERT_EQ(na[i].value, nb[i].value) << "tree " << t << " node " << i;
-    ASSERT_EQ(na[i].gain, nb[i].gain) << "tree " << t << " node " << i;
-  }
-}
-
 struct OracleModel {
   std::vector<std::vector<RegressionTree::Node>> trees;
   std::vector<double> training_rmse;
@@ -285,8 +270,7 @@ void oracle_fit(const Dataset& full, const GBDTConfig& cfg, OracleModel& out) {
     std::vector<std::int32_t> tree_leaf(n, -1);
     RegressionTree tree;
     tree.fit(x, binner, grad, rows, tree_leaf, cfg);
-    expect_nodes_identical(tree.nodes(), oracle.nodes, out.trees.size());
-    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_TRUE(tree.nodes() == oracle.nodes) << "tree " << out.trees.size();
     for (std::size_t r = 0; r < n; ++r) {
       ASSERT_EQ(tree_leaf[r], oracle_leaf[r])
           << "tree " << out.trees.size() << " row " << r;
@@ -357,8 +341,8 @@ void expect_matches_oracle() {
       ASSERT_EQ(model.tree_count(), oracle.trees.size());
       ASSERT_EQ(model.training_rmse(), oracle.training_rmse);
       for (std::size_t t = 0; t < oracle.trees.size(); ++t) {
-        expect_nodes_identical(model.trees()[t].nodes(), oracle.trees[t], t);
-        if (::testing::Test::HasFatalFailure()) return;
+        ASSERT_TRUE(model.trees()[t].nodes() == oracle.trees[t])
+            << "tree " << t;
       }
     }
   }

@@ -56,7 +56,7 @@ EngineConfig engine_config(common::ExecMode mode) {
 void expect_cells_identical(const SweepResult& a, const SweepResult& b) {
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_TRUE(results_identical(a.cells[i].result, b.cells[i].result))
+    EXPECT_TRUE(sim::results_identical(a.cells[i].result, b.cells[i].result))
         << "cell " << i << ": " << a.cells[i].spec.label();
   }
 }
@@ -97,7 +97,7 @@ TEST(ScenarioEngine, CellsMatchStandaloneRuns) {
     }
     const sim::SimResult standalone =
         sim::ClusterSimulator(t->cluster(), cfg).run(*t);
-    EXPECT_TRUE(results_identical(cell.result, standalone))
+    EXPECT_TRUE(sim::results_identical(cell.result, standalone))
         << cell.spec.label();
   }
 }
@@ -176,15 +176,14 @@ TEST(ScenarioEngine, PowerGridCellsMatchStandaloneAndStayStable) {
   const SweepResult sweep = engine.run(grid);
   ASSERT_EQ(sweep.cells.size(), grid.cell_count());
 
-  // Cell ≡ standalone, including the energy outputs (results_identical
-  // compares energy_joules, max_power_watts, and both power series).
+  // Cell ≡ standalone, energy outputs included.
   for (const CellResult& cell : sweep.cells) {
     const auto t = store.get(cell.spec.workload.key);
     const sim::SimConfig cfg = engine.cell_config(cell.spec, *t);
     EXPECT_EQ(cfg.power_cap_watts, cell.spec.power.cap_watts);
     const sim::SimResult standalone =
         sim::ClusterSimulator(t->cluster(), cfg).run(*t);
-    EXPECT_TRUE(results_identical(cell.result, standalone))
+    EXPECT_TRUE(sim::results_identical(cell.result, standalone))
         << cell.spec.label();
     EXPECT_GT(cell.result.energy_joules, 0.0) << cell.spec.label();
   }
