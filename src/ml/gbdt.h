@@ -70,8 +70,6 @@ struct GBDTConfig {
   std::uint64_t seed = 42;
   /// Cap on training rows (uniform subsample above it); 0 = no cap.
   std::size_t max_training_rows = 0;
-
-  bool operator==(const GBDTConfig&) const = default;
 };
 
 /// Per-tree gradients quantized to a fixed-point int64 grid. The scale is a

@@ -1,11 +1,13 @@
 // Energy accounting and the energy-aware policy family, end to end: the
 // PowerProfile arithmetic, hand-computed energy/power outputs of single runs,
 // the energy-conservation property (per-VC energies sum exactly to the
-// cluster energy; test_bucket_integrator pins the add-order independence it
-// rests on), the order in which the peak sweep adds equal-time power edges, the
+// cluster energy; the bucket integrator is add-order independent), the
+// order in which the peak sweep adds equal-time power edges, the
 // cap-is-respected invariant across all policies × backfill × seeds, the
 // budget-constrained admission / power-proportional backfill semantics on
-// hand-built traces, and predicted-energy ordering of kEnergyQssf.
+// hand-built traces, predicted-energy ordering of kEnergyQssf, and
+// serial-vs-sharded bit-parity of every new counter through
+// results_identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 
 #include "core/power_model.h"
 #include "golden_digest.h"
+#include "sim/bucket_integrator.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
 
@@ -210,6 +213,27 @@ TEST(EnergyAccounting, PeakSeriesAddsEqualTimeEdgesInVcOrder) {
                                               "1b9aae153bf7a580"}));
 }
 
+TEST(EnergyAccounting, BucketIntegratorIsAddOrderIndependent) {
+  // Integer-valued watts × integer durations: permuting add() order must
+  // reproduce the series bit-for-bit (the property the sharded merge leans
+  // on).
+  const std::vector<std::tuple<std::int64_t, std::int64_t, double>> segments =
+      {{0, 950, 3200.0}, {120, 1800, 800.0},  {950, 1001, 800.0},
+       {30, 30000, 1.0}, {600, 1200, 1600.0}, {0, 5, 7.0}};
+  BucketIntegrator fwd(0, 2000, 600);
+  for (const auto& [t0, t1, w] : segments) fwd.add(t0, t1, w);
+  BucketIntegrator rev(0, 2000, 600);
+  for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
+    rev.add(std::get<0>(*it), std::get<1>(*it), std::get<2>(*it));
+  }
+  const auto a = fwd.mean_series();
+  const auto b = rev.mean_series();
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t i = 0; i < a.values.size(); ++i) {
+    EXPECT_EQ(a.values[i], b.values[i]) << "bucket " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Budget-constrained admission
 // ---------------------------------------------------------------------------
@@ -359,8 +383,7 @@ TEST(PowerCap, HeadroomExitHandlesZeroAndNegativeDraws) {
 // draw never exceeds the enforceable bound — each VC stays at or under
 // max(its idle baseline, its capacity-proportional cap share), so the
 // cluster stays under the sum. With hardware-uniform VCs that sum is the cap
-// itself. The same runs' serial ≡ sharded parity is ShardedDeterminismTest's
-// capped cases (test_simulator_determinism).
+// itself. Also pins serial ≡ sharded bit-parity of all new counters.
 TEST(PowerCap, CapIsRespectedAcrossPoliciesBackfillSeeds) {
   for (const std::uint64_t seed : {7ull, 19ull}) {
     const auto cfg_gen = trace::GeneratorConfig::helios(
@@ -394,11 +417,18 @@ TEST(PowerCap, CapIsRespectedAcrossPoliciesBackfillSeeds) {
             return static_cast<double>(j.duration) * j.num_gpus;
           };
         }
-        const SimResult r = ClusterSimulator(spec, cfg).run(t);
-        EXPECT_LE(r.max_power_watts, bound + 1e-6)
+        cfg.execution = common::ExecMode::kSerial;
+        const SimResult serial = ClusterSimulator(spec, cfg).run(t);
+        cfg.execution = common::ExecMode::kParallel;
+        const SimResult sharded = ClusterSimulator(spec, cfg).run(t);
+
+        EXPECT_LE(serial.max_power_watts, bound + 1e-6)
             << to_string(policy) << " backfill=" << backfill
             << " seed=" << seed;
-        EXPECT_GT(r.energy_joules, 0.0);
+        EXPECT_GT(serial.energy_joules, 0.0);
+        EXPECT_TRUE(results_identical(serial, sharded))
+            << to_string(policy) << " backfill=" << backfill
+            << " seed=" << seed;
       }
     }
   }

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/qssf_service.h"
@@ -106,7 +107,12 @@ TEST(SerializeRoundTrip, GbdtBitIdenticalAcrossSeedsAndConfigs) {
                  [&](serialize::Reader& r) { loaded.load(r); });
 
       expect_models_identical(model, loaded);
-      EXPECT_TRUE(loaded.config() == cfg);
+      const auto fields = [](const ml::GBDTConfig& c) {
+        return std::tie(c.n_trees, c.max_depth, c.learning_rate,
+                        c.min_samples_leaf, c.subsample, c.max_bins, c.lambda,
+                        c.seed, c.max_training_rows);
+      };
+      EXPECT_EQ(fields(loaded.config()), fields(cfg));
 
       const auto batched = model.predict_many(data);
       const auto loaded_batched = loaded.predict_many(data);
