@@ -544,8 +544,8 @@ void verify_parity() {
     if (!ok) break;
     if (!j.is_gpu_job()) continue;
     ok = serial_eval.priority_of(j) == chunked_eval.priority_of(j) &&
-         serial_svc.rolling_estimate(eval, j) ==
-             chunked_svc.rolling_estimate(eval, j);
+         serial_svc.rolling().estimate(eval, j) ==
+             chunked_svc.rolling().estimate(eval, j);
   }
   if (!ok) {
     std::fprintf(stderr,
@@ -573,8 +573,10 @@ void verify_parity() {
       req.submit_time = j.submit_time;
       const core::JobQuery q = snap->resolve(req);
       const svc::QueryResult got = snap->query(req);
-      if (got.priority != fx.live.priority(q) ||
-          got.expected_duration != fx.live.predict_duration(q)) {
+      const double duration = fx.live.predict_duration(q);
+      if (got.priority !=
+              core::QssfService::expected_gpu_time(q.num_gpus, duration) ||
+          got.expected_duration != duration) {
         std::fprintf(stderr,
                      "FATAL: published snapshot prices job %llu differently "
                      "from the live service\n",

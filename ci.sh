@@ -30,12 +30,14 @@
 #   ./ci.sh docs       no build: verify that docs/ARCHITECTURE.md and
 #                      docs/FORMATS.md only reference files and CMake
 #                      targets that still exist
-#   ./ci.sh asan       separate build-asan tree with AddressSanitizer +
-#                      UndefinedBehaviorSanitizer (abort on first report),
+#   ./ci.sh asan       separate build-asan tree (warnings are errors) with
+#                      AddressSanitizer + UndefinedBehaviorSanitizer (abort
+#                      on first report),
 #                      running the fast suites (ctest -L smoke) with the SIMD
 #                      dispatch forced on (HELIOS_SIMD=1) so the sanitizers
 #                      sweep the AVX2 predict walk, gather tail pad included
-#   ./ci.sh tsan       like asan, under ThreadSanitizer in build-tsan at
+#   ./ci.sh tsan       like asan (warnings are errors), under
+#                      ThreadSanitizer in build-tsan at
 #                      HELIOS_THREADS=4 (pool nesting races for real on any
 #                      machine); ci/tsan.supp covers libstdc++ internals only
 #   ./ci.sh simd       full build + the fast suites twice: once with the
@@ -175,6 +177,7 @@ if [ "$mode" = asan ]; then
   # report into a hard failure instead of a log line. Benches are skipped;
   # the smoke label covers the fast suites and the argument-free examples.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
     -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
@@ -191,6 +194,7 @@ fi
 if [ "$mode" = tsan ]; then
   # Same shape as asan: own tree, Debug, library + smoke suites + examples.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
     -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
@@ -203,8 +207,8 @@ fi
 
 # Release is the CMake default here, but pin it so benches are always built
 # -O2 -DNDEBUG even if a stale cache says otherwise. Every target in build/
-# (library, tests, benches, examples) compiles with warnings as errors; the
-# sanitizer trees and the figs reference build do not.
+# (library, tests, benches, examples) compiles with warnings as errors, as
+# do the build-asan/build-tsan trees; the figs reference build does not.
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$(nproc)"

@@ -9,6 +9,13 @@ namespace {
 bool needs_quoting(std::string_view s) {
   return s.find_first_of(",\"\n\r") != std::string_view::npos;
 }
+
+template <class Int>
+std::string format_integer(Int v) {
+  char buf[24];
+  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
+}
 }  // namespace
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
@@ -30,11 +37,9 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   *out_ << '\n';
 }
 
-std::string CsvWriter::field(std::int64_t v) {
-  char buf[24];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
+std::string CsvWriter::field(std::int64_t v) { return format_integer(v); }
+
+std::string CsvWriter::field(std::uint64_t v) { return format_integer(v); }
 
 std::vector<std::string> CsvReader::parse_line(std::string_view line) {
   std::vector<std::string> fields;
@@ -71,6 +76,18 @@ std::vector<std::string> CsvReader::parse_line(std::string_view line) {
   }
   fields.push_back(std::move(cur));
   return fields;
+}
+
+std::size_t CsvReader::header_end(std::string_view data) noexcept {
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    const auto nl = data.find('\n', pos);
+    if (nl == std::string_view::npos) return std::string_view::npos;
+    const std::string_view line = data.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (!is_blank_line(line)) return pos;  // consumed the header
+  }
+  return std::string_view::npos;
 }
 
 }  // namespace helios

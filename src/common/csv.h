@@ -2,6 +2,7 @@
 // for dumping bench series that downstream plotting scripts can consume.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -17,8 +18,10 @@ class CsvWriter {
   /// Write one row; fields are quoted only when needed.
   void write_row(const std::vector<std::string>& fields);
 
-  /// Convenience: format an integer column.
+  /// Convenience: format an integer column. The unsigned overload keeps a
+  /// u64 column (job_id) at or above 2^63 unsigned, so it parses back.
   static std::string field(std::int64_t v);
+  static std::string field(std::uint64_t v);
 
  private:
   std::ostream* out_;
@@ -39,6 +42,11 @@ class CsvReader {
   [[nodiscard]] static bool is_blank_line(std::string_view line) noexcept {
     return line.empty() || (line.size() == 1 && line[0] == '\r');
   }
+
+  /// Offset just past the header row of a whole CSV text: leading blank
+  /// lines are skipped and the first non-blank line is the header. npos
+  /// when `data` holds no complete ('\n'-terminated) header line yet.
+  [[nodiscard]] static std::size_t header_end(std::string_view data) noexcept;
 };
 
 }  // namespace helios

@@ -96,7 +96,6 @@ CesResult CesService::replay(const Trace& eval_full,
   std::vector<std::deque<std::size_t>> queues(eval.cluster().vcs.size());
   std::priority_queue<Finish, std::vector<Finish>, std::greater<>> finishes;
   std::vector<sim::Allocation> allocs(eval.size());
-  std::vector<std::int64_t> start_time(eval.size(), trace::kNeverStarted);
   std::vector<bool> boot_affected(eval.size(), false);
 
   // Observed running-nodes samples: history tail + replay observations; this
@@ -147,7 +146,6 @@ CesResult CesService::replay(const Trace& eval_full,
       const JobRecord& j = eval.jobs()[ji];
       if (!state.can_ever_fit(j.num_gpus)) {
         q.pop_front();  // impossible job: drop (counted as unaffected)
-        start_time[ji] = j.submit_time;
         continue;
       }
       auto alloc = state.try_allocate(j.num_gpus);
@@ -169,7 +167,6 @@ CesResult CesService::replay(const Trace& eval_full,
           auto balloc = state.try_allocate(eval.jobs()[bji].num_gpus);
           if (balloc) {
             allocs[bji] = *balloc;
-            start_time[bji] = now;
             finishes.push(
                 {now + std::max<std::int32_t>(1, eval.jobs()[bji].duration), bji});
             bit = q.erase(bit);
@@ -181,7 +178,6 @@ CesResult CesService::replay(const Trace& eval_full,
       }
       q.pop_front();
       allocs[ji] = *alloc;
-      start_time[ji] = now;
       finishes.push({now + std::max<std::int32_t>(1, j.duration), ji});
     }
   };
@@ -239,10 +235,7 @@ CesResult CesService::replay(const Trace& eval_full,
       ++next_arrival;
       const JobRecord& j = eval.jobs()[ji];
       const int vc = j.vc < vc_of_id.size() ? vc_of_id[j.vc] : -1;
-      if (vc < 0) {
-        start_time[ji] = j.submit_time;
-        continue;
-      }
+      if (vc < 0) continue;
       const int free = states[static_cast<std::size_t>(vc)].free_gpus();
       if (free < j.num_gpus) wake_for_vc(vc, j.num_gpus - free, now);
       queues[static_cast<std::size_t>(vc)].push_back(ji);

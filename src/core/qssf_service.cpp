@@ -1,6 +1,7 @@
 #include "core/qssf_service.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <utility>
@@ -278,38 +279,61 @@ void RollingEstimator::load(serialize::Reader& r) {
 // QssfService
 // ---------------------------------------------------------------------------
 
+namespace {
+
+constexpr std::size_t kFeatureCount = 9;
+
+/// The GBDT feature row (P_M's input): GPU/CPU demand, VC and user ids, name
+/// bucket (0 when names are not used), submission-time calendar features.
+/// Trace jobs and queries differ only in how they find the name bucket.
+std::array<double, kFeatureCount> feature_row(std::int32_t num_gpus,
+                                              std::int32_t num_cpus,
+                                              std::uint32_t vc,
+                                              std::uint32_t user,
+                                              std::size_t name_bucket,
+                                              UnixTime submit_time) {
+  const CivilTime c = to_civil(submit_time);
+  return {static_cast<double>(num_gpus), static_cast<double>(num_cpus),
+          static_cast<double>(vc),       static_cast<double>(user),
+          static_cast<double>(name_bucket), static_cast<double>(c.month),
+          static_cast<double>(c.weekday),  static_cast<double>(c.hour),
+          static_cast<double>(c.minute)};
+}
+
+/// Feature row of a trace job; an unseen name mints its bucket.
+std::array<double, kFeatureCount> trace_row(const Trace& t,
+                                            const JobRecord& job,
+                                            const QssfConfig& config,
+                                            ml::NameBucketizer& buckets) {
+  return feature_row(job.num_gpus, job.num_cpus, job.vc, job.user,
+                     config.use_names ? buckets.bucket(t.job_name(job)) : 0,
+                     job.submit_time);
+}
+
+/// The GBDT predicts log1p(duration); seconds, floored at one.
+double duration_of(double log_duration) {
+  return std::max(1.0, std::expm1(log_duration));
+}
+
+/// λ-merge of the rolling and the GBDT duration estimate.
+double merge(double lambda, double rolling, double ml) {
+  return lambda * rolling + (1.0 - lambda) * ml;
+}
+
+}  // namespace
+
 QssfService::QssfService(QssfConfig config)
     : config_(config),
       model_(config.gbdt),
       name_buckets_(config.name_match_threshold, /*prefix_len=*/6),
       rolling_(config) {}
 
-void QssfService::encode(const Trace& t, const JobRecord& job,
-                         std::vector<double>& out) const {
-  out.clear();
-  out.reserve(kFeatureCount);
-  const CivilTime c = to_civil(job.submit_time);
-  out.push_back(static_cast<double>(job.num_gpus));
-  out.push_back(static_cast<double>(job.num_cpus));
-  out.push_back(static_cast<double>(job.vc));
-  out.push_back(static_cast<double>(job.user));
-  out.push_back(config_.use_names
-                    ? static_cast<double>(name_buckets_.bucket(t.job_name(job)))
-                    : 0.0);
-  out.push_back(static_cast<double>(c.month));
-  out.push_back(static_cast<double>(c.weekday));
-  out.push_back(static_cast<double>(c.hour));
-  out.push_back(static_cast<double>(c.minute));
-}
-
 ml::Dataset QssfService::encode_jobs(
     const Trace& t, std::span<const std::uint32_t> job_indices) const {
   ml::Dataset data(kFeatureCount);
   data.reserve(job_indices.size());
-  std::vector<double> row;
   for (const std::uint32_t i : job_indices) {
-    encode(t, t.jobs()[i], row);
-    data.add_row(row, 0.0);
+    data.add_row(trace_row(t, t.jobs()[i], config_, name_buckets_), 0.0);
   }
   return data;
 }
@@ -324,11 +348,10 @@ void QssfService::fit(const Trace& history) {
 
   // GBDT on log-duration.
   ml::Dataset data(kFeatureCount);
-  std::vector<double> row;
   for (const auto& job : history.jobs()) {
     if (!job.is_gpu_job()) continue;
-    encode(history, job, row);
-    data.add_row(row, std::log1p(static_cast<double>(job.duration)));
+    data.add_row(trace_row(history, job, config_, name_buckets_),
+                 std::log1p(static_cast<double>(job.duration)));
   }
   model_.fit(data);
 }
@@ -362,9 +385,10 @@ void QssfService::load(serialize::Reader& r) {
   cfg.use_names = s.u8() != 0;
   ml::GBDTRegressor model;
   model.load(s);
-  // encode() always hands predict() a kFeatureCount-element row; a trained
-  // model expecting any other width would index past it. (GBDT load already
-  // guarantees binner width == the model's feature count when trained.)
+  // feature_row() always hands predict() a kFeatureCount-element row; a
+  // trained model expecting any other width would index past it. (GBDT load
+  // already guarantees binner width == the model's feature count when
+  // trained.)
   if (model.trained() && model.binner().features() != kFeatureCount) {
     throw serialize::Error(
         serialize::ErrorCode::kCorrupt,
@@ -384,66 +408,38 @@ void QssfService::load(serialize::Reader& r) {
   rolling_ = std::move(rolling);
 }
 
-double QssfService::rolling_estimate(const Trace& t, const JobRecord& job) const {
-  return rolling_.estimate(t, job);
-}
-
 double QssfService::ml_estimate(const Trace& t, const JobRecord& job) const {
   if (!model_.trained()) return rolling_.estimate(t, job);
-  std::vector<double> row;
-  encode(t, job, row);
-  return std::max(1.0, std::expm1(model_.predict(row)));
+  return duration_of(
+      model_.predict(trace_row(t, job, config_, name_buckets_)));
 }
 
 double QssfService::predict_duration(const Trace& t, const JobRecord& job) const {
-  const double pr = rolling_estimate(t, job);
-  const double pm = ml_estimate(t, job);
-  return config_.lambda * pr + (1.0 - config_.lambda) * pm;
+  return merge(config_.lambda, rolling_.estimate(t, job), ml_estimate(t, job));
 }
 
 double QssfService::priority(const Trace& t, const JobRecord& job) const {
-  return combine(config_, rolling_estimate(t, job), ml_estimate(t, job), job);
-}
-
-void QssfService::encode_frozen(const JobQuery& query,
-                                std::vector<double>& out) const {
-  // Column-for-column the layout of encode(); the name bucket comes from the
-  // const lookup, with an unseen name mapped to bucket_count() — the id
-  // bucket() would mint for it, so freezing never changes a feature value.
-  out.clear();
-  out.reserve(kFeatureCount);
-  const CivilTime c = to_civil(query.submit_time);
-  out.push_back(static_cast<double>(query.num_gpus));
-  out.push_back(static_cast<double>(query.num_cpus));
-  out.push_back(static_cast<double>(query.vc_id));
-  out.push_back(static_cast<double>(query.user_id));
-  double bucket = 0.0;
-  if (config_.use_names) {
-    const std::uint32_t b = name_buckets_.lookup(query.job_name);
-    bucket = static_cast<double>(
-        b == ml::NameBucketizer::kNoBucket ? name_buckets_.bucket_count() : b);
-  }
-  out.push_back(bucket);
-  out.push_back(static_cast<double>(c.month));
-  out.push_back(static_cast<double>(c.weekday));
-  out.push_back(static_cast<double>(c.hour));
-  out.push_back(static_cast<double>(c.minute));
+  return expected_gpu_time(job.num_gpus, predict_duration(t, job));
 }
 
 double QssfService::predict_duration(const JobQuery& query) const {
   const double pr = rolling_.estimate(query.user, query.job_name, query.num_gpus);
   double pm = pr;
   if (model_.trained()) {
-    std::vector<double> row;
-    encode_frozen(query, row);
-    pm = std::max(1.0, std::expm1(model_.predict(row)));
+    // lookup() never mints: an unseen name takes bucket_count(), the id
+    // bucket() would give it.
+    std::size_t bucket = 0;
+    if (config_.use_names) {
+      const std::uint32_t b = name_buckets_.lookup(query.job_name);
+      bucket = b == ml::NameBucketizer::kNoBucket
+                   ? name_buckets_.bucket_count()
+                   : b;
+    }
+    pm = duration_of(model_.predict(feature_row(query.num_gpus, query.num_cpus,
+                                                query.vc_id, query.user_id,
+                                                bucket, query.submit_time)));
   }
-  return config_.lambda * pr + (1.0 - config_.lambda) * pm;
-}
-
-double QssfService::priority(const JobQuery& query) const {
-  return static_cast<double>(std::max(1, static_cast<int>(query.num_gpus))) *
-         predict_duration(query);
+  return merge(config_.lambda, pr, pm);
 }
 
 // ---------------------------------------------------------------------------
@@ -467,17 +463,11 @@ void OnlinePriorityEvaluator::run_serial(QssfService& service,
   for (std::size_t i = 0; i < eval.size(); ++i) {
     const JobRecord& job = eval.jobs()[i];
     if (!job.is_gpu_job()) continue;
-    // Fold in every job that has (approximately) finished by now; queuing
-    // delay is unknown at this point, so submit+duration approximates the
-    // termination feed of the Model Update Engine.
-    pending.drain(job.submit_time, [&](std::uint32_t idx) {
-      service.rolling_.observe(eval, eval.jobs()[idx]);
-    });
-    const double p = service.priority(eval, job);
+    const double p =
+        causal_step(service, pending, eval, static_cast<std::uint32_t>(i));
     priorities_.emplace(job.job_id, p);
     predicted_.push_back(p);
     actual_.push_back(job.gpu_time());
-    pending.push(job, static_cast<std::uint32_t>(i));
   }
 }
 
@@ -500,7 +490,7 @@ void OnlinePriorityEvaluator::run_chunked(QssfService& service,
   if (trained) {
     const ml::Dataset encoded = service.encode_jobs(eval, gpu);
     ml_est = service.model().predict_many(encoded);
-    for (double& v : ml_est) v = std::max(1.0, std::expm1(v));
+    for (double& v : ml_est) v = duration_of(v);
   }
 
   // Window count: an explicit max_windows forces the replay machinery (for
@@ -556,7 +546,7 @@ void OnlinePriorityEvaluator::run_chunked(QssfService& service,
     std::vector<double> actual;
   };
   std::vector<WindowResult> results(n_windows);
-  const QssfConfig& cfg = service.config();
+  const double lambda = service.config().lambda;
   std::vector<std::function<void()>> tasks;
   tasks.reserve(n_windows);
   for (std::size_t w = 0; w < n_windows; ++w) {
@@ -577,7 +567,8 @@ void OnlinePriorityEvaluator::run_chunked(QssfService& service,
         // Untrained model: ml_estimate falls back to the rolling estimate,
         // bitwise pr (it is a pure function of the same state).
         const double pm = trained ? ml_est[pos] : pr;
-        const double p = QssfService::combine(cfg, pr, pm, job);
+        const double p = QssfService::expected_gpu_time(
+            job.num_gpus, merge(lambda, pr, pm));
         out.priorities.emplace_back(job.job_id, p);
         out.predicted.push_back(p);
         out.actual.push_back(job.gpu_time());

@@ -19,12 +19,15 @@
 //
 // Determinism: fit(), observe(), and the evaluator are pure functions of
 // their inputs and the service's prior state — no wall clock, no unseeded
-// randomness. OnlinePriorityEvaluator's chunked mode is bit-identical to the
-// serial loop for any window or thread count (test_prediction_parity), and a
-// service restored from save() (docs/FORMATS.md, "QSSF" frame) produces
-// bit-identical priorities and estimates (test_serialize) — including the
-// dedupe keys, so replaying an already-observed trace into a warm-restarted
-// service still cannot double-count.
+// randomness. A price has one definition (one GBDT feature row, λ-merge and
+// GPU-time scaling), and causal_step() is the per-job drain -> price -> push
+// that the serial evaluator and svc::PredictionServer share.
+// OnlinePriorityEvaluator's chunked mode is bit-identical to the serial loop
+// for any window or thread count (test_prediction_parity), and a service
+// restored from save() (docs/FORMATS.md, "QSSF" frame) produces bit-identical
+// priorities and estimates (test_serialize) — including the dedupe keys, so
+// replaying an already-observed trace into a warm-restarted service still
+// cannot double-count.
 //
 // Thread-safety: QssfService and RollingEstimator are externally
 // synchronized — fit()/observe()/load() mutate and must be exclusive; the
@@ -195,28 +198,21 @@ class QssfService {
   [[nodiscard]] double priority(const trace::Trace& t,
                                 const trace::JobRecord& job) const;
 
-  /// Rolling estimate alone / GBDT estimate alone (for the λ ablation).
-  [[nodiscard]] double rolling_estimate(const trace::Trace& t,
-                                        const trace::JobRecord& job) const;
+  /// GBDT estimate alone (the λ ablation; rolling().estimate() is P_R).
   [[nodiscard]] double ml_estimate(const trace::Trace& t,
                                    const trace::JobRecord& job) const;
 
-  /// Frozen-service variants of predict_duration()/priority() for the
-  /// concurrent query path (svc::PredictionServer snapshots): never mutate —
-  /// the job name goes through the const NameBucketizer::lookup(), with an
-  /// unseen name mapped to bucket_count(), exactly the id the mutating path
-  /// would mint for it — so any number of threads may call these on a shared
-  /// service with no synchronization, and for a name the service has already
-  /// priced once the result is bit-identical to the Trace-based accessors.
+  /// Frozen predict_duration() for the concurrent query path (svc::Snapshot):
+  /// an unseen job name gets the bucket the Trace path would mint, without
+  /// minting it, so any number of threads may share the service, and for a
+  /// name already priced once the result is bit-identical to the Trace path.
   [[nodiscard]] double predict_duration(const JobQuery& query) const;
-  [[nodiscard]] double priority(const JobQuery& query) const;
 
-  /// λ-merge of the two estimates scaled to GPU time — the single definition
-  /// of Priority() shared by the serial and the windowed evaluation paths.
-  [[nodiscard]] static double combine(const QssfConfig& config, double rolling,
-                                      double ml, const trace::JobRecord& job) {
-    return static_cast<double>(std::max(1, job.num_gpus)) *
-           (config.lambda * rolling + (1.0 - config.lambda) * ml);
+  /// Expected GPU time of a job demanding `num_gpus` for `duration` seconds:
+  /// the N factor of Priority(), with a CPU-only job counted as one GPU.
+  [[nodiscard]] static double expected_gpu_time(std::int32_t num_gpus,
+                                                double duration) {
+    return static_cast<double>(std::max(1, num_gpus)) * duration;
   }
 
   /// Encode the given jobs into a GBDT feature matrix, warming the name
@@ -240,13 +236,6 @@ class QssfService {
  private:
   friend class OnlinePriorityEvaluator;  // snapshots / adopts rolling_
 
-  static constexpr std::size_t kFeatureCount = 9;
-  void encode(const trace::Trace& t, const trace::JobRecord& job,
-              std::vector<double>& out) const;
-  /// Same feature layout as encode(), from a JobQuery, never mutating the
-  /// name buckets — the two must stay column-for-column identical.
-  void encode_frozen(const JobQuery& query, std::vector<double>& out) const;
-
   QssfConfig config_;
   ml::GBDTRegressor model_;
   mutable ml::NameBucketizer name_buckets_;  // grows lazily at predict time
@@ -255,11 +244,10 @@ class QssfService {
 
 /// Pending-finish replay queue: a min-heap of (finish, index) events, popped
 /// in (finish, then index) total order — identical however the heap was
-/// assembled. This is the one heap-op sequence every causal replay site
-/// shares; the chunked evaluator's bit-parity with the serial loop, and the
-/// streaming svc::PredictionServer's bit-parity with the batch evaluator,
-/// both depend on every site executing it identically. Externally
-/// synchronized, like the estimators it feeds.
+/// assembled. causal_step() is the one drain/push sequence the serial
+/// evaluator and the streaming svc::PredictionServer share; the chunked
+/// evaluator's windows replay the same sequence on rolling-estimator copies.
+/// Externally synchronized, like the estimators it feeds.
 class ReplayQueue {
  public:
   struct Entry {
@@ -301,6 +289,22 @@ class ReplayQueue {
 
   std::vector<Entry> heap_;
 };
+
+/// One causal step of the Model Update Engine (paper §4.1) for the GPU job
+/// at `index` of `t`: fold into `service` every queued job that has
+/// (approximately) finished by the job's submit time — queuing delay is
+/// unknown then, so submit + duration stands in for the termination feed —
+/// price the job, and queue its own finish. Returns the priority.
+inline double causal_step(QssfService& service, ReplayQueue& pending,
+                          const trace::Trace& t, std::uint32_t index) {
+  const trace::JobRecord& job = t.jobs()[index];
+  pending.drain(job.submit_time, [&service, &t](std::uint32_t finished) {
+    service.observe(t, t.jobs()[finished]);
+  });
+  const double p = service.priority(t, job);
+  pending.push(job, index);
+  return p;
+}
 
 struct EvalOptions {
   /// kParallel evaluates deterministic replay windows concurrently on the

@@ -16,22 +16,6 @@ std::size_t complete_prefix(const std::string& data) {
   return nl == std::string::npos ? 0 : nl + 1;
 }
 
-/// Offset just past the header line (the first complete non-blank line,
-/// blank lines before it included), or npos when no complete header exists
-/// in `data` yet. Matches the header skip of Trace::load_csv and
-/// trace::ParallelLoader.
-std::size_t header_end(const std::string& data) {
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const auto nl = data.find('\n', pos);
-    if (nl == std::string::npos) return std::string::npos;
-    const std::string_view line(data.data() + pos, nl - pos);
-    pos = nl + 1;
-    if (!CsvReader::is_blank_line(line)) return pos;  // consumed the header
-  }
-  return std::string::npos;
-}
-
 }  // namespace
 
 std::string CsvTailer::poll() {
@@ -44,8 +28,8 @@ std::string CsvTailer::poll() {
   block.resize(complete_prefix(block));
   if (block.empty()) return {};
 
-  if (skip_header_ && !header_consumed_) {
-    const std::size_t data_start = header_end(block);
+  if (!header_consumed_) {
+    const std::size_t data_start = CsvReader::header_end(block);
     if (data_start == std::string::npos) {
       // Only (part of) the header is complete so far; consume nothing and
       // wait for the first data row's newline.
@@ -61,22 +45,18 @@ std::string CsvTailer::poll() {
 }
 
 void CsvTailer::resume_at_data_bytes(std::uint64_t data_bytes) {
-  std::uint64_t start = 0;
-  if (skip_header_) {
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) throw std::runtime_error("CsvTailer: cannot open " + path_);
-    std::string head((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const std::size_t data_start = header_end(head);
-    if (data_start == std::string::npos ||
-        head.size() < data_start + data_bytes) {
-      throw std::runtime_error("CsvTailer: " + path_ +
-                               " is shorter than the resume point");
-    }
-    start = data_start;
+  std::ifstream in(path_, std::ios::binary);
+  if (!in) throw std::runtime_error("CsvTailer: cannot open " + path_);
+  const std::string head((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::size_t data_start = CsvReader::header_end(head);
+  if (data_start == std::string::npos ||
+      head.size() < data_start + data_bytes) {
+    throw std::runtime_error("CsvTailer: " + path_ +
+                             " is shorter than the resume point");
   }
   header_consumed_ = true;
-  offset_ = start + data_bytes;
+  offset_ = data_start + data_bytes;
   data_bytes_ = data_bytes;
 }
 

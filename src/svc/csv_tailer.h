@@ -19,10 +19,9 @@ namespace helios::svc {
 
 class CsvTailer {
  public:
-  /// Tail `path`. With skip_header (the trace-CSV default), the first
-  /// complete non-blank line is consumed silently as the schema row.
-  explicit CsvTailer(std::string path, bool skip_header = true)
-      : path_(std::move(path)), skip_header_(skip_header) {}
+  /// Tail `path`. The first complete non-blank line is consumed silently as
+  /// the schema row.
+  explicit CsvTailer(std::string path) : path_(std::move(path)) {}
 
   /// Every complete line ('\n'-terminated; a blank-line-only tail counts)
   /// appended since the last poll, header excluded. Empty when nothing new
@@ -48,7 +47,6 @@ class CsvTailer {
 
  private:
   std::string path_;
-  bool skip_header_;
   bool header_consumed_ = false;
   std::uint64_t offset_ = 0;      // absolute; includes header bytes
   std::uint64_t data_bytes_ = 0;  // consumed minus header

@@ -1,6 +1,5 @@
 #include "svc/prediction_server.h"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -61,11 +60,7 @@ core::JobQuery Snapshot::resolve(const QueryRequest& request) const {
 QueryResult Snapshot::query(const QueryRequest& request) const {
   const core::JobQuery q = resolve(request);
   const double duration = service_.predict_duration(q);
-  // Same expression shape as QssfService::priority(JobQuery) — bit-identical
-  // to calling it, without pricing the duration twice.
-  return {static_cast<double>(std::max(1, static_cast<int>(q.num_gpus))) *
-              duration,
-          duration};
+  return {core::QssfService::expected_gpu_time(q.num_gpus, duration), duration};
 }
 
 // ---------------------------------------------------------------------------
@@ -105,16 +100,11 @@ std::size_t PredictionServer::ingest_csv(std::string_view csv_rows) {
   for (std::size_t i = first; i < stream_.size(); ++i) {
     const trace::JobRecord& job = stream_.jobs()[i];
     if (!job.is_gpu_job()) continue;
-    // The exact serial-evaluator sequence: fold in every job that has
-    // (approximately) finished by now, price, remember, queue our own
-    // finish. Absolute stream indices shift the evaluator's eval-local ones
+    // Absolute stream indices shift the evaluator's eval-local ones
     // uniformly, so the queue's (finish, index) pop order is preserved.
-    queue_.drain(job.submit_time, [this](std::uint32_t idx) {
-      service_.observe(stream_, stream_.jobs()[idx]);
-    });
-    const double p = service_.priority(stream_, job);
+    const double p = core::causal_step(service_, queue_, stream_,
+                                       static_cast<std::uint32_t>(i));
     log_.push_back({job.job_id, p});
-    queue_.push(job, static_cast<std::uint32_t>(i));
     ++gpu_jobs_ingested_;
     if (config_.publish_every != 0 &&
         gpu_jobs_ingested_ % config_.publish_every == 0) {

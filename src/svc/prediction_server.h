@@ -2,10 +2,11 @@
 //
 // The batch pipeline prices a finished trace after the fact; this subsystem
 // is the same predictor run as a long-lived server. One ingest thread tails
-// a growing trace CSV (svc::CsvTailer), folds each event into the online
-// QSSF state exactly as core::OnlinePriorityEvaluator's serial loop would —
-// drain the pending-finish core::ReplayQueue, price, log, queue the job's
-// own finish — and on a cadence (a) checkpoints the whole server through
+// a growing trace CSV (svc::CsvTailer) and advances the online QSSF state
+// through core::causal_step — the per-job step of the serial
+// core::OnlinePriorityEvaluator: drain the pending-finish core::ReplayQueue,
+// price, queue the job's own finish — logging each priority, and on a
+// cadence (a) checkpoints the whole server through
 // serialize::save_file and (b) publishes an immutable Snapshot. Any number
 // of query threads read the current snapshot through one atomic
 // shared_ptr load — RCU-style, no lock, no wait against the ingest side.

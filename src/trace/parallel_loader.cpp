@@ -55,16 +55,11 @@ std::vector<std::pair<std::size_t, std::size_t>> ParallelLoader::split_chunks(
 }
 
 Trace ParallelLoader::load(std::string_view csv, ClusterSpec cluster) const {
-  // Skip leading blank lines, then the header row.
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const auto nl = csv.find('\n', pos);
-    const auto end = nl == std::string_view::npos ? csv.size() : nl;
-    const std::string_view line = csv.substr(pos, end - pos);
-    pos = nl == std::string_view::npos ? csv.size() : nl + 1;
-    if (!CsvReader::is_blank_line(line)) break;  // consumed the header
-  }
-  return load_rows(csv.substr(pos), std::move(cluster));
+  // A header with no newline after it (or no header at all) leaves no rows.
+  const std::size_t rows = CsvReader::header_end(csv);
+  return load_rows(rows == std::string_view::npos ? std::string_view{}
+                                                  : csv.substr(rows),
+                   std::move(cluster));
 }
 
 Trace ParallelLoader::load_rows(std::string_view rows,

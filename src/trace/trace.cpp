@@ -1,6 +1,7 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -8,6 +9,24 @@
 #include "common/csv.h"
 
 namespace helios::trace {
+
+namespace {
+
+/// One whole numeric CSV field as a T: a numeric prefix ("12x"), an empty
+/// field or a value T cannot hold throws std::runtime_error naming `column`.
+template <typename T>
+T parse_number(const std::string& field, const char* column) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::runtime_error(std::string("trace CSV: ") + column + " '" +
+                             field + "' is not an integer in range");
+  }
+  return value;
+}
+
+}  // namespace
 
 JobRecord& Trace::add(UnixTime submit, std::int32_t duration, std::int32_t gpus,
                       std::int32_t cpus, std::string_view user,
@@ -35,13 +54,15 @@ bool Trace::append_csv_row(std::string_view line) {
     throw std::runtime_error("trace CSV: expected 10 fields, got " +
                              std::to_string(fields.size()));
   }
-  auto& j = add(std::stoll(fields[1]),
-                static_cast<std::int32_t>(std::stol(fields[3])),
-                static_cast<std::int32_t>(std::stol(fields[4])),
-                static_cast<std::int32_t>(std::stol(fields[5])), fields[6],
+  const auto job_id = parse_number<std::uint64_t>(fields[0], "job_id");
+  const auto submit = parse_number<UnixTime>(fields[1], "submit_time");
+  const auto start = parse_number<std::int64_t>(fields[2], "start_time");
+  auto& j = add(submit, parse_number<std::int32_t>(fields[3], "duration"),
+                parse_number<std::int32_t>(fields[4], "num_gpus"),
+                parse_number<std::int32_t>(fields[5], "num_cpus"), fields[6],
                 fields[7], fields[8], job_state_from_string(fields[9]));
-  j.job_id = static_cast<std::uint64_t>(std::stoull(fields[0]));
-  j.start_time = std::stoll(fields[2]);
+  j.job_id = job_id;
+  j.start_time = start;
   return true;
 }
 
@@ -100,7 +121,7 @@ void Trace::save_csv_rows(std::ostream& out, std::size_t first,
   const std::size_t end = std::min(jobs_.size(), first + count);
   for (std::size_t i = first; i < end; ++i) {
     const JobRecord& j = jobs_[i];
-    w.write_row({CsvWriter::field(static_cast<std::int64_t>(j.job_id)),
+    w.write_row({CsvWriter::field(j.job_id),
                  CsvWriter::field(j.submit_time), CsvWriter::field(j.start_time),
                  CsvWriter::field(static_cast<std::int64_t>(j.duration)),
                  CsvWriter::field(static_cast<std::int64_t>(j.num_gpus)),

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <latch>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -49,6 +50,8 @@ TEST(Csv, QuotedRoundTrip) {
 
 TEST(Csv, NumericFieldsRoundTrip) {
   EXPECT_EQ(CsvWriter::field(static_cast<std::int64_t>(-42)), "-42");
+  EXPECT_EQ(CsvWriter::field(std::numeric_limits<std::uint64_t>::max()),
+            "18446744073709551615");
 }
 
 TEST(Csv, BlankLineIsEmptyOrLoneCarriageReturn) {

@@ -461,8 +461,8 @@ TEST(EvaluatorParity, ChunkedMatchesSerialBitwise) {
         ASSERT_EQ(serial_eval.priority_of(j), chunked_eval.priority_of(j))
             << "job " << j.job_id << " windows=" << windows;
         // The service's final rolling state must match the serial feed too.
-        ASSERT_EQ(serial_svc.rolling_estimate(eval, j),
-                  svc.rolling_estimate(eval, j))
+        ASSERT_EQ(serial_svc.rolling().estimate(eval, j),
+                  svc.rolling().estimate(eval, j))
             << "job " << j.job_id << " windows=" << windows;
       }
       // ...down to the saved bytes: dedupe ids, the observe counter and the

@@ -57,10 +57,10 @@ TEST(QssfService, RollingUsesNameMatch) {
   const auto& j1 = probe.add(from_civil(2020, 9, 1), 0, 1, 6, "alice", "vc0",
                              "alice_train_bert", JobState::kCompleted);
   // Rolling estimate should be near 1000s for the train template.
-  EXPECT_NEAR(svc.rolling_estimate(probe, j1), 1020.0, 150.0);
+  EXPECT_NEAR(svc.rolling().estimate(probe, j1), 1020.0, 150.0);
   const auto& j2 = probe.add(from_civil(2020, 9, 1), 0, 1, 6, "alice", "vc0",
                              "alice_eval_bert", JobState::kCompleted);
-  EXPECT_NEAR(svc.rolling_estimate(probe, j2), 51.0, 20.0);
+  EXPECT_NEAR(svc.rolling().estimate(probe, j2), 51.0, 20.0);
 }
 
 TEST(QssfService, RollingNameVariantMatches) {
@@ -71,7 +71,7 @@ TEST(QssfService, RollingNameVariantMatches) {
   // "_v2" suffix is within the Levenshtein threshold of the stored name.
   const auto& j = probe.add(from_civil(2020, 9, 1), 0, 1, 6, "alice", "vc0",
                             "alice_train_bert_v2", JobState::kCompleted);
-  EXPECT_NEAR(svc.rolling_estimate(probe, j), 1020.0, 150.0);
+  EXPECT_NEAR(svc.rolling().estimate(probe, j), 1020.0, 150.0);
 }
 
 TEST(QssfService, NewNameFallsBackToUserGpuMean) {
@@ -82,7 +82,7 @@ TEST(QssfService, NewNameFallsBackToUserGpuMean) {
   const auto& j = probe.add(from_civil(2020, 9, 1), 0, 4, 24, "bob", "vc0",
                             "bob_something_completely_new", JobState::kCompleted);
   // bob's 4-GPU jobs average ~5150s.
-  EXPECT_NEAR(svc.rolling_estimate(probe, j), 5150.0, 300.0);
+  EXPECT_NEAR(svc.rolling().estimate(probe, j), 5150.0, 300.0);
 }
 
 TEST(QssfService, NewUserFallsBackToGlobalGpuMean) {
@@ -93,7 +93,7 @@ TEST(QssfService, NewUserFallsBackToGlobalGpuMean) {
   const auto& j = probe.add(from_civil(2020, 9, 1), 0, 4, 24, "carol", "vc0",
                             "carol_first_job", JobState::kCompleted);
   // Only bob ran 4-GPU jobs; the global 4-GPU mean is his.
-  EXPECT_NEAR(svc.rolling_estimate(probe, j), 5150.0, 300.0);
+  EXPECT_NEAR(svc.rolling().estimate(probe, j), 5150.0, 300.0);
 }
 
 TEST(QssfService, PriorityScalesWithGpuCount) {
@@ -121,14 +121,14 @@ TEST(QssfService, LambdaExtremesSelectEstimator) {
   Trace probe(small_spec());
   const auto& j = probe.add(from_civil(2020, 9, 1), 0, 1, 6, "alice", "vc0",
                             "alice_train_bert", JobState::kCompleted);
-  EXPECT_DOUBLE_EQ(a.predict_duration(probe, j), a.rolling_estimate(probe, j));
+  EXPECT_DOUBLE_EQ(a.predict_duration(probe, j), a.rolling().estimate(probe, j));
   EXPECT_DOUBLE_EQ(b.predict_duration(probe, j), b.ml_estimate(probe, j));
 }
 
 TEST(QssfService, RefitWithOverlappingTraceDoesNotDoubleCount) {
   // The Model Update Engine may refit on cumulative traces; re-observing
   // a job used to double-count the rolling sums and re-decay the name
-  // EWMAs, skewing rolling_estimate.
+  // EWMAs, skewing rolling().estimate.
   QssfService svc(fast_config());
   const Trace h = make_history();
   svc.fit(h);
@@ -136,13 +136,13 @@ TEST(QssfService, RefitWithOverlappingTraceDoesNotDoubleCount) {
   Trace probe(small_spec());
   const auto& j = probe.add(from_civil(2020, 9, 1), 0, 1, 6, "alice", "vc0",
                             "alice_train_bert", JobState::kCompleted);
-  const double before = svc.rolling_estimate(probe, j);
+  const double before = svc.rolling().estimate(probe, j);
 
   // Same trace again (fully overlapping): every estimate must be unchanged.
   svc.fit(h);
-  EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
+  EXPECT_DOUBLE_EQ(svc.rolling().estimate(probe, j), before);
   svc.observe(h, h.jobs().front());  // single stray re-observe is a no-op too
-  EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
+  EXPECT_DOUBLE_EQ(svc.rolling().estimate(probe, j), before);
 
   // A cumulative trace (old + genuinely new jobs) absorbs only the new ones.
   Trace cumulative = h;
@@ -152,10 +152,10 @@ TEST(QssfService, RefitWithOverlappingTraceDoesNotDoubleCount) {
   }
   cumulative.sort_by_submit_time();
   svc.fit(cumulative);
-  EXPECT_DOUBLE_EQ(svc.rolling_estimate(probe, j), before);
+  EXPECT_DOUBLE_EQ(svc.rolling().estimate(probe, j), before);
   const auto& nj = probe.add(from_civil(2020, 9, 10), 0, 2, 12, "dave", "vc0",
                              "dave_train_vit", JobState::kCompleted);
-  EXPECT_NEAR(svc.rolling_estimate(probe, nj), 7000.0, 100.0);
+  EXPECT_NEAR(svc.rolling().estimate(probe, nj), 7000.0, 100.0);
 }
 
 TEST(QssfService, ObservesJobsFromIndependentTraceLineages) {
@@ -175,7 +175,7 @@ TEST(QssfService, ObservesJobsFromIndependentTraceLineages) {
   const auto& p = probe.add(200000, 0, 1, 6, "erin", "vc0", "something_else",
                             JobState::kCompleted);
   // Both observations counted: erin's 1-GPU mean is (500 + 3500) / 2.
-  EXPECT_NEAR(svc.rolling_estimate(probe, p), 2000.0, 1e-9);
+  EXPECT_NEAR(svc.rolling().estimate(probe, p), 2000.0, 1e-9);
 }
 
 TEST(QssfService, PredictionsCorrelateWithActualOnSyntheticTrace) {

@@ -38,13 +38,13 @@ TEST(QssfLimited, IgnoresNamesWhenDisabled) {
                            JobState::kCompleted);
   // Without names the rolling estimate is alice's 1-GPU mean (~4550), not
   // the template mean (~100).
-  EXPECT_NEAR(svc.rolling_estimate(probe, j), 4550.0, 500.0);
+  EXPECT_NEAR(svc.rolling().estimate(probe, j), 4550.0, 500.0);
 
   QssfConfig named = cfg;
   named.use_names = true;
   QssfService with_names(named);
   with_names.fit(h);
-  EXPECT_NEAR(with_names.rolling_estimate(probe, j), 100.0, 30.0);
+  EXPECT_NEAR(with_names.rolling().estimate(probe, j), 100.0, 30.0);
 }
 
 TEST(QssfLimited, StillPredictsUsefully) {
@@ -93,12 +93,12 @@ TEST(QssfRolling, NameEvictionKeepsRecentEntries) {
   // Oldest name evicted -> falls back to the user's 1-GPU mean.
   const auto evicted =
       probe.add(at, 0, 1, 6, "u", "vc0", "aaaa_alpha_00", JobState::kCompleted);
-  const double user_mean = svc.rolling_estimate(probe, evicted);
+  const double user_mean = svc.rolling().estimate(probe, evicted);
   EXPECT_GT(user_mean, 200.0);  // not the template's 100s
   // Newest name still tracked precisely.
   const auto fresh =
       probe.add(at, 0, 1, 6, "u", "vc0", "ffff_zeta_55", JobState::kCompleted);
-  EXPECT_NEAR(svc.rolling_estimate(probe, fresh), 600.0, 60.0);
+  EXPECT_NEAR(svc.rolling().estimate(probe, fresh), 600.0, 60.0);
 }
 
 TEST(QssfRolling, CpuJobsAreIgnored) {
@@ -110,7 +110,7 @@ TEST(QssfRolling, CpuJobsAreIgnored) {
   const auto j = probe.add(10, 0, 1, 6, "u", "vc0", "anything",
                            JobState::kCompleted);
   // No GPU history at all -> the hard-coded prior, not 999.
-  EXPECT_NEAR(svc.rolling_estimate(probe, j), 600.0, 1e-9);
+  EXPECT_NEAR(svc.rolling().estimate(probe, j), 600.0, 1e-9);
 }
 
 TEST(QssfPriority, DeterministicAcrossInstances) {

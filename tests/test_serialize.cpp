@@ -270,8 +270,8 @@ TEST(SerializeRoundTrip, QssfServiceWarmRestart) {
   EXPECT_EQ(loaded.config().gbdt.n_trees, cfg.gbdt.n_trees);
   for (const auto& job : eval.jobs()) {
     if (!job.is_gpu_job()) continue;
-    ASSERT_EQ(service.rolling_estimate(eval, job),
-              loaded.rolling_estimate(eval, job))
+    ASSERT_EQ(service.rolling().estimate(eval, job),
+              loaded.rolling().estimate(eval, job))
         << "job " << job.job_id;
     ASSERT_EQ(service.ml_estimate(eval, job), loaded.ml_estimate(eval, job))
         << "job " << job.job_id;
@@ -291,8 +291,8 @@ TEST(SerializeRoundTrip, QssfServiceWarmRestart) {
   for (const auto& job : eval.jobs()) {
     if (!job.is_gpu_job()) continue;
     ASSERT_EQ(orig_eval.priority_of(job), loaded_eval.priority_of(job));
-    ASSERT_EQ(service.rolling_estimate(eval, job),
-              loaded.rolling_estimate(eval, job));
+    ASSERT_EQ(service.rolling().estimate(eval, job),
+              loaded.rolling().estimate(eval, job));
   }
 }
 

@@ -5,19 +5,23 @@
 //    OnlinePriorityEvaluator over the same jobs;
 //  * kill / restore — loading the latest checkpoint into a fresh server and
 //    re-feeding the remaining bytes must land on the identical final log and
-//    state;
+//    state, also for a streamed job id at the top of the u64 range;
 //  * frozen queries — Snapshot::query must reproduce the Trace-based
-//    priority path bitwise for jobs the service could price;
+//    priority path bitwise for jobs the service could price, with and
+//    without job names and with an untrained GBDT;
 //  * rejected batch — a batch with a malformed row changes nothing, and a
-//    clean retry and a checkpoint taken after it both stay bit-exact;
+//    clean retry and a checkpoint taken after it both stay bit-exact, and a
+//    checkpoint whose streamed rows are malformed is refused;
 //  * concurrent queries — snapshot reads race ingest without synchronization
 //    (the ASan job of ci.sh runs this suite);
 //  * CsvTailer — header skip, partial-line handling, checkpoint resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -227,6 +231,17 @@ TEST(SvcServer, RejectedBatchLeavesServerUntouched) {
   EXPECT_EQ(server.gpu_jobs_ingested(), jobs_before);
   EXPECT_EQ(server.snapshot(), snap_before);
 
+  // A numeric prefix ("12x") is as malformed as a short row.
+  const std::string_view next = rows.substr(head, end_of_lines(head, 1) - head);
+  std::string prefix_bad(next.substr(0, next.find(',') + 1));
+  prefix_bad += "12x";
+  prefix_bad += next.substr(next.find(',', next.find(',') + 1));
+  EXPECT_THROW(server.ingest_csv(prefix_bad), std::runtime_error);
+  EXPECT_TRUE(server.stream().contents_equal(stream_before));
+  EXPECT_EQ(server.priority_log(), log_before);
+  EXPECT_EQ(server.bytes_ingested(), bytes_before);
+  EXPECT_EQ(server.snapshot(), snap_before);
+
   // A checkpoint after the rejection restores, and both the live server and
   // the restored one finish on the batch evaluator's log bit for bit.
   const std::string path = server.checkpoint();
@@ -245,31 +260,98 @@ TEST(SvcServer, RejectedBatchLeavesServerUntouched) {
   }
   EXPECT_TRUE(restored.stream().contents_equal(server.stream()));
   std::remove(path.c_str());
+
+  // A checkpoint whose streamed rows hold a numeric prefix ("...12x") is
+  // refused as corrupt; every length field of the image stays valid.
+  serialize::Writer w;
+  server.save(w);
+  std::vector<std::uint8_t> image = w.buffer();
+  const std::string_view row = rows.substr(0, rows.find('\n'));
+  const auto at =
+      std::search(image.begin(), image.end(), row.begin(), row.end());
+  ASSERT_NE(at, image.end());
+  const std::size_t submit_end = row.find(',', row.find(',') + 1);
+  *(at + static_cast<std::ptrdiff_t>(submit_end) - 1) = 'x';
+  PredictionServer fresh(fx.fitted, fx.train, cfg);
+  serialize::Reader r(image);
+  EXPECT_THROW(fresh.load(r), serialize::Error);
+  EXPECT_EQ(fresh.rows_ingested(), 0u);
+  EXPECT_TRUE(fresh.priority_log().empty());
+}
+
+TEST(SvcServer, CheckpointKeepsFullRangeJobIds) {
+  const Fixture fx;
+  // job_id is u64: a streamed row with the largest id must survive the
+  // checkpoint's CSV rows and restore bit-identically.
+  const std::string_view rows(fx.rows_csv);
+  const std::size_t first_end = rows.find('\n') + 1;
+  std::string head = "18446744073709551615";
+  head += rows.substr(rows.find(','), first_end - rows.find(','));
+  const std::size_t second_end = rows.find('\n', first_end) + 1;
+  head += rows.substr(first_end, second_end - first_end);
+
+  ServerConfig cfg;
+  PredictionServer server(fx.fitted, fx.train, cfg);
+  server.ingest_csv(head);
+  const trace::Trace& stream = server.stream();  // context rows, then ours
+  ASSERT_EQ(stream.jobs()[stream.size() - 2].job_id,
+            std::numeric_limits<std::uint64_t>::max());
+  serialize::Writer w;
+  server.save(w);
+  PredictionServer restored(fx.fitted, fx.train, cfg);
+  serialize::Reader r(w.buffer());
+  restored.load(r);
+  EXPECT_TRUE(restored.stream().contents_equal(server.stream()));
+  EXPECT_EQ(restored.priority_log(), server.priority_log());
+  EXPECT_EQ(restored.bytes_ingested(), server.bytes_ingested());
+
+  // Both go on to the same log for the rest of September.
+  server.ingest_csv(rows.substr(second_end));
+  restored.ingest_csv(rows.substr(second_end));
+  EXPECT_EQ(restored.priority_log(), server.priority_log());
+  EXPECT_TRUE(restored.stream().contents_equal(server.stream()));
 }
 
 TEST(SvcServer, FrozenQueryMatchesTracePathBitwise) {
   const Fixture fx;
-  PredictionServer server(fx.fitted, fx.train);
-  const auto snap = server.snapshot();
-  std::size_t checked = 0;
-  for (const auto& j : fx.eval.jobs()) {
-    if (!j.is_gpu_job()) continue;
-    QueryRequest req;
-    req.user = fx.eval.user_name(j);
-    req.vc = fx.eval.vc_name(j);
-    req.job_name = fx.eval.job_name(j);
-    req.num_gpus = j.num_gpus;
-    req.num_cpus = j.num_cpus;
-    req.submit_time = j.submit_time;
-    // Fresh copy per job: the mutating path memoizes name buckets, and the
-    // frozen path must equal the first mutating call on identical state.
-    core::QssfService mutating = fx.fitted;
-    const QueryResult got = snap->query(req);
-    ASSERT_EQ(got.priority, mutating.priority(fx.eval, j)) << "job " << j.job_id;
-    ASSERT_EQ(got.expected_duration, mutating.predict_duration(fx.eval, j));
-    if (++checked >= 200) break;
+  // Three services, one per shape of the query path: the fitted fixture
+  // (name buckets), a fitted limited-information one (name column 0), and an
+  // untrained one that has only observed history (GBDT half falls back to
+  // the rolling estimate).
+  core::QssfConfig no_names_cfg = fx.fitted.config();
+  no_names_cfg.use_names = false;
+  core::QssfService no_names(no_names_cfg);
+  no_names.fit(fx.train);
+  core::QssfService untrained(fx.fitted.config());
+  for (const auto& j : fx.train.jobs()) untrained.observe(fx.train, j);
+  ASSERT_FALSE(untrained.trained());
+
+  const core::QssfService* const services[] = {&fx.fitted, &no_names,
+                                               &untrained};
+  for (const core::QssfService* service : services) {
+    PredictionServer server(*service, fx.train);
+    const auto snap = server.snapshot();
+    std::size_t checked = 0;
+    for (const auto& j : fx.eval.jobs()) {
+      if (!j.is_gpu_job()) continue;
+      QueryRequest req;
+      req.user = fx.eval.user_name(j);
+      req.vc = fx.eval.vc_name(j);
+      req.job_name = fx.eval.job_name(j);
+      req.num_gpus = j.num_gpus;
+      req.num_cpus = j.num_cpus;
+      req.submit_time = j.submit_time;
+      // Fresh copy per job: the mutating path memoizes name buckets, and the
+      // frozen path must equal the first mutating call on identical state.
+      core::QssfService mutating = *service;
+      const QueryResult got = snap->query(req);
+      ASSERT_EQ(got.priority, mutating.priority(fx.eval, j))
+          << "job " << j.job_id;
+      ASSERT_EQ(got.expected_duration, mutating.predict_duration(fx.eval, j));
+      if (++checked >= 200) break;
+    }
+    ASSERT_EQ(checked, 200u);
   }
-  ASSERT_EQ(checked, 200u);
 }
 
 TEST(SvcServer, ConcurrentQueriesDuringIngest) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "trace/cluster_config.h"
@@ -62,11 +63,14 @@ TEST(Trace, FiltersPreserveInterners) {
 TEST(Trace, CsvRoundTrip) {
   Trace t = small_trace();
   t.jobs()[1].start_time = 75;  // exercise a non-default start
+  // job_id is u64: an id at or above 2^63 must come back unchanged.
+  t.jobs()[2].job_id = std::numeric_limits<std::uint64_t>::max();
   std::stringstream ss;
   t.save_csv(ss);
   const Trace back = Trace::load_csv(ss, t.cluster());
   ASSERT_EQ(back.size(), t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(back.jobs()[i].job_id, t.jobs()[i].job_id);
     EXPECT_EQ(back.jobs()[i].submit_time, t.jobs()[i].submit_time);
     EXPECT_EQ(back.jobs()[i].start_time, t.jobs()[i].start_time);
     EXPECT_EQ(back.jobs()[i].duration, t.jobs()[i].duration);
@@ -80,6 +84,35 @@ TEST(Trace, CsvRoundTrip) {
 TEST(Trace, CsvRejectsMalformedRows) {
   std::stringstream ss("header\n1,2,3\n");
   EXPECT_THROW(Trace::load_csv(ss, ClusterSpec{}), std::runtime_error);
+
+  // Numbers parse whole: a non-number, a numeric prefix and an out-of-range
+  // int32 each throw std::runtime_error naming the column, appending nothing.
+  const std::pair<const char*, const char*> bad_rows[] = {
+      {"1,x,0,10,1,4,u,vc,n,completed", "submit_time"},
+      {"7,12x,0,10,1,4,u,vc,n,completed", "submit_time"},
+      {"8,0,0,4294967296,1,4,u,vc,n,completed", "duration"},
+      {"9,0,0,10,-2147483649,4,u,vc,n,completed", "num_gpus"},
+      {"x1,0,0,10,1,4,u,vc,n,completed", "job_id"},
+  };
+  for (const auto& [row, column] : bad_rows) {
+    Trace t;
+    try {
+      t.append_csv_row(row);
+      ADD_FAILURE() << "accepted: " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(column), std::string::npos)
+          << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "untyped error for: " << row;
+    }
+    EXPECT_EQ(t.size(), 0u) << row;
+  }
+  Trace t;
+  ASSERT_TRUE(t.append_csv_row("3,-5,-1,2147483647,8,48,u,vc,n,completed\r"));
+  EXPECT_EQ(t.jobs()[0].job_id, 3u);
+  EXPECT_EQ(t.jobs()[0].submit_time, -5);
+  EXPECT_EQ(t.jobs()[0].start_time, kNeverStarted);
+  EXPECT_EQ(t.jobs()[0].duration, 2147483647);
 }
 
 TEST(JobState, StringRoundTrip) {
