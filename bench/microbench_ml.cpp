@@ -12,8 +12,11 @@
 // speedup. Trainer correctness is gated by the oracle in
 // tests/test_prediction_parity.cpp.
 // BM_SnapshotPublish / BM_RollingObserve time the QSSF service state at the
-// size the perfbench `serve` workload reaches, after a gate that a published
-// snapshot prices every streamed job shape exactly like the live service.
+// size the perfbench `serve` workload reaches, and BM_SvcIngestReplay /
+// BM_SvcCheckpoint its 100-row ingest replay and one end-of-stream
+// checkpoint, after a gate that a published snapshot prices every streamed
+// job shape exactly like the live service and that the batched replay and
+// its checkpoint restore match the one-batch server.
 // BM_CesReplay times one CES September replay (Algorithm 2 PeriodicChecks
 // over a fitted GBDT forecaster), the CES stage of perfbench `pipeline`.
 // See BENCH_ml.json for recorded before/after numbers.
@@ -23,10 +26,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <unistd.h>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/simd.h"
@@ -287,15 +296,45 @@ struct ServeFixture {
     std::ostringstream rows;
     stream.save_csv_rows(rows, 0, stream.size());
     stream_csv = std::move(rows).str();
+    const std::string_view csv(stream_csv);
+    for (std::size_t lo = 0; lo < csv.size();) {
+      std::size_t hi = lo;
+      for (std::size_t line = 0; line < kBatchRows && hi < csv.size(); ++line) {
+        hi = csv.find('\n', hi) + 1;  // every row ends in '\n'
+      }
+      batches.push_back(csv.substr(lo, hi - lo));
+      lo = hi;
+    }
   }
 
   /// A server over the fitted service that has ingested the whole stream in
   /// one batch (one publish), so its service equals `live`.
-  [[nodiscard]] svc::PredictionServer fed_server() const {
-    svc::PredictionServer server(fitted, train);
+  [[nodiscard]] svc::PredictionServer fed_server(
+      svc::ServerConfig config = {}) const {
+    svc::PredictionServer server(fitted, train, std::move(config));
     server.ingest_csv(stream_csv);
     return server;
   }
+
+  /// A server set up for the perfbench `serve` replay (see replay()): a
+  /// publish every 256 GPU jobs and a checkpoint every 2,000 under `prefix`.
+  [[nodiscard]] svc::PredictionServer replay_server(
+      const std::string& prefix) const {
+    svc::ServerConfig config;
+    config.publish_every = 256;
+    config.checkpoint_every = 2'000;
+    config.checkpoint_prefix = prefix;
+    return svc::PredictionServer(fitted, train, std::move(config));
+  }
+
+  /// Feeds the whole stream to `server` in kBatchRows-row batches.
+  void replay(svc::PredictionServer& server) const {
+    for (const std::string_view batch : batches) server.ingest_csv(batch);
+  }
+
+  static constexpr std::size_t kBatchRows = 100;
+  /// stream_csv cut into ingest batches of kBatchRows rows.
+  std::vector<std::string_view> batches;
 
   static const ServeFixture& instance() {
     static const ServeFixture fx;
@@ -325,6 +364,64 @@ void BM_SnapshotPublish(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotPublish)->Unit(benchmark::kMillisecond);
+
+/// A directory for one benchmark's checkpoint files under the system temp
+/// directory, removed with its contents on destruction.
+class CheckpointDir {
+ public:
+  explicit CheckpointDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              ("helios_" + name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::create_directories(path_);
+  }
+  CheckpointDir(const CheckpointDir&) = delete;
+  CheckpointDir& operator=(const CheckpointDir&) = delete;
+  ~CheckpointDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  [[nodiscard]] std::string prefix() const { return (path_ / "svc").string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+/// The whole stream through ServeFixture::replay: 100-row ingest batches
+/// with their publishes and five checkpoints. Building and destroying the
+/// server is untimed.
+void BM_SvcIngestReplay(benchmark::State& state) {
+  const auto& fx = ServeFixture::instance();
+  const CheckpointDir dir("bm_ingest_replay");
+  std::optional<svc::PredictionServer> server;
+  for (auto _ : state) {
+    state.PauseTiming();
+    server.reset();
+    server.emplace(fx.replay_server(dir.prefix()));
+    state.ResumeTiming();
+    fx.replay(*server);
+    benchmark::DoNotOptimize(server->priority_log().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fx.stream.size()));
+}
+BENCHMARK(BM_SvcIngestReplay)->Unit(benchmark::kMillisecond);
+
+/// One PredictionServer::checkpoint at end of stream: the SVCK frame written
+/// to disk, then a publish.
+void BM_SvcCheckpoint(benchmark::State& state) {
+  const CheckpointDir dir("bm_checkpoint");
+  svc::ServerConfig config;
+  config.checkpoint_prefix = dir.prefix();
+  svc::PredictionServer server =
+      ServeFixture::instance().fed_server(std::move(config));
+  for (auto _ : state) {
+    const std::string path = server.checkpoint();
+    state.PauseTiming();
+    std::remove(path.c_str());
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_SvcCheckpoint)->Unit(benchmark::kMillisecond);
 
 /// RollingEstimator::observe over the stream's GPU jobs, on a copy of the
 /// fitted estimator (the copy is untimed).
@@ -589,6 +686,32 @@ void verify_parity() {
         server.priority_log().size() != shapes) {
       std::fprintf(stderr, "FATAL: serving fixture priced %zu of %zu jobs\n",
                    server.priority_log().size(), shapes);
+      std::exit(1);
+    }
+
+    // The batched replay BM_SvcIngestReplay times must price the stream as
+    // the one-batch server does, and its last checkpoint must restore a
+    // server that saves the same bytes.
+    const CheckpointDir dir("bm_gate");
+    svc::PredictionServer replayed = fx.replay_server(dir.prefix());
+    fx.replay(replayed);
+    svc::ServerConfig config;
+    config.checkpoint_prefix = dir.prefix();
+    svc::PredictionServer restored(fx.fitted, fx.train, config);
+    serialize::load_file(
+        dir.prefix() + "." + std::to_string(replayed.checkpoints_written() - 1),
+        restored);
+    restored.ingest_csv(std::string_view(fx.stream_csv)
+                            .substr(restored.bytes_ingested()));
+    serialize::Writer want;
+    replayed.save(want);
+    serialize::Writer got;
+    restored.save(got);
+    if (replayed.priority_log() != server.priority_log() ||
+        got.buffer() != want.buffer()) {
+      std::fprintf(stderr,
+                   "FATAL: batched ingest replay or its checkpoint diverges "
+                   "from the one-batch server\n");
       std::exit(1);
     }
   }

@@ -1,5 +1,6 @@
 #include "serialize/binary.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -31,28 +32,67 @@ Error::Error(ErrorCode code, const std::string& message)
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kCrcTables[0] is the classic byte table; entry k
+/// advances a byte's contribution past k further zero bytes, so eight
+/// lookups fold eight input bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kCrcTable = make_crc_table();
+constexpr auto kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// Advances a running (pre-inverted) CRC register over `data`; crc32() of a
+/// concatenation is crc_update over its pieces in order.
+std::uint32_t crc_update(std::uint32_t c,
+                         std::span<const std::uint8_t> data) noexcept {
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+        t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
+  return c;
+}
+
+/// `v` as `N` little-endian bytes.
+template <std::size_t N, typename T>
+std::array<std::uint8_t, N> le_bytes(T v) noexcept {
+  std::array<std::uint8_t, N> b{};
+  for (std::size_t i = 0; i < N; ++i) {
+    b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return b;
+}
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
-  std::uint32_t c = 0xffffffffu;
-  for (const std::uint8_t b : data) {
-    c = kCrcTable[(c ^ b) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
+  return crc_update(0xffffffffu, data) ^ 0xffffffffu;
 }
 
 // ---------------------------------------------------------------------------
@@ -60,15 +100,13 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
 // ---------------------------------------------------------------------------
 
 void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  const auto b = le_bytes<4>(v);
+  buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
 void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  const auto b = le_bytes<8>(v);
+  buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
 void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -106,11 +144,10 @@ void Writer::begin_section(std::uint32_t tag) {
 void Writer::end_section() {
   const std::size_t at = open_.back();
   open_.pop_back();
-  const std::uint64_t len = buf_.size() - (at + 8);
-  for (int i = 0; i < 8; ++i) {
-    buf_[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(len >> (8 * i));
-  }
+  const auto len =
+      le_bytes<8>(static_cast<std::uint64_t>(buf_.size() - (at + 8)));
+  std::copy(len.begin(), len.end(),
+            buf_.begin() + static_cast<std::ptrdiff_t>(at));
 }
 
 // ---------------------------------------------------------------------------
@@ -217,19 +254,35 @@ void Reader::close(std::string_view what) const {
 namespace {
 constexpr std::size_t kHeaderSize = 8 + 4 + 4;  // magic + version + flags
 constexpr std::size_t kTrailerSize = 4;         // crc32
+
+/// The frame header: magic, kFormatVersion, flags (0).
+std::array<std::uint8_t, kHeaderSize> frame_header() noexcept {
+  std::array<std::uint8_t, kHeaderSize> h{};
+  std::memcpy(h.data(), kMagic, sizeof(kMagic));
+  const auto version = le_bytes<4>(kFormatVersion);
+  std::copy(version.begin(), version.end(), h.begin() + sizeof(kMagic));
+  return h;
+}
+
+/// The CRC trailer of a frame with `header` and `body`.
+std::array<std::uint8_t, kTrailerSize> frame_trailer(
+    std::span<const std::uint8_t> header,
+    std::span<const std::uint8_t> body) noexcept {
+  return le_bytes<kTrailerSize>(
+      crc_update(crc_update(0xffffffffu, header), body) ^ 0xffffffffu);
+}
 }  // namespace
 
 std::vector<std::uint8_t> frame(const Writer& body) {
-  Writer out;
-  out.bytes(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic)));
-  out.u32(kFormatVersion);
-  out.u32(0);  // flags
-  out.bytes(body.buffer());
-  const std::uint32_t crc = crc32(out.buffer());
-  Writer full = std::move(out);
-  full.u32(crc);
-  return full.buffer();
+  const auto header = frame_header();
+  const auto trailer = frame_trailer(header, body.buffer());
+  std::vector<std::uint8_t> out(kHeaderSize + body.buffer().size() +
+                                kTrailerSize);
+  std::copy(header.begin(), header.end(), out.begin());
+  std::copy(body.buffer().begin(), body.buffer().end(),
+            out.begin() + kHeaderSize);
+  std::copy(trailer.begin(), trailer.end(), out.end() - kTrailerSize);
+  return out;
 }
 
 std::vector<std::uint8_t> unframe(std::span<const std::uint8_t> file) {
@@ -265,14 +318,25 @@ std::vector<std::uint8_t> unframe(std::span<const std::uint8_t> file) {
 }
 
 void write_file(const std::string& path, const Writer& body) {
-  const std::vector<std::uint8_t> out = frame(body);
+  // frame()'s bytes, written piece by piece: the body is not copied.
+  const auto header = frame_header();
+  const std::span<const std::uint8_t> payload = body.buffer();
+  const auto trailer = frame_trailer(header, payload);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     throw Error(ErrorCode::kIo, "cannot open " + path + " for writing");
   }
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
+  bool ok = true;
+  for (const std::span<const std::uint8_t> piece :
+       {std::span<const std::uint8_t>(header), payload,
+        std::span<const std::uint8_t>(trailer)}) {
+    if (!piece.empty() &&
+        std::fwrite(piece.data(), 1, piece.size(), f) != piece.size()) {
+      ok = false;
+    }
+  }
   const int rc = std::fclose(f);
-  if (written != out.size() || rc != 0) {
+  if (!ok || rc != 0) {
     throw Error(ErrorCode::kIo, "short write to " + path);
   }
 }

@@ -92,10 +92,13 @@ struct QueryResult {
 /// construction; query() never mutates (frozen name bucketing), so one
 /// Snapshot may serve any number of threads.
 ///
-/// A publish copies, per snapshot: the GBDT model, the name buckets, the
-/// rolling estimator (per-user histories, cluster fallbacks and its observe
-/// dedupe set, one flat array) and the user and VC interners. The streamed
-/// rows, the pending-finish queue and the priority log stay behind.
+/// A publish copies, per snapshot: the GBDT model; the name buckets (a char
+/// arena and index arrays, a few contiguous copies whatever the memo size);
+/// the rolling estimator (per-user histories and cluster fallbacks, one node
+/// per user, plus its observe dedupe set, one flat array), now the largest
+/// part; and the user and VC interners. The streamed rows, the
+/// pending-finish queue and the priority log stay behind, so a publish does
+/// not grow with the stream.
 class Snapshot {
  public:
   Snapshot(const core::QssfService& service, const trace::Trace& stream,

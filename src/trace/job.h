@@ -23,9 +23,11 @@ enum class JobState : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(JobState s) noexcept;
-/// Parses "completed"/"canceled"/"failed" (case-sensitive); anything else is
-/// treated as failed, matching the paper's folding rule.
-[[nodiscard]] JobState job_state_from_string(std::string_view s) noexcept;
+/// Parses a state, ignoring case: "completed"; "canceled" or "cancelled";
+/// "failed", or one of the statuses the paper folds into it: "timeout",
+/// "node_fail", "out_of_memory". Anything else throws std::runtime_error
+/// naming the trace CSV's `state` column.
+[[nodiscard]] JobState job_state_from_string(std::string_view s);
 
 inline constexpr std::int64_t kNeverStarted = -1;
 

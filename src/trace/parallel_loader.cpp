@@ -84,6 +84,11 @@ Trace ParallelLoader::load_rows(std::string_view rows,
         shard.append_csv_row(line);
       });
     });
+    // One allocation for the merged jobs: append() alone grows
+    // geometrically.
+    std::size_t total = 0;
+    for (const auto& shard : shards) total += shard.size();
+    out.jobs().reserve(total);
     for (const auto& shard : shards) out.append(shard);
   }
 

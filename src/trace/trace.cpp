@@ -70,7 +70,13 @@ void Trace::append(const Trace& other) {
   const auto user_map = users_.merge_from(other.users_);
   const auto vc_map = vcs_.merge_from(other.vcs_);
   const auto name_map = names_.merge_from(other.names_);
-  jobs_.reserve(jobs_.size() + other.jobs_.size());
+  // Grow geometrically, not to the exact size: a stream that appends one
+  // small batch at a time (svc ingest) would otherwise copy every job it
+  // holds on every call.
+  const std::size_t need = jobs_.size() + other.jobs_.size();
+  if (need > jobs_.capacity()) {
+    jobs_.reserve(std::max(need, 2 * jobs_.capacity()));
+  }
   for (JobRecord j : other.jobs_) {
     j.user = user_map[j.user];
     j.vc = vc_map[j.vc];

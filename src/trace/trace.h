@@ -36,7 +36,8 @@ class Trace {
   /// Append all of `other`'s jobs, re-interning their user/vc/name ids into
   /// this trace's tables. Job order and all other fields are preserved; the
   /// cluster spec of `other` is ignored. This is the shard-merge primitive of
-  /// trace::ParallelLoader.
+  /// trace::ParallelLoader and the batch step of svc ingest. Job storage
+  /// grows geometrically, so each call costs amortized O(other.size()).
   void append(const Trace& other);
 
   /// Stable-sort jobs by submission time (scheduler replay order).

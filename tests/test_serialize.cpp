@@ -19,6 +19,7 @@
 
 #include "core/qssf_service.h"
 #include "forecast/models.h"
+#include "golden_digest.h"
 #include "ml/dataset.h"
 #include "ml/gbdt.h"
 #include "ml/levenshtein.h"
@@ -180,6 +181,61 @@ TEST(SerializeRoundTrip, NameBucketizerKeepsAssignments) {
     const std::string fresh = "u9999_eval_model" + std::to_string(t);
     ASSERT_EQ(buckets.bucket(fresh), loaded.bucket(fresh)) << fresh;
   }
+}
+
+/// The NBKT section bytes of `buckets`.
+std::vector<std::uint8_t> nbkt_bytes(const ml::NameBucketizer& buckets) {
+  serialize::Writer w;
+  buckets.save(w);
+  return w.buffer();
+}
+
+TEST(SerializeRoundTrip, NameBucketizerCopyIsPointInTime) {
+  // A svc snapshot serves a copy while ingest keeps bucketing into the
+  // original: the copy must share nothing that the original's growth moves.
+  ml::NameBucketizer live(0.2, /*prefix_len=*/6);
+  std::vector<std::string> names;
+  for (int i = 0; i < 200; ++i) {
+    names.push_back("u" + std::to_string(1000 + i % 40) + "_train_m" +
+                    std::to_string(i % 9) + "_v" + std::to_string(i % 3));
+  }
+  for (const auto& n : names) (void)live.bucket(n);
+  const ml::NameBucketizer copy = live;
+  const std::vector<std::uint8_t> bytes = nbkt_bytes(copy);
+  std::vector<std::uint32_t> answers;
+  for (const auto& n : names) answers.push_back(copy.lookup(n));
+  const std::string probe = "u1003_train_m4_v2x";
+  const std::uint32_t probe_answer = copy.lookup(probe);
+
+  for (int i = 0; i < 1000; ++i) {
+    (void)live.bucket("n" + std::to_string(i) + "_eval_" +
+                      std::to_string(i * 7919 % 1000));
+  }
+  ASSERT_GT(live.bucket_count(), copy.bucket_count());
+  EXPECT_EQ(nbkt_bytes(copy), bytes);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(copy.lookup(names[i]), answers[i]) << names[i];
+  }
+  EXPECT_EQ(copy.lookup(probe), probe_answer);
+}
+
+TEST(SerializeGolden, NameBucketizerVenusGpuNamesBytes) {
+  // The serve-sized memo: every GPU-job name of the Venus scale-1.0, seed-42
+  // trace, bucketed in trace order with the QSSF service's settings. The
+  // digest was recorded from the node-based map implementation, so equal
+  // bytes show the NBKT layout does not depend on the in-memory container.
+  auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"),
+                                            /*seed=*/42, /*scale=*/1.0);
+  const trace::Trace t = trace::SyntheticTraceGenerator(gen).generate();
+  ml::NameBucketizer buckets(core::QssfConfig{}.name_match_threshold,
+                             /*prefix_len=*/6);
+  for (const auto& j : t.jobs()) {
+    if (j.is_gpu_job()) (void)buckets.bucket(t.job_name(j));
+  }
+  golden::Fnv digest;
+  for (const std::uint8_t b : nbkt_bytes(buckets)) digest.add(b);
+  EXPECT_EQ(digest.hex(), "1f1b59eb8a3daa73");
+  EXPECT_EQ(buckets.bucket_count(), 1081u);
 }
 
 TEST(SerializeRoundTrip, RollingEstimatorStateAndDedupe) {
@@ -385,6 +441,61 @@ TEST(SerializeRoundTrip, FileIo) {
   EXPECT_THROW(
       { auto missing = serialize::load_file<ml::GBDTRegressor>(path); (void)missing; },
       Error);
+}
+
+TEST(SerializeFrame, Crc32MatchesBytewiseReference) {
+  const std::string check = "123456789";
+  EXPECT_EQ(serialize::crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size())),
+            0xCBF43926u);
+  // The table-per-byte loop over the same reflected IEEE polynomial, at
+  // every length and alignment around the 8-byte stride.
+  const auto reference = [](std::span<const std::uint8_t> data) {
+    std::uint32_t c = 0xffffffffu;
+    for (const std::uint8_t b : data) {
+      c ^= b;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xffffffffu;
+  };
+  std::vector<std::uint8_t> bytes(8 + 67);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const auto piece =
+          std::span<const std::uint8_t>(bytes).subspan(offset, len);
+      ASSERT_EQ(serialize::crc32(piece), reference(piece))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(SerializeFrame, WriteFileEqualsFrame) {
+  const std::string path =
+      testing::TempDir() + "helios_write_file_frame.bin";
+  for (const std::size_t size : {std::size_t{0}, std::size_t{3},
+                                 std::size_t{(1 << 20) + 13}}) {
+    serialize::Writer body;
+    for (std::size_t i = 0; i < size; ++i) {
+      body.u8(static_cast<std::uint8_t>(i * 131 + 7));
+    }
+    serialize::write_file(path, body);
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::vector<std::uint8_t> file;
+    for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+      file.push_back(static_cast<std::uint8_t>(c));
+    }
+    std::fclose(f);
+    EXPECT_EQ(file, serialize::frame(body)) << size << "-byte body";
+    EXPECT_EQ(serialize::read_file(path), body.buffer());
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

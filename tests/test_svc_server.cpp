@@ -279,6 +279,47 @@ TEST(SvcServer, RejectedBatchLeavesServerUntouched) {
   EXPECT_TRUE(fresh.priority_log().empty());
 }
 
+TEST(SvcServer, UnknownStateRejectsBatchAndCheckpoint) {
+  const Fixture fx;
+  ServerConfig cfg;
+  PredictionServer server(fx.fitted, fx.train, cfg);
+  const std::string_view rows(fx.rows_csv);
+  const std::size_t first_end = rows.find('\n') + 1;
+  server.ingest_csv(rows.substr(0, first_end));
+
+  // The next row with its state spelled as no known status: the whole
+  // batch is refused and nothing moves.
+  const std::size_t second_end = rows.find('\n', first_end) + 1;
+  const std::string_view next = rows.substr(first_end, second_end - first_end);
+  std::string bad(next.substr(0, next.rfind(',') + 1));
+  bad += "BOGUS\n";
+  const trace::Trace stream_before = server.stream();
+  const std::vector<PricedJob> log_before = server.priority_log();
+  const std::uint64_t bytes_before = server.bytes_ingested();
+  const auto snap_before = server.snapshot();
+  EXPECT_THROW(server.ingest_csv(bad), std::runtime_error);
+  EXPECT_TRUE(server.stream().contents_equal(stream_before));
+  EXPECT_EQ(server.priority_log(), log_before);
+  EXPECT_EQ(server.bytes_ingested(), bytes_before);
+  EXPECT_EQ(server.snapshot(), snap_before);
+
+  // A checkpoint whose streamed row carries an unknown state of the same
+  // length is refused with a typed error; every length field stays valid.
+  serialize::Writer w;
+  server.save(w);
+  std::vector<std::uint8_t> image = w.buffer();
+  const std::string_view row = rows.substr(0, first_end - 1);
+  const auto at =
+      std::search(image.begin(), image.end(), row.begin(), row.end());
+  ASSERT_NE(at, image.end());
+  std::fill(at + static_cast<std::ptrdiff_t>(row.rfind(',') + 1),
+            at + static_cast<std::ptrdiff_t>(row.size()), 'z');
+  PredictionServer fresh(fx.fitted, fx.train, cfg);
+  serialize::Reader r(image);
+  EXPECT_THROW(fresh.load(r), serialize::Error);
+  EXPECT_EQ(fresh.rows_ingested(), 0u);
+}
+
 TEST(SvcServer, CheckpointKeepsFullRangeJobIds) {
   const Fixture fx;
   // job_id is u64: a streamed row with the largest id must survive the

@@ -84,6 +84,9 @@ TEST(Trace, CsvRoundTrip) {
 TEST(Trace, CsvRejectsMalformedRows) {
   std::stringstream ss("header\n1,2,3\n");
   EXPECT_THROW(Trace::load_csv(ss, ClusterSpec{}), std::runtime_error);
+  std::stringstream bad_state(
+      "header\n1,0,0,10,1,4,u,vc,n,completed\n2,5,5,10,1,4,u,vc,n,BOGUS\n");
+  EXPECT_THROW(Trace::load_csv(bad_state, ClusterSpec{}), std::runtime_error);
 
   // Numbers parse whole: a non-number, a numeric prefix and an out-of-range
   // int32 each throw std::runtime_error naming the column, appending nothing.
@@ -93,6 +96,11 @@ TEST(Trace, CsvRejectsMalformedRows) {
       {"8,0,0,4294967296,1,4,u,vc,n,completed", "duration"},
       {"9,0,0,10,-2147483649,4,u,vc,n,completed", "num_gpus"},
       {"x1,0,0,10,1,4,u,vc,n,completed", "job_id"},
+      // A state is one of the known statuses, in any case; nothing folds.
+      {"10,0,0,10,1,4,u,vc,n,BOGUS", "state"},
+      {"11,0,0,10,1,4,u,vc,n,", "state"},
+      {"12,0,0,10,1,4,u,vc,n,complete", "state"},
+      {"13,0,0,10,1,4,u,vc,n,node fail", "state"},
   };
   for (const auto& [row, column] : bad_rows) {
     Trace t;
@@ -120,6 +128,39 @@ TEST(JobState, StringRoundTrip) {
     EXPECT_EQ(job_state_from_string(to_string(s)), s);
   }
   EXPECT_EQ(job_state_from_string("node_fail"), JobState::kFailed);  // folded
+}
+
+TEST(JobState, ParsesKnownStatesIgnoringCase) {
+  const std::pair<const char*, JobState> known[] = {
+      {"completed", JobState::kCompleted}, {"COMPLETED", JobState::kCompleted},
+      {"Canceled", JobState::kCanceled},   {"cancelled", JobState::kCanceled},
+      {"CANCELLED", JobState::kCanceled},  {"failed", JobState::kFailed},
+      {"Timeout", JobState::kFailed},      {"NODE_FAIL", JobState::kFailed},
+      {"out_of_memory", JobState::kFailed},
+      {"Out_Of_Memory", JobState::kFailed},
+  };
+  for (const auto& [text, state] : known) {
+    EXPECT_EQ(job_state_from_string(text), state) << text;
+  }
+}
+
+TEST(Trace, AppendAmortizesGrowth) {
+  // A stream fed one small batch at a time (svc ingest) must not copy every
+  // job it holds on each append: capacity grows geometrically.
+  Trace row;
+  row.add(0, 10, 1, 4, "u", "vc", "n", JobState::kCompleted);
+  Trace stream;
+  const JobRecord* data = stream.jobs().data();
+  int moves = 0;
+  for (int i = 0; i < 4096; ++i) {
+    stream.append(row);
+    if (stream.jobs().data() != data) {
+      data = stream.jobs().data();
+      ++moves;
+    }
+  }
+  EXPECT_EQ(stream.size(), 4096u);
+  EXPECT_LE(moves, 16);
 }
 
 // ---------------------------------------------------------------------------
