@@ -11,8 +11,9 @@
 // against a broken path fails loudly instead of reporting a meaningless
 // speedup. Trainer correctness is gated by the oracle in
 // tests/test_prediction_parity.cpp.
-// BM_SnapshotPublish / BM_RollingObserve time the QSSF service state at the
-// size the perfbench `serve` workload reaches, and BM_SvcIngestReplay /
+// BM_SnapshotPublish (after 2k and after 10k streamed GPU jobs) and
+// BM_RollingObserve time the QSSF service state at the size the perfbench
+// `serve` workload reaches, and BM_SvcIngestReplay /
 // BM_SvcCheckpoint its 100-row ingest replay and one end-of-stream
 // checkpoint, after a gate that a published snapshot prices every streamed
 // job shape exactly like the live service and that the batched replay and
@@ -27,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -307,12 +309,20 @@ struct ServeFixture {
     }
   }
 
-  /// A server over the fitted service that has ingested the whole stream in
-  /// one batch (one publish), so its service equals `live`.
+  /// A server over the fitted service that has ingested, in one batch (one
+  /// publish), the stream rows holding its first `gpu_jobs` GPU jobs; with
+  /// the default, the whole stream, so its service equals `live`.
   [[nodiscard]] svc::PredictionServer fed_server(
-      svc::ServerConfig config = {}) const {
+      svc::ServerConfig config = {},
+      std::size_t gpu_jobs = std::numeric_limits<std::size_t>::max()) const {
+    std::size_t bytes = 0;
+    std::size_t seen = 0;
+    for (std::size_t row = 0; row < stream.size() && seen < gpu_jobs; ++row) {
+      bytes = stream_csv.find('\n', bytes) + 1;  // every row ends in '\n'
+      seen += stream.jobs()[row].is_gpu_job() ? 1 : 0;
+    }
     svc::PredictionServer server(fitted, train, std::move(config));
-    server.ingest_csv(stream_csv);
+    server.ingest_csv(std::string_view(stream_csv).substr(0, bytes));
     return server;
   }
 
@@ -354,16 +364,22 @@ struct ServeFixture {
   }
 };
 
-/// One PredictionServer::publish: a Snapshot copy of the service (GBDT, name
-/// buckets, rolling estimator with its ~90k-id dedupe set) and interners.
+/// One PredictionServer::publish after the first range(0) streamed GPU jobs
+/// (2k, and the whole 10k stream): the snapshot's copy of the state queries
+/// read. Equal times at both points show a publish does not grow with the
+/// jobs ingested.
 void BM_SnapshotPublish(benchmark::State& state) {
-  svc::PredictionServer server = ServeFixture::instance().fed_server();
+  svc::PredictionServer server = ServeFixture::instance().fed_server(
+      {}, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     server.publish();
     benchmark::DoNotOptimize(server.snapshot().get());
   }
 }
-BENCHMARK(BM_SnapshotPublish)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotPublish)
+    ->Arg(2'000)
+    ->Arg(ServeFixture::kStreamGpuJobs)
+    ->Unit(benchmark::kMillisecond);
 
 /// A directory for one benchmark's checkpoint files under the system temp
 /// directory, removed with its contents on destruction.

@@ -1,5 +1,6 @@
 #include "common/csv.h"
 
+#include <algorithm>
 #include <charconv>
 #include <ostream>
 
@@ -7,39 +8,62 @@ namespace helios {
 
 namespace {
 bool needs_quoting(std::string_view s) {
-  return s.find_first_of(",\"\n\r") != std::string_view::npos;
+  // One pass with a per-byte test: find_first_of would scan the four-byte
+  // set once per byte of `s`.
+  return std::any_of(s.begin(), s.end(), [](char c) {
+    return c == ',' || c == '"' || c == '\n' || c == '\r';
+  });
 }
 
 template <class Int>
-std::string format_integer(Int v) {
-  char buf[24];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
+void append_decimal(std::string& out, Int v) {
+  char buf[24];  // any 64-bit integer fits: 20 digits and a sign
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 }  // namespace
 
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  bool first = true;
-  for (const auto& f : fields) {
-    if (!first) *out_ << ',';
-    first = false;
-    if (needs_quoting(f)) {
-      *out_ << '"';
-      for (char c : f) {
-        if (c == '"') *out_ << '"';
-        *out_ << c;
-      }
-      *out_ << '"';
-    } else {
-      *out_ << f;
-    }
+void CsvWriter::append_field(std::string& out, std::string_view f) {
+  if (!needs_quoting(f)) {
+    out += f;
+    return;
   }
-  *out_ << '\n';
+  out += '"';
+  for (const char c : f) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
 }
 
-std::string CsvWriter::field(std::int64_t v) { return format_integer(v); }
+void CsvWriter::append_integer(std::string& out, std::int64_t v) {
+  append_decimal(out, v);
+}
 
-std::string CsvWriter::field(std::uint64_t v) { return format_integer(v); }
+void CsvWriter::append_integer(std::string& out, std::uint64_t v) {
+  append_decimal(out, v);
+}
+
+void CsvWriter::write_row(const std::vector<std::string>& fields) {
+  std::string row;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) row += ',';
+    append_field(row, fields[i]);
+  }
+  row += '\n';
+  *out_ << row;
+}
+
+std::string CsvWriter::field(std::int64_t v) {
+  std::string out;
+  append_integer(out, v);
+  return out;
+}
+
+std::string CsvWriter::field(std::uint64_t v) {
+  std::string out;
+  append_integer(out, v);
+  return out;
+}
 
 std::vector<std::string> CsvReader::parse_line(std::string_view line) {
   std::vector<std::string> fields;

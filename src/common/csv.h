@@ -23,6 +23,14 @@ class CsvWriter {
   static std::string field(std::int64_t v);
   static std::string field(std::uint64_t v);
 
+  /// Append one field to `out` with no separator: a string quoted only when
+  /// it holds a comma, quote, CR or LF (inner quotes doubled), the rule
+  /// write_row() applies; an integer in decimal, through std::to_chars.
+  /// Building rows this way allocates only when `out` grows.
+  static void append_field(std::string& out, std::string_view f);
+  static void append_integer(std::string& out, std::int64_t v);
+  static void append_integer(std::string& out, std::uint64_t v);
+
  private:
   std::ostream* out_;
 };

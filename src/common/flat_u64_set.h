@@ -2,10 +2,11 @@
 //
 // Built for core::RollingEstimator's observe-dedupe set: tens of thousands of
 // content-hash keys that are only inserted and probed, never erased, and
-// that travel with every copy of the estimator (each svc snapshot publish,
-// each QssfService copy, each evaluator window snapshot). A node-based set pays
-// one allocation per key on insert and again on every copy; here a copy is
-// one contiguous array copy and an insert allocates only when it rehashes.
+// that travel with every full copy of the estimator (each QssfService copy,
+// each evaluator window snapshot; a svc snapshot's query copy leaves the set
+// behind). A node-based set pays one allocation per key on insert and again
+// on every copy; here a copy is one contiguous array copy and an insert
+// allocates only when it rehashes.
 //
 // Layout: linear probing over a power-of-two std::vector of slots, 0
 // marking an empty slot; the key 0 itself lives in a flag beside the array.
@@ -13,13 +14,15 @@
 // erase. Slot positions come from a 64-bit finalizer mix of the key, so keys
 // that share their low or their high bits still spread across the table.
 // for_each visits keys in slot order, which depends on the insert history;
-// callers that need canonical order sort (RollingEstimator::save does).
+// sorted_keys() gives the canonical ascending order (RollingEstimator::save
+// writes it) through an LSD radix sort, linear in the key count.
 //
 // Thread-safety: like the standard containers — const members may be called
 // concurrently, anything else needs exclusive access.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -27,6 +30,34 @@
 #include <vector>
 
 namespace helios::common {
+
+/// Sorts `keys` ascending, duplicates kept: an LSD radix sort, one 8-bit
+/// digit per pass, low byte first. Each pass is a stable counting scatter,
+/// and a pass whose digit every key shares is skipped, so the cost is
+/// O(8 n) whatever the key distribution. The result equals std::sort's.
+inline void radix_sort(std::vector<std::uint64_t>& keys) {
+  const std::size_t n = keys.size();
+  if (n < 2) return;
+  std::array<std::array<std::size_t, 256>, 8> counts{};
+  for (const std::uint64_t k : keys) {
+    for (std::size_t d = 0; d < 8; ++d) ++counts[d][(k >> (8 * d)) & 0xff];
+  }
+  std::vector<std::uint64_t> spare(n);
+  std::uint64_t* src = keys.data();
+  std::uint64_t* dst = spare.data();
+  for (std::size_t d = 0; d < 8; ++d) {
+    const unsigned shift = 8 * static_cast<unsigned>(d);
+    std::array<std::size_t, 256>& next = counts[d];
+    if (next[(src[0] >> shift) & 0xff] == n) continue;
+    std::size_t offset = 0;
+    for (std::size_t& c : next) offset += std::exchange(c, offset);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[next[(src[i] >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != keys.data()) std::copy(src, src + n, keys.data());
+}
 
 class FlatU64Set {
  public:
@@ -68,6 +99,15 @@ class FlatU64Set {
     for (const std::uint64_t k : slots_) {
       if (k != 0) fn(k);
     }
+  }
+
+  /// Every key, ascending.
+  [[nodiscard]] std::vector<std::uint64_t> sorted_keys() const {
+    std::vector<std::uint64_t> keys;
+    keys.reserve(size());
+    for_each([&keys](std::uint64_t k) { keys.push_back(k); });
+    radix_sort(keys);
+    return keys;
   }
 
  private:

@@ -122,9 +122,17 @@ void parallel_run_indexed(std::size_t n,
       pool.thread_count() > 1 ? std::min(n - 1, pool.thread_count()) : 0;
   for (std::size_t h = 0; h < helpers; ++h) pool.submit(drain);
   drain();
-  std::unique_lock lock(shared->mutex);
-  shared->cv.wait(lock, [&] { return shared->done.load() == n; });
-  if (shared->error) std::rethrow_exception(shared->error);
+  // Take the error out of `shared` under the lock: a helper may still hold
+  // `shared` after the last item, and it must not drop the exception's last
+  // reference (and free its message) on a pool thread while the caller
+  // reads what().
+  std::exception_ptr error;
+  {
+    std::unique_lock lock(shared->mutex);
+    shared->cv.wait(lock, [&] { return shared->done.load() == n; });
+    error = std::move(shared->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "common/civil_time.h"
@@ -31,17 +32,55 @@ ml::GBDTConfig QssfConfig::default_gbdt_config() {
 // RollingEstimator
 // ---------------------------------------------------------------------------
 
+RollingEstimator::NameEntry& RollingEstimator::UserHistory::add_name(
+    std::string_view name) {
+  NameEntry& e = names.emplace_back();
+  e.offset = arena.size();
+  e.size = name.size();
+  arena += name;
+  return e;
+}
+
+void RollingEstimator::UserHistory::erase_name(std::size_t i) {
+  const NameEntry gone = names[i];
+  arena.erase(gone.offset, gone.size);
+  names.erase(names.begin() + static_cast<std::ptrdiff_t>(i));
+  for (std::size_t k = i; k < names.size(); ++k) names[k].offset -= gone.size;
+}
+
+namespace {
+
+/// lower_bound order of a GPU-demand sum table.
+constexpr auto demand_below = [](const auto& sum, int gpus) {
+  return sum.gpus < gpus;
+};
+
+}  // namespace
+
+RollingEstimator::GpuSum& RollingEstimator::sum_for(GpuSums& sums, int gpus) {
+  const auto it = std::lower_bound(sums.begin(), sums.end(), gpus, demand_below);
+  if (it != sums.end() && it->gpus == gpus) return *it;
+  return *sums.insert(it, GpuSum{gpus, 0.0, 0});
+}
+
+const RollingEstimator::GpuSum* RollingEstimator::find_sum(
+    const GpuSums& sums, int gpus) noexcept {
+  const auto it = std::lower_bound(sums.begin(), sums.end(), gpus, demand_below);
+  return it != sums.end() && it->gpus == gpus ? &*it : nullptr;
+}
+
 const RollingEstimator::NameEntry* RollingEstimator::find_name(
-    const UserHistory& u, const std::string& name) const {
+    const UserHistory& u, std::string_view name) const {
   const NameEntry* best = nullptr;
   double best_dist = name_match_threshold_;
   for (const auto& e : u.names) {
-    if (e.name == name) return &e;  // exact hit wins immediately
+    const std::string_view candidate = u.name(e);
+    if (candidate == name) return &e;  // exact hit wins immediately
     const auto limit = static_cast<std::size_t>(std::floor(
         name_match_threshold_ *
-        static_cast<double>(std::max(e.name.size(), name.size()))));
-    if (!ml::within_distance(e.name, name, limit)) continue;
-    const double d = ml::normalized_levenshtein(e.name, name);
+        static_cast<double>(std::max(candidate.size(), name.size()))));
+    if (!ml::within_distance(candidate, name, limit)) continue;
+    const double d = ml::normalized_levenshtein(candidate, name);
     if (d <= best_dist) {
       best_dist = d;
       best = &e;
@@ -66,6 +105,9 @@ std::uint64_t RollingEstimator::dedupe_key(const JobRecord& job) noexcept {
 }
 
 void RollingEstimator::observe(const Trace& t, const JobRecord& job) {
+  if (query_only_) {
+    throw std::logic_error("RollingEstimator::observe on a query-only copy");
+  }
   if (!job.is_gpu_job()) return;
   // Dedupe: the Model Update Engine may be fed cumulative traces
   // (QssfService::fit), and re-observing a job would double-count the
@@ -74,16 +116,16 @@ void RollingEstimator::observe(const Trace& t, const JobRecord& job) {
   const double dur = static_cast<double>(job.duration);
   ++observe_counter_;
 
-  auto& g = global_by_gpus_[job.num_gpus];
-  g.first += dur;
-  ++g.second;
+  GpuSum& g = sum_for(global_by_gpus_, job.num_gpus);
+  g.sum += dur;
+  ++g.n;
   global_duration_sum_ += dur;
   ++global_jobs_;
 
   UserHistory& u = users_[t.user_name(job)];
-  auto& ug = u.by_gpus[job.num_gpus];
-  ug.first += dur;
-  ++ug.second;
+  GpuSum& ug = sum_for(u.by_gpus, job.num_gpus);
+  ug.sum += dur;
+  ++ug.n;
   u.duration_sum += dur;
   ++u.jobs;
 
@@ -102,15 +144,28 @@ void RollingEstimator::observe(const Trace& t, const JobRecord& job) {
                                      [](const NameEntry& a, const NameEntry& b) {
                                        return a.last_seen < b.last_seen;
                                      });
-      u.names.erase(oldest);
+      u.erase_name(static_cast<std::size_t>(oldest - u.names.begin()));
     }
-    NameEntry fresh;
-    fresh.name = name;
+    NameEntry& fresh = u.add_name(name);
     fresh.ewma_duration = (1.0 - rolling_decay_) * dur;
     fresh.weight = 1.0 - rolling_decay_;
     fresh.last_seen = observe_counter_;
-    u.names.push_back(std::move(fresh));
   }
+}
+
+RollingEstimator RollingEstimator::query_copy() const {
+  RollingEstimator out;
+  out.use_names_ = use_names_;
+  out.name_match_threshold_ = name_match_threshold_;
+  out.rolling_decay_ = rolling_decay_;
+  out.max_names_per_user_ = max_names_per_user_;
+  out.query_only_ = true;
+  out.users_ = users_;
+  out.global_by_gpus_ = global_by_gpus_;
+  out.global_duration_sum_ = global_duration_sum_;
+  out.global_jobs_ = global_jobs_;
+  out.observe_counter_ = observe_counter_;
+  return out;
 }
 
 double RollingEstimator::estimate(const Trace& t, const JobRecord& job) const {
@@ -123,10 +178,8 @@ double RollingEstimator::estimate(const std::string& user,
   const auto user_it = users_.find(user);
   if (user_it == users_.end()) {
     // New user: cluster-wide mean duration for this GPU demand (line 14).
-    const auto it = global_by_gpus_.find(num_gpus);
-    if (it != global_by_gpus_.end() && it->second.second > 0) {
-      return it->second.first / static_cast<double>(it->second.second);
-    }
+    const GpuSum* g = find_sum(global_by_gpus_, num_gpus);
+    if (g != nullptr && g->n > 0) return g->sum / static_cast<double>(g->n);
     return global_jobs_ > 0 ? global_duration_sum_ / static_cast<double>(global_jobs_)
                             : 600.0;
   }
@@ -139,10 +192,8 @@ double RollingEstimator::estimate(const std::string& user,
     }
   }
   // Known user, new job name: user's mean for this GPU demand (line 16).
-  const auto it = u.by_gpus.find(num_gpus);
-  if (it != u.by_gpus.end() && it->second.second > 0) {
-    return it->second.first / static_cast<double>(it->second.second);
-  }
+  const GpuSum* g = find_sum(u.by_gpus, num_gpus);
+  if (g != nullptr && g->n > 0) return g->sum / static_cast<double>(g->n);
   return u.jobs > 0 ? u.duration_sum / static_cast<double>(u.jobs) : 600.0;
 }
 
@@ -157,39 +208,38 @@ constexpr std::uint32_t kRollingVersion = 1;
 constexpr std::uint32_t kQssfTag = serialize::fourcc("QSSF");
 constexpr std::uint32_t kQssfVersion = 1;
 
-/// (sum, count) pairs of an unordered map, keys sorted — canonical bytes.
-void save_by_gpus(
-    serialize::Writer& w,
-    const std::unordered_map<int, std::pair<double, std::int64_t>>& m) {
-  std::vector<std::pair<int, std::pair<double, std::int64_t>>> sorted(
-      m.begin(), m.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(sorted.size());
-  for (const auto& [gpus, sum_n] : sorted) {
-    w.i32(gpus);
-    w.f64(sum_n.first);
-    w.i64(sum_n.second);
-  }
-}
-
-std::unordered_map<int, std::pair<double, std::int64_t>> load_by_gpus(
-    serialize::Reader& r) {
-  const std::size_t n = r.length(20);  // i32 + f64 + i64
-  std::unordered_map<int, std::pair<double, std::int64_t>> m;
-  m.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int gpus = r.i32();
-    const double sum = r.f64();
-    const std::int64_t count = r.i64();
-    m[gpus] = {sum, count};
-  }
-  return m;
-}
-
 }  // namespace
 
+/// Already ascending by demand: canonical bytes as they stand.
+void RollingEstimator::save_sums(serialize::Writer& w, const GpuSums& sums) {
+  w.u64(sums.size());
+  for (const GpuSum& g : sums) {
+    w.i32(g.gpus);
+    w.f64(g.sum);
+    w.i64(g.n);
+  }
+}
+
+RollingEstimator::GpuSums RollingEstimator::load_sums(serialize::Reader& r) {
+  GpuSums sums(r.length(20));  // i32 + f64 + i64
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    GpuSum& g = sums[i];
+    g.gpus = r.i32();
+    g.sum = r.f64();
+    g.n = r.i64();
+    // save() writes each demand once, ascending; find_sum() relies on it.
+    if (i > 0 && sums[i - 1].gpus >= g.gpus) {
+      throw serialize::Error(serialize::ErrorCode::kCorrupt,
+                             "rolling GPU-demand sums not strictly ascending");
+    }
+  }
+  return sums;
+}
+
 void RollingEstimator::save(serialize::Writer& w) const {
+  if (query_only_) {
+    throw std::logic_error("RollingEstimator::save on a query-only copy");
+  }
   w.begin_section(kRollingTag);
   w.u32(kRollingVersion);
   w.u8(use_names_ ? 1 : 0);
@@ -199,7 +249,7 @@ void RollingEstimator::save(serialize::Writer& w) const {
   w.f64(global_duration_sum_);
   w.i64(global_jobs_);
   w.u64(observe_counter_);
-  save_by_gpus(w, global_by_gpus_);
+  save_sums(w, global_by_gpus_);
 
   // Users sorted by name for canonical bytes; each user's name entries keep
   // their vector (insertion) order, which find_name's scan depends on.
@@ -214,21 +264,17 @@ void RollingEstimator::save(serialize::Writer& w) const {
     const UserHistory& u = kv->second;
     w.f64(u.duration_sum);
     w.i64(u.jobs);
-    save_by_gpus(w, u.by_gpus);
+    save_sums(w, u.by_gpus);
     w.u64(u.names.size());
     for (const NameEntry& e : u.names) {
-      w.str(e.name);
+      w.str(u.name(e));
       w.f64(e.ewma_duration);
       w.f64(e.weight);
       w.u64(e.last_seen);
     }
   }
 
-  std::vector<std::uint64_t> ids;
-  ids.reserve(observed_ids_.size());
-  observed_ids_.for_each([&ids](std::uint64_t id) { ids.push_back(id); });
-  std::sort(ids.begin(), ids.end());
-  w.vec_u64(ids);
+  w.vec_u64(observed_ids_.sorted_keys());
   w.end_section();
 }
 
@@ -247,7 +293,7 @@ void RollingEstimator::load(serialize::Reader& r) {
   out.global_duration_sum_ = s.f64();
   out.global_jobs_ = s.i64();
   out.observe_counter_ = s.u64();
-  out.global_by_gpus_ = load_by_gpus(s);
+  out.global_by_gpus_ = load_sums(s);
 
   const std::size_t n_users = s.length(8);
   out.users_.reserve(n_users);
@@ -256,11 +302,11 @@ void RollingEstimator::load(serialize::Reader& r) {
     UserHistory u;
     u.duration_sum = s.f64();
     u.jobs = s.i64();
-    u.by_gpus = load_by_gpus(s);
+    u.by_gpus = load_sums(s);
     const std::size_t n_names = s.length(8);
-    u.names.resize(n_names);
-    for (NameEntry& e : u.names) {
-      e.name = s.str();
+    u.names.reserve(n_names);
+    for (std::size_t k = 0; k < n_names; ++k) {
+      NameEntry& e = u.add_name(s.str());
       e.ewma_duration = s.f64();
       e.weight = s.f64();
       e.last_seen = s.u64();
@@ -324,7 +370,7 @@ double merge(double lambda, double rolling, double ml) {
 
 QssfService::QssfService(QssfConfig config)
     : config_(config),
-      model_(config.gbdt),
+      model_(std::make_shared<const ml::GBDTRegressor>(config.gbdt)),
       name_buckets_(config.name_match_threshold, /*prefix_len=*/6),
       rolling_(config) {}
 
@@ -353,7 +399,17 @@ void QssfService::fit(const Trace& history) {
     data.add_row(trace_row(history, job, config_, name_buckets_),
                  std::log1p(static_cast<double>(job.duration)));
   }
-  model_.fit(data);
+  auto model = std::make_shared<ml::GBDTRegressor>(model_->config());
+  model->fit(data);
+  model_ = std::move(model);
+}
+
+QssfService QssfService::query_copy() const {
+  QssfService out(config_);
+  out.model_ = model_;
+  out.name_buckets_ = name_buckets_;
+  out.rolling_ = rolling_.query_copy();
+  return out;
 }
 
 void QssfService::save(serialize::Writer& w) const {
@@ -364,7 +420,7 @@ void QssfService::save(serialize::Writer& w) const {
   w.f64(config_.rolling_decay);
   w.u64(config_.max_names_per_user);
   w.u8(config_.use_names ? 1 : 0);
-  model_.save(w);  // carries config_.gbdt inside the GBDT section
+  model_->save(w);  // carries config_.gbdt inside the GBDT section
   name_buckets_.save(w);
   rolling_.save(w);
   w.end_section();
@@ -383,19 +439,19 @@ void QssfService::load(serialize::Reader& r) {
   cfg.rolling_decay = s.f64();
   cfg.max_names_per_user = static_cast<std::size_t>(s.u64());
   cfg.use_names = s.u8() != 0;
-  ml::GBDTRegressor model;
-  model.load(s);
+  auto model = std::make_shared<ml::GBDTRegressor>();
+  model->load(s);
   // feature_row() always hands predict() a kFeatureCount-element row; a
   // trained model expecting any other width would index past it. (GBDT load
   // already guarantees binner width == the model's feature count when
   // trained.)
-  if (model.trained() && model.binner().features() != kFeatureCount) {
+  if (model->trained() && model->binner().features() != kFeatureCount) {
     throw serialize::Error(
         serialize::ErrorCode::kCorrupt,
-        "qssf model expects " + std::to_string(model.binner().features()) +
+        "qssf model expects " + std::to_string(model->binner().features()) +
             " features, service encodes " + std::to_string(kFeatureCount));
   }
-  cfg.gbdt = model.config();
+  cfg.gbdt = model->config();
   ml::NameBucketizer buckets;
   buckets.load(s);
   RollingEstimator rolling;
@@ -409,9 +465,9 @@ void QssfService::load(serialize::Reader& r) {
 }
 
 double QssfService::ml_estimate(const Trace& t, const JobRecord& job) const {
-  if (!model_.trained()) return rolling_.estimate(t, job);
+  if (!model_->trained()) return rolling_.estimate(t, job);
   return duration_of(
-      model_.predict(trace_row(t, job, config_, name_buckets_)));
+      model_->predict(trace_row(t, job, config_, name_buckets_)));
 }
 
 double QssfService::predict_duration(const Trace& t, const JobRecord& job) const {
@@ -425,7 +481,7 @@ double QssfService::priority(const Trace& t, const JobRecord& job) const {
 double QssfService::predict_duration(const JobQuery& query) const {
   const double pr = rolling_.estimate(query.user, query.job_name, query.num_gpus);
   double pm = pr;
-  if (model_.trained()) {
+  if (model_->trained()) {
     // lookup() never mints: an unseen name takes bucket_count(), the id
     // bucket() would give it.
     std::size_t bucket = 0;
@@ -435,7 +491,7 @@ double QssfService::predict_duration(const JobQuery& query) const {
                    ? name_buckets_.bucket_count()
                    : b;
     }
-    pm = duration_of(model_.predict(feature_row(query.num_gpus, query.num_cpus,
+    pm = duration_of(model_->predict(feature_row(query.num_gpus, query.num_cpus,
                                                 query.vc_id, query.user_id,
                                                 bucket, query.submit_time)));
   }

@@ -44,6 +44,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -92,6 +93,12 @@ struct QssfConfig {
 /// identity content (job_id, submit time, duration, demand, user), so
 /// feeding an overlapping or cumulative trace cannot double-count history —
 /// and traces from a different lineage (ids restart at 0) still observe.
+///
+/// Storage is flat, so a copy (each evaluator window, each svc snapshot
+/// publish) costs a few allocations per user, not one per remembered name:
+/// a user's names live back to back in one char arena in entry order, and
+/// each per-GPU-demand sum table is a small vector sorted by demand. A copy
+/// is a plain value copy and shares nothing with its source.
 class RollingEstimator {
  public:
   RollingEstimator() = default;
@@ -101,7 +108,8 @@ class RollingEstimator {
         rolling_decay_(config.rolling_decay),
         max_names_per_user_(config.max_names_per_user) {}
 
-  /// Absorb one finished GPU job (idempotent per job_id).
+  /// Absorb one finished GPU job (idempotent per job_id). Throws
+  /// std::logic_error on a query_copy().
   void observe(const trace::Trace& t, const trace::JobRecord& job);
 
   /// Expected duration (seconds) of an incoming job, Algorithm 1 lines 13-18.
@@ -117,6 +125,11 @@ class RollingEstimator {
 
   [[nodiscard]] std::int64_t observed_jobs() const noexcept { return global_jobs_; }
 
+  /// A copy for estimate() only: every history and fallback, but not the
+  /// observe-dedupe set, which only observe() and save() read. observe()
+  /// and save() on it throw std::logic_error.
+  [[nodiscard]] RollingEstimator query_copy() const;
+
   /// Persist / restore the full rolling state ("ROLL" section,
   /// docs/FORMATS.md): per-user histories (GPU-demand sums, name EWMAs with
   /// their eviction clocks), the cluster-wide fallbacks, and the observed-id
@@ -127,33 +140,60 @@ class RollingEstimator {
   void load(serialize::Reader& r);
 
  private:
+  /// Duration sum and job count for one GPU demand.
+  struct GpuSum {
+    int gpus = 0;
+    double sum = 0.0;
+    std::int64_t n = 0;
+  };
+  /// Ascending by gpus, one entry per demand seen.
+  using GpuSums = std::vector<GpuSum>;
   struct NameEntry {
-    std::string name;
+    std::size_t offset = 0;  // name bytes in UserHistory::arena
+    std::size_t size = 0;
     double ewma_duration = 0.0;
     double weight = 0.0;
     std::uint64_t last_seen = 0;  // insertion counter, for eviction
   };
   struct UserHistory {
-    std::unordered_map<int, std::pair<double, std::int64_t>> by_gpus;  // sum, n
+    GpuSums by_gpus;
     double duration_sum = 0.0;
     std::int64_t jobs = 0;
+    /// The names of `names`, back to back in entry order.
+    std::string arena;
     std::vector<NameEntry> names;
+
+    [[nodiscard]] std::string_view name(const NameEntry& e) const noexcept {
+      return {arena.data() + e.offset, e.size};
+    }
+    /// Appends an entry for `name`; returns it.
+    NameEntry& add_name(std::string_view name);
+    /// Erases names[i] and its bytes; later entries keep their order.
+    void erase_name(std::size_t i);
   };
 
+  /// The entry for `gpus`, inserted in order (zeroed) if absent.
+  static GpuSum& sum_for(GpuSums& sums, int gpus);
+  /// The entry for `gpus`, or nullptr when none was observed.
+  static const GpuSum* find_sum(const GpuSums& sums, int gpus) noexcept;
+  static void save_sums(serialize::Writer& w, const GpuSums& sums);
+  static GpuSums load_sums(serialize::Reader& r);
+
   [[nodiscard]] const NameEntry* find_name(const UserHistory& u,
-                                           const std::string& name) const;
+                                           std::string_view name) const;
 
   bool use_names_ = true;
   double name_match_threshold_ = 0.20;
   double rolling_decay_ = 0.75;
   std::size_t max_names_per_user_ = 64;
+  bool query_only_ = false;
 
   /// Content-hash identity of a job for the observe dedupe set.
   [[nodiscard]] static std::uint64_t dedupe_key(
       const trace::JobRecord& job) noexcept;
 
   std::unordered_map<std::string, UserHistory> users_;
-  std::unordered_map<int, std::pair<double, std::int64_t>> global_by_gpus_;
+  GpuSums global_by_gpus_;
   double global_duration_sum_ = 0.0;
   std::int64_t global_jobs_ = 0;
   std::uint64_t observe_counter_ = 0;
@@ -221,9 +261,16 @@ class QssfService {
       const trace::Trace& t, std::span<const std::uint32_t> job_indices) const;
 
   [[nodiscard]] const QssfConfig& config() const noexcept { return config_; }
-  [[nodiscard]] bool trained() const noexcept { return model_.trained(); }
-  [[nodiscard]] const ml::GBDTRegressor& model() const noexcept { return model_; }
+  [[nodiscard]] bool trained() const noexcept { return model_->trained(); }
+  [[nodiscard]] const ml::GBDTRegressor& model() const noexcept { return *model_; }
   [[nodiscard]] const RollingEstimator& rolling() const noexcept { return rolling_; }
+
+  /// A copy for predict_duration(const JobQuery&) only (svc::Snapshot): it
+  /// shares this service's GBDT, copies the name buckets, and holds
+  /// RollingEstimator::query_copy(), so it leaves the observe-dedupe set
+  /// behind. observe(), save() and fit() on any history with jobs throw
+  /// std::logic_error on it.
+  [[nodiscard]] QssfService query_copy() const;
 
   /// Persist the whole service ("QSSF" frame, docs/FORMATS.md): config,
   /// GBDT model, name buckets, and rolling state. Wrap with
@@ -237,7 +284,9 @@ class QssfService {
   friend class OnlinePriorityEvaluator;  // snapshots / adopts rolling_
 
   QssfConfig config_;
-  ml::GBDTRegressor model_;
+  // Immutable once built: fit() and load() build a new model, so copies of
+  // the service (and their snapshots) share one.
+  std::shared_ptr<const ml::GBDTRegressor> model_;
   mutable ml::NameBucketizer name_buckets_;  // grows lazily at predict time
   RollingEstimator rolling_;
 };

@@ -1,7 +1,8 @@
 #include "svc/prediction_server.h"
 
-#include <sstream>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "serialize/binary.h"
@@ -25,6 +26,17 @@ trace::Trace parse_rows(std::string_view csv_rows,
   return trace::ParallelLoader(opts).load_rows(csv_rows);
 }
 
+/// `previous` when it holds the same table as `current` (interners only
+/// grow, so equal sizes mean equal tables), else a copy of `current`.
+std::shared_ptr<const StringInterner> share_interner(
+    std::shared_ptr<const StringInterner> previous,
+    const StringInterner& current) {
+  if (previous != nullptr && previous->size() == current.size()) {
+    return previous;
+  }
+  return std::make_shared<const StringInterner>(current);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -32,10 +44,12 @@ trace::Trace parse_rows(std::string_view csv_rows,
 // ---------------------------------------------------------------------------
 
 Snapshot::Snapshot(const core::QssfService& service, const trace::Trace& stream,
-                   std::uint64_t rows_ingested, std::uint64_t gpu_jobs_ingested)
-    : service_(service),
-      users_(stream.users()),
-      vcs_(stream.vcs()),
+                   std::uint64_t rows_ingested, std::uint64_t gpu_jobs_ingested,
+                   const Snapshot* previous)
+    : service_(service.query_copy()),
+      users_(share_interner(previous ? previous->users_ : nullptr,
+                            stream.users())),
+      vcs_(share_interner(previous ? previous->vcs_ : nullptr, stream.vcs())),
       rows_(rows_ingested),
       gpu_jobs_(gpu_jobs_ingested) {}
 
@@ -43,13 +57,13 @@ core::JobQuery Snapshot::resolve(const QueryRequest& request) const {
   core::JobQuery q;
   q.user = request.user;
   q.job_name = request.job_name;
-  const std::uint32_t user_id = users_.find(request.user);
+  const std::uint32_t user_id = users_->find(request.user);
   q.user_id = user_id == StringInterner::kNotFound
-                  ? static_cast<std::uint32_t>(users_.size())
+                  ? static_cast<std::uint32_t>(users_->size())
                   : user_id;
-  const std::uint32_t vc_id = vcs_.find(request.vc);
+  const std::uint32_t vc_id = vcs_->find(request.vc);
   q.vc_id = vc_id == StringInterner::kNotFound
-                ? static_cast<std::uint32_t>(vcs_.size())
+                ? static_cast<std::uint32_t>(vcs_->size())
                 : vc_id;
   q.num_gpus = request.num_gpus;
   q.num_cpus = request.num_cpus;
@@ -82,9 +96,13 @@ PredictionServer::PredictionServer(core::QssfService service,
 }
 
 void PredictionServer::publish() {
-  snapshot_->store(std::make_shared<const Snapshot>(
-                       service_, stream_, rows_ingested_, gpu_jobs_ingested_),
-                   std::memory_order_release);
+  // Only this (ingest) thread stores, so the loaded snapshot stays current
+  // until the store below replaces it.
+  const std::shared_ptr<const Snapshot> previous = snapshot();
+  snapshot_->store(
+      std::make_shared<const Snapshot>(service_, stream_, rows_ingested_,
+                                       gpu_jobs_ingested_, previous.get()),
+      std::memory_order_release);
 }
 
 std::size_t PredictionServer::ingest_csv(std::string_view csv_rows) {
@@ -147,10 +165,10 @@ void PredictionServer::save(serialize::Writer& w) const {
   // Streamed rows travel as CSV — every field is an integer or a verbatim
   // interned string, and re-appending them in order onto the (validated)
   // context reproduces bit-identical records and interner ids.
-  std::ostringstream rows;
+  std::string rows;
   stream_.save_csv_rows(rows, context_rows_,
                         static_cast<std::size_t>(rows_ingested_));
-  w.str(std::move(rows).str());
+  w.str(rows);
   w.u64(queue_.entries().size());
   for (const core::ReplayQueue::Entry& e : queue_.entries()) {
     w.i64(e.finish);

@@ -86,23 +86,31 @@ struct QueryResult {
   double expected_duration = 0.0;  ///< seconds
 };
 
-/// Immutable point-in-time view served to query threads: a copy of the
-/// QssfService plus the interner tables needed to resolve request strings
-/// to the feature ids the GBDT was trained on. All members are const after
-/// construction; query() never mutates (frozen name bucketing), so one
-/// Snapshot may serve any number of threads.
+/// Immutable point-in-time view served to query threads: the state a query
+/// reads, and nothing else. All members are const after construction;
+/// query() never mutates (frozen name bucketing), so one Snapshot may serve
+/// any number of threads.
 ///
-/// A publish copies, per snapshot: the GBDT model; the name buckets (a char
-/// arena and index arrays, a few contiguous copies whatever the memo size);
-/// the rolling estimator (per-user histories and cluster fallbacks, one node
-/// per user, plus its observe dedupe set, one flat array), now the largest
-/// part; and the user and VC interners. The streamed rows, the
-/// pending-finish queue and the priority log stay behind, so a publish does
-/// not grow with the stream.
+/// A publish builds one from core::QssfService::query_copy(), which
+///   * shares the service's GBDT (a shared_ptr to an immutable model: fit
+///     and load build a new one, and the server never refits);
+///   * copies the name buckets (a char arena and index arrays, a few
+///     contiguous copies whatever the memo size);
+///   * copies the rolling estimator's histories and fallbacks (flat: per
+///     user, one name arena, one entry vector and one sorted GPU-demand
+///     table) but not its observe-dedupe set, which only ingest reads.
+/// The user and VC interners that resolve request strings to feature ids
+/// are shared with the previous snapshot while the stream has interned no
+/// new user or VC (interners only grow, so equal sizes mean equal tables),
+/// and copied otherwise. The streamed rows, the pending-finish queue and the
+/// priority log stay behind, so a publish does not grow with the stream.
 class Snapshot {
  public:
+  /// `previous` (the snapshot this one replaces, or null) lends its
+  /// interners when they still match the stream's.
   Snapshot(const core::QssfService& service, const trace::Trace& stream,
-           std::uint64_t rows_ingested, std::uint64_t gpu_jobs_ingested);
+           std::uint64_t rows_ingested, std::uint64_t gpu_jobs_ingested,
+           const Snapshot* previous);
 
   /// Resolve request strings against the snapshot's interners (an unseen
   /// user/VC maps to interner size — the id a fresh intern would get).
@@ -112,18 +120,15 @@ class Snapshot {
   /// seen, the priority is bit-identical to the ingest-path value.
   [[nodiscard]] QueryResult query(const QueryRequest& request) const;
 
-  [[nodiscard]] const core::QssfService& service() const noexcept {
-    return service_;
-  }
   [[nodiscard]] std::uint64_t rows_ingested() const noexcept { return rows_; }
   [[nodiscard]] std::uint64_t gpu_jobs_ingested() const noexcept {
     return gpu_jobs_;
   }
 
  private:
-  core::QssfService service_;
-  StringInterner users_;
-  StringInterner vcs_;
+  core::QssfService service_;  // query_copy(): observe() throws
+  std::shared_ptr<const StringInterner> users_;
+  std::shared_ptr<const StringInterner> vcs_;
   std::uint64_t rows_ = 0;
   std::uint64_t gpu_jobs_ = 0;
 };

@@ -123,17 +123,43 @@ void Trace::save_csv(std::ostream& out) const {
 
 void Trace::save_csv_rows(std::ostream& out, std::size_t first,
                           std::size_t count) const {
-  CsvWriter w(out);
+  // Rows go out in blocks, so the staging string stays small however long
+  // the trace.
+  constexpr std::size_t kBlockRows = 4096;
+  const std::size_t end = std::min(jobs_.size(), first + count);
+  std::string block;
+  for (std::size_t lo = first; lo < end; lo += kBlockRows) {
+    block.clear();
+    save_csv_rows(block, lo, std::min(kBlockRows, end - lo));
+    out << block;
+  }
+}
+
+void Trace::save_csv_rows(std::string& out, std::size_t first,
+                          std::size_t count) const {
   const std::size_t end = std::min(jobs_.size(), first + count);
   for (std::size_t i = first; i < end; ++i) {
     const JobRecord& j = jobs_[i];
-    w.write_row({CsvWriter::field(j.job_id),
-                 CsvWriter::field(j.submit_time), CsvWriter::field(j.start_time),
-                 CsvWriter::field(static_cast<std::int64_t>(j.duration)),
-                 CsvWriter::field(static_cast<std::int64_t>(j.num_gpus)),
-                 CsvWriter::field(static_cast<std::int64_t>(j.num_cpus)),
-                 users_.str(j.user), vcs_.str(j.vc), names_.str(j.name),
-                 std::string(to_string(j.state))});
+    CsvWriter::append_integer(out, j.job_id);
+    out += ',';
+    CsvWriter::append_integer(out, j.submit_time);
+    out += ',';
+    CsvWriter::append_integer(out, j.start_time);
+    out += ',';
+    CsvWriter::append_integer(out, std::int64_t{j.duration});
+    out += ',';
+    CsvWriter::append_integer(out, std::int64_t{j.num_gpus});
+    out += ',';
+    CsvWriter::append_integer(out, std::int64_t{j.num_cpus});
+    out += ',';
+    CsvWriter::append_field(out, users_.str(j.user));
+    out += ',';
+    CsvWriter::append_field(out, vcs_.str(j.vc));
+    out += ',';
+    CsvWriter::append_field(out, names_.str(j.name));
+    out += ',';
+    CsvWriter::append_field(out, to_string(j.state));
+    out += '\n';
   }
 }
 

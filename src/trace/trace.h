@@ -99,6 +99,10 @@ class Trace {
   /// trace with the same prior interner state, identical ids).
   void save_csv_rows(std::ostream& out, std::size_t first,
                      std::size_t count) const;
+  /// The same rows appended to `out`, formatted in place (no per-row
+  /// temporaries): the bytes the stream overload writes.
+  void save_csv_rows(std::string& out, std::size_t first,
+                     std::size_t count) const;
 
  private:
   ClusterSpec cluster_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -39,6 +40,8 @@ TEST(Csv, QuotedRoundTrip) {
   CsvWriter w(os);
   w.write_row({"plain", "with,comma", "with\"quote", "with\nnewline"});
   const std::string line = os.str();
+  EXPECT_EQ(line,
+            "plain,\"with,comma\",\"with\"\"quote\",\"with\nnewline\"\n");
   // Parse the single physical line produced for the first three fields.
   const auto fields =
       CsvReader::parse_line("plain,\"with,comma\",\"with\"\"quote\"");
@@ -50,6 +53,8 @@ TEST(Csv, QuotedRoundTrip) {
 
 TEST(Csv, NumericFieldsRoundTrip) {
   EXPECT_EQ(CsvWriter::field(static_cast<std::int64_t>(-42)), "-42");
+  EXPECT_EQ(CsvWriter::field(std::numeric_limits<std::int64_t>::min()),
+            "-9223372036854775808");
   EXPECT_EQ(CsvWriter::field(std::numeric_limits<std::uint64_t>::max()),
             "18446744073709551615");
 }
@@ -139,6 +144,52 @@ TEST(ThreadPool, EveryTaskRunsBeforeTheFirstExceptionPropagates) {
   }
   EXPECT_THROW(parallel_run_tasks(std::move(tasks)), std::runtime_error);
   EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(RadixSort, EqualsStdSortOnAdversarialKeys) {
+  // 0 and UINT64_MAX, keys that differ in one byte only (every byte
+  // position, so each pass both runs and is skipped somewhere), duplicates,
+  // an all-equal input, and mixed random keys.
+  std::vector<std::vector<std::uint64_t>> inputs;
+  inputs.push_back({});
+  inputs.push_back({42});
+  inputs.push_back({std::numeric_limits<std::uint64_t>::max(), 0, 0,
+                    std::numeric_limits<std::uint64_t>::max(), 1});
+  for (unsigned byte = 0; byte < 8; ++byte) {
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t v = 256; v-- > 0;) {
+      keys.push_back(0x0123456789abcdefULL ^ (v << (8 * byte)));
+    }
+    inputs.push_back(keys);
+  }
+  inputs.push_back(std::vector<std::uint64_t>(1000, 0xdeadbeefULL));
+  std::vector<std::uint64_t> mixed;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 20'000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    mixed.push_back(i % 7 == 0 ? x & 0xff00 : x);
+  }
+  mixed.push_back(0);
+  mixed.push_back(std::numeric_limits<std::uint64_t>::max());
+  inputs.push_back(mixed);
+
+  for (const std::vector<std::uint64_t>& keys : inputs) {
+    std::vector<std::uint64_t> want = keys;
+    std::sort(want.begin(), want.end());
+    std::vector<std::uint64_t> got = keys;
+    common::radix_sort(got);
+    EXPECT_EQ(got, want) << keys.size() << " keys";
+  }
+
+  // sorted_keys() is the set's keys through the same sort.
+  common::FlatU64Set set;
+  for (const std::uint64_t k : mixed) set.insert(k);
+  std::vector<std::uint64_t> unique = mixed;
+  std::sort(unique.begin(), unique.end());
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  EXPECT_EQ(set.sorted_keys(), unique);
 }
 
 TEST(FlatU64Set, KeyZeroIsAnOrdinaryMember) {

@@ -13,8 +13,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/qssf_service.h"
@@ -304,6 +306,75 @@ TEST(SerializeRoundTrip, RollingEstimatorAt80kIdsIsByteStable) {
   const std::int64_t before = loaded.observed_jobs();
   for (const auto& job : t.jobs()) loaded.observe(t, job);
   EXPECT_EQ(loaded.observed_jobs(), before);
+}
+
+std::vector<std::uint8_t> roll_bytes(const core::RollingEstimator& rolling) {
+  serialize::Writer w;
+  rolling.save(w);
+  return w.buffer();
+}
+
+TEST(SerializeRoundTrip, RollingEstimatorCopyIsPointInTime) {
+  // An evaluator window or a svc snapshot holds a copy while the original
+  // keeps observing: the copy must share nothing the original's growth,
+  // name updates or evictions move. One user cycles through names far apart
+  // (no two within the match threshold) past max_names_per_user = 4.
+  trace::Trace t;
+  for (int i = 0; i < 40; ++i) {
+    const std::string name(6 + i % 3, static_cast<char>('a' + i % 11));
+    t.add(1'600'000'000 + i * 60, 100 + 37 * i, 1 + i % 3, 4,
+          i % 4 == 3 ? "bob" : "alice", "vc", name,
+          trace::JobState::kCompleted);
+  }
+  core::QssfConfig cfg;
+  cfg.max_names_per_user = 4;
+  core::RollingEstimator live(cfg);
+  for (std::size_t i = 0; i < 12; ++i) live.observe(t, t.jobs()[i]);
+
+  const core::RollingEstimator copy = live;
+  const core::RollingEstimator query = live.query_copy();
+  const std::vector<std::uint8_t> bytes = roll_bytes(copy);
+  std::vector<double> answers;
+  for (const auto& job : t.jobs()) answers.push_back(copy.estimate(t, job));
+
+  for (std::size_t i = 12; i < t.size(); ++i) live.observe(t, t.jobs()[i]);
+  ASSERT_EQ(live.observed_jobs(), static_cast<std::int64_t>(t.size()));
+  ASSERT_NE(roll_bytes(live), bytes);
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    moved += live.estimate(t, t.jobs()[i]) != answers[i] ? 1 : 0;
+    EXPECT_EQ(copy.estimate(t, t.jobs()[i]), answers[i]) << "job " << i;
+    EXPECT_EQ(query.estimate(t, t.jobs()[i]), answers[i]) << "job " << i;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(roll_bytes(copy), bytes);
+  EXPECT_EQ(copy.observed_jobs(), 12);
+
+  // The query copy left the dedupe set behind: it estimates, and refuses
+  // to observe or to save an incomplete ROLL section.
+  core::RollingEstimator refused = query;
+  EXPECT_THROW(refused.observe(t, t.jobs()[0]), std::logic_error);
+  EXPECT_THROW((void)roll_bytes(refused), std::logic_error);
+  EXPECT_EQ(refused.estimate(t, t.jobs()[0]), answers[0]);
+}
+
+TEST(SerializeGolden, RollingEstimatorVenusBytes) {
+  // ROLL bytes after a Venus trace, once with the default name cap and once
+  // with a cap of 3 (so names are evicted). The digests were recorded from
+  // the node-based histories and the std::sort-ed dedupe ids, so equal
+  // bytes show the section does not depend on the in-memory layout.
+  const trace::Trace t = venus_trace(17);
+  const std::pair<std::size_t, const char*> cases[] = {
+      {64, "63263fa0cb809e6a"}, {3, "e5797151373dc4b0"}};
+  for (const auto& [cap, want] : cases) {
+    core::QssfConfig cfg;
+    cfg.max_names_per_user = cap;
+    core::RollingEstimator rolling(cfg);
+    for (const auto& job : t.jobs()) rolling.observe(t, job);
+    golden::Fnv digest;
+    for (const std::uint8_t b : roll_bytes(rolling)) digest.add(b);
+    EXPECT_EQ(digest.hex(), want) << "max_names_per_user " << cap;
+  }
 }
 
 TEST(SerializeRoundTrip, QssfServiceWarmRestart) {
@@ -839,6 +910,47 @@ TEST(SerializeMalformed, TrailingBytesRejected) {
     FAIL() << "expected kCorrupt";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorrupt);
+  }
+}
+
+TEST(SerializeMalformed, RollingGpuSumsOutOfOrderRejected) {
+  // A GPU-demand table must list each demand once, ascending, as save()
+  // writes it; a descending (2) or repeated (4) demand after 4 is refused,
+  // not reordered, and an ascending one (8) loads.
+  for (const std::int32_t second : {8, 2, 4}) {
+    serialize::Writer w;
+    w.begin_section(serialize::fourcc("ROLL"));
+    w.u32(1);     // version
+    w.u8(1);      // use_names
+    w.f64(0.2);   // name_match_threshold
+    w.f64(0.75);  // rolling_decay
+    w.u64(64);    // max_names_per_user
+    w.f64(30.0);  // global duration sum
+    w.i64(2);     // global jobs
+    w.u64(2);     // observe counter
+    w.u64(2);     // global GPU-demand sums
+    w.i32(4);
+    w.f64(10.0);
+    w.i64(1);
+    w.i32(second);
+    w.f64(20.0);
+    w.i64(1);
+    w.u64(0);  // users
+    w.vec_u64(std::vector<std::uint64_t>{});
+    w.end_section();
+    serialize::Reader r(w.buffer());
+    core::RollingEstimator loaded;
+    if (second == 8) {
+      loaded.load(r);
+      EXPECT_EQ(loaded.observed_jobs(), 2);
+      continue;
+    }
+    try {
+      loaded.load(r);
+      ADD_FAILURE() << "accepted demand " << second << " after 4";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorrupt) << e.what();
+    }
   }
 }
 

@@ -22,8 +22,10 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <unistd.h>
@@ -32,6 +34,7 @@
 #include "common/exec_mode.h"
 #include "core/qssf_service.h"
 #include "forecast/models.h"
+#include "golden_digest.h"
 #include "serialize/binary.h"
 #include "svc/csv_tailer.h"
 #include "svc/prediction_server.h"
@@ -393,6 +396,98 @@ TEST(SvcServer, FrozenQueryMatchesTracePathBitwise) {
     }
     ASSERT_EQ(checked, 200u);
   }
+}
+
+TEST(SvcServer, SnapshotHeldAcrossIngestIsPointInTime) {
+  // A reader holds the snapshot published after the first half of
+  // September while the rest is ingested: it must keep pricing every shape
+  // exactly as a service copy taken at that publish (the serial evaluator
+  // over the same rows leaves the service in that state).
+  const Fixture fx;
+  const UnixTime mid = from_civil(2020, 9, 15);
+  const trace::Trace first = fx.eval.between(from_civil(2020, 9, 1), mid);
+  const trace::Trace rest = fx.eval.between(mid, trace::helios_trace_end());
+  ASSERT_GT(first.size(), 50u);
+  ASSERT_GT(rest.size(), 50u);
+  std::string first_csv;
+  first.save_csv_rows(first_csv, 0, first.size());
+  std::string rest_csv;
+  rest.save_csv_rows(rest_csv, 0, rest.size());
+
+  ServerConfig cfg;
+  cfg.publish_every = 16;
+  PredictionServer server(fx.fitted, fx.train, cfg);
+  server.ingest_csv(first_csv);
+  const std::shared_ptr<const Snapshot> held = server.snapshot();
+  core::QssfService at_publish = fx.fitted;
+  {
+    core::EvalOptions opts;
+    opts.execution = common::ExecMode::kSerial;
+    const core::OnlinePriorityEvaluator evaluator(at_publish, first, opts);
+  }
+
+  std::vector<QueryRequest> shapes;
+  for (const auto& j : fx.eval.jobs()) {
+    if (!j.is_gpu_job()) continue;
+    QueryRequest req;
+    req.user = fx.eval.user_name(j);
+    req.vc = fx.eval.vc_name(j);
+    req.job_name = fx.eval.job_name(j);
+    req.num_gpus = j.num_gpus;
+    req.num_cpus = j.num_cpus;
+    req.submit_time = j.submit_time;
+    shapes.push_back(req);
+  }
+  QueryRequest stranger = shapes.front();
+  stranger.user = "nobody_seen";
+  stranger.vc = "vc_nobody";
+  stranger.job_name = "zzz_unseen_template";
+  shapes.push_back(stranger);
+
+  const std::size_t log_at_publish = server.priority_log().size();
+  const auto batches = [&rest_csv] {
+    std::vector<std::string_view> out;
+    const std::string_view rows(rest_csv);
+    for (std::size_t lo = 0, n = 0; lo < rows.size(); n = 0) {
+      std::size_t hi = lo;
+      while (hi < rows.size() && n++ < 37) hi = rows.find('\n', hi) + 1;
+      out.push_back(rows.substr(lo, hi - lo));
+      lo = hi;
+    }
+    return out;
+  }();
+  for (const std::string_view batch : batches) server.ingest_csv(batch);
+  ASSERT_GT(server.priority_log().size(), log_at_publish);
+  EXPECT_EQ(held->gpu_jobs_ingested(), log_at_publish);
+  EXPECT_EQ(held->rows_ingested(), first.size());
+
+  const std::shared_ptr<const Snapshot> now = server.snapshot();
+  std::size_t moved = 0;
+  for (const QueryRequest& req : shapes) {
+    const core::JobQuery q = held->resolve(req);
+    const double duration = at_publish.predict_duration(q);
+    const QueryResult got = held->query(req);
+    ASSERT_EQ(got.expected_duration, duration) << req.user << " " << req.job_name;
+    ASSERT_EQ(got.priority,
+              core::QssfService::expected_gpu_time(q.num_gpus, duration));
+    moved += now->query(req).priority != got.priority ? 1 : 0;
+  }
+  EXPECT_GT(moved, 0u);  // the live state did move past the held snapshot
+}
+
+TEST(SvcServer, CheckpointBytesGolden) {
+  // The SVCK bytes (QSSF service, ROLL dedupe ids, streamed CSV rows, queue
+  // and log) after September in irregular batches. The digest was recorded
+  // before the flat rolling estimator, the radix-sorted dedupe ids and the
+  // in-place CSV rows, so equal bytes show none of them moved the format.
+  const Fixture fx;
+  PredictionServer server(fx.fitted, fx.train);
+  for (const std::string& batch : fx.batches(64)) server.ingest_csv(batch);
+  serialize::Writer w;
+  server.save(w);
+  golden::Fnv digest;
+  for (const std::uint8_t b : w.buffer()) digest.add(b);
+  EXPECT_EQ(digest.hex(), "aa59815f25d3726c") << w.buffer().size() << " bytes";
 }
 
 TEST(SvcServer, ConcurrentQueriesDuringIngest) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
 #include <sstream>
 
 #include "trace/cluster_config.h"
@@ -79,6 +81,50 @@ TEST(Trace, CsvRoundTrip) {
     EXPECT_EQ(back.user_name(back.jobs()[i]), t.user_name(t.jobs()[i]));
     EXPECT_EQ(back.job_name(back.jobs()[i]), t.job_name(t.jobs()[i]));
   }
+}
+
+TEST(Trace, SaveCsvRowsWritesLiteralBytes) {
+  // Quoted strings (comma, quote, CR/LF), negative numbers and a job_id of
+  // 2^64-1, against the bytes spelled out.
+  Trace t;
+  {
+    JobRecord& j = t.add(-5, -1, 0, -3, "carol,jr", "vc\"A\"",
+                         "say \"hi\", twice", JobState::kCanceled);
+    j.start_time = -7;
+    j.job_id = std::numeric_limits<std::uint64_t>::max();
+  }
+  t.add(1'600'000'000, 3600, 8, 64, "bob", "vcB", "line\nbreak\r",
+        JobState::kFailed);
+  const std::string first =
+      "18446744073709551615,-5,-7,-1,0,-3,\"carol,jr\",\"vc\"\"A\"\"\","
+      "\"say \"\"hi\"\", twice\",canceled\n";
+  const std::string second =
+      "1,1600000000,1600000000,3600,8,64,bob,vcB,\"line\nbreak\r\",failed\n";
+
+  std::string got = "kept:";
+  t.save_csv_rows(got, 0, t.size());
+  EXPECT_EQ(got, "kept:" + first + second);  // appends
+  got.clear();
+  t.save_csv_rows(got, 1, 10);  // the range is clipped to the trace
+  EXPECT_EQ(got, second);
+  std::ostringstream os;
+  t.save_csv_rows(os, 0, t.size());
+  EXPECT_EQ(os.str(), first + second);
+
+  // The stream overload writes in blocks; a trace spanning several blocks
+  // gives the same bytes as one string.
+  Trace big;
+  for (int i = 0; i < 10'000; ++i) {
+    big.add(i, i % 97, i % 9, 4, "u" + std::to_string(i % 13), "vc",
+            i % 5 == 0 ? "a,b" : "n" + std::to_string(i % 31),
+            JobState::kCompleted);
+  }
+  std::string whole;
+  big.save_csv_rows(whole, 0, big.size());
+  std::ostringstream blocks;
+  big.save_csv_rows(blocks, 0, big.size());
+  EXPECT_EQ(blocks.str(), whole);
+  EXPECT_EQ(std::count(whole.begin(), whole.end(), '\n'), 10'000);
 }
 
 TEST(Trace, CsvRejectsMalformedRows) {
