@@ -39,7 +39,7 @@
 #   ./ci.sh tsan       like asan (warnings are errors), under
 #                      ThreadSanitizer in build-tsan at
 #                      HELIOS_THREADS=4 (pool nesting races for real on any
-#                      machine); ci/tsan.supp covers libstdc++ internals only
+#                      machine), with no suppressions file
 #   ./ci.sh simd       full build + the fast suites twice: once with the
 #                      SIMD dispatch forced on, once forced off
 #                      (HELIOS_SIMD=1 then HELIOS_SIMD=0) — the parity
@@ -199,7 +199,7 @@ if [ "$mode" = tsan ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j "$(nproc)"
-  export TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/ci/tsan.supp"
+  export TSAN_OPTIONS="halt_on_error=1"
   export HELIOS_THREADS="${HELIOS_THREADS:-4}"
   cd build-tsan
   exec ctest -L smoke --output-on-failure -j "$(nproc)" "$@"

@@ -2,11 +2,10 @@
 //
 // Built for core::RollingEstimator's observe-dedupe set: tens of thousands of
 // content-hash keys that are only inserted and probed, never erased, and
-// that travel with every full copy of the estimator (each QssfService copy,
-// each evaluator window snapshot; a svc snapshot's query copy leaves the set
-// behind). A node-based set pays one allocation per key on insert and again
-// on every copy; here a copy is one contiguous array copy and an insert
-// allocates only when it rehashes.
+// that travel with every full copy of the estimator (each QssfService copy;
+// a svc snapshot's query copy leaves the set behind). A node-based set pays
+// one allocation per key on insert and again on every copy; here a copy is
+// one contiguous array copy and an insert allocates only when it rehashes.
 //
 // Layout: linear probing over a power-of-two std::vector of slots, 0
 // marking an empty slot; the key 0 itself lives in a flag beside the array.

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/civil_time.h"
-#include "common/thread_pool.h"
 #include "serialize/binary.h"
 
 namespace helios::core {
@@ -470,12 +469,23 @@ double QssfService::ml_estimate(const Trace& t, const JobRecord& job) const {
       model_->predict(trace_row(t, job, config_, name_buckets_)));
 }
 
-double QssfService::predict_duration(const Trace& t, const JobRecord& job) const {
-  return merge(config_.lambda, rolling_.estimate(t, job), ml_estimate(t, job));
+std::vector<double> QssfService::ml_estimates(
+    const Trace& t, std::span<const std::uint32_t> job_indices) const {
+  if (!model_->trained()) return {};
+  std::vector<double> out = model_->predict_many(encode_jobs(t, job_indices));
+  for (double& v : out) v = duration_of(v);
+  return out;
 }
 
-double QssfService::priority(const Trace& t, const JobRecord& job) const {
-  return expected_gpu_time(job.num_gpus, predict_duration(t, job));
+double QssfService::predict_duration(const Trace& t, const JobRecord& job,
+                                     std::optional<double> ml_duration) const {
+  return merge(config_.lambda, rolling_.estimate(t, job),
+               ml_duration ? *ml_duration : ml_estimate(t, job));
+}
+
+double QssfService::priority(const Trace& t, const JobRecord& job,
+                             std::optional<double> ml_duration) const {
+  return expected_gpu_time(job.num_gpus, predict_duration(t, job, ml_duration));
 }
 
 double QssfService::predict_duration(const JobQuery& query) const {
@@ -505,146 +515,40 @@ double QssfService::predict_duration(const JobQuery& query) const {
 OnlinePriorityEvaluator::OnlinePriorityEvaluator(QssfService& service,
                                                  const Trace& eval,
                                                  EvalOptions options) {
-  if (options.execution == common::ExecMode::kSerial) {
-    run_serial(service, eval);
-  } else {
-    run_chunked(service, eval, options);
-  }
-}
-
-void OnlinePriorityEvaluator::run_serial(QssfService& service,
-                                         const Trace& eval) {
-  ReplayQueue pending;
-  priorities_.reserve(eval.size());
-  for (std::size_t i = 0; i < eval.size(); ++i) {
-    const JobRecord& job = eval.jobs()[i];
-    if (!job.is_gpu_job()) continue;
-    const double p =
-        causal_step(service, pending, eval, static_cast<std::uint32_t>(i));
-    priorities_.emplace(job.job_id, p);
-    predicted_.push_back(p);
-    actual_.push_back(job.gpu_time());
-  }
-}
-
-void OnlinePriorityEvaluator::run_chunked(QssfService& service,
-                                          const Trace& eval,
-                                          const EvalOptions& options) {
   const auto& jobs = eval.jobs();
   std::vector<std::uint32_t> gpu;
   gpu.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].is_gpu_job()) gpu.push_back(static_cast<std::uint32_t>(i));
-  }
-  if (gpu.empty()) return;
-
-  // The GBDT half of every priority depends only on the (fixed) model, so it
-  // batches into one binned predict_many pass. Encoding runs in stream order,
-  // which warms the name buckets exactly as the serial path would.
-  const bool trained = service.trained();
-  std::vector<double> ml_est;
-  if (trained) {
-    const ml::Dataset encoded = service.encode_jobs(eval, gpu);
-    ml_est = service.model().predict_many(encoded);
-    for (double& v : ml_est) v = duration_of(v);
-  }
-
-  // Window count: an explicit max_windows forces the replay machinery (for
-  // tests / benchmarks); otherwise size to the pool, never below min_window
-  // jobs per window.
-  std::size_t n_windows;
-  if (options.max_windows > 0) {
-    n_windows = std::min(options.max_windows, gpu.size());
-  } else {
-    const std::size_t threads =
-        std::max<std::size_t>(1, global_pool().thread_count());
-    n_windows = std::clamp<std::size_t>(
-        gpu.size() / std::max<std::size_t>(1, options.min_window), 1, threads);
-  }
-  std::vector<std::size_t> start(n_windows + 1);
-  for (std::size_t w = 0; w <= n_windows; ++w) {
-    start[w] = gpu.size() * w / n_windows;
-  }
-
-  // Serial pre-pass: replay only the observe stream through all but the last
-  // window, snapshotting (rolling estimator, pending heap) at each boundary.
-  // Every window but the last starts from a plain copy; the last takes the
-  // live state by move. The heap executes the same push/pop sequence the
-  // serial path would, so the snapshot layouts — and therefore pop order —
-  // are identical.
-  struct Snapshot {
-    RollingEstimator rolling;
-    ReplayQueue heap;
-  };
-  std::vector<Snapshot> snaps(n_windows);
   {
-    RollingEstimator live = std::move(service.rolling_);
-    ReplayQueue pending;
-    for (std::size_t w = 0; w + 1 < n_windows; ++w) {
-      snaps[w] = {live, pending};
-      for (std::size_t pos = start[w]; pos < start[w + 1]; ++pos) {
-        const JobRecord& job = jobs[gpu[pos]];
-        pending.drain(job.submit_time, [&](std::uint32_t idx) {
-          live.observe(eval, jobs[idx]);
-        });
-        pending.push(job, gpu[pos]);
+    // priority_of() looks jobs up by id: a repeated id would answer with the
+    // first job's priority for every later one.
+    common::FlatU64Set ids;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (!jobs[i].is_gpu_job()) continue;
+      if (!ids.insert(jobs[i].job_id)) {
+        throw std::invalid_argument(
+            "OnlinePriorityEvaluator: duplicate GPU job_id " +
+            std::to_string(jobs[i].job_id) + " at row " + std::to_string(i));
       }
+      gpu.push_back(static_cast<std::uint32_t>(i));
     }
-    snaps.back() = {std::move(live), std::move(pending)};
   }
 
-  // Replay windows concurrently. Window w's snapshot already contains every
-  // observe due before its first job, so replaying its own stream yields
-  // exactly the serial rolling state at each of its jobs.
-  struct WindowResult {
-    std::vector<std::pair<std::uint64_t, double>> priorities;
-    std::vector<double> predicted;
-    std::vector<double> actual;
-  };
-  std::vector<WindowResult> results(n_windows);
-  const double lambda = service.config().lambda;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n_windows);
-  for (std::size_t w = 0; w < n_windows; ++w) {
-    tasks.push_back([&, w] {
-      RollingEstimator& local = snaps[w].rolling;
-      ReplayQueue& pending = snaps[w].heap;
-      WindowResult& out = results[w];
-      const std::size_t count = start[w + 1] - start[w];
-      out.priorities.reserve(count);
-      out.predicted.reserve(count);
-      out.actual.reserve(count);
-      for (std::size_t pos = start[w]; pos < start[w + 1]; ++pos) {
-        const JobRecord& job = jobs[gpu[pos]];
-        pending.drain(job.submit_time, [&](std::uint32_t idx) {
-          local.observe(eval, jobs[idx]);
-        });
-        const double pr = local.estimate(eval, job);
-        // Untrained model: ml_estimate falls back to the rolling estimate,
-        // bitwise pr (it is a pure function of the same state).
-        const double pm = trained ? ml_est[pos] : pr;
-        const double p = QssfService::expected_gpu_time(
-            job.num_gpus, merge(lambda, pr, pm));
-        out.priorities.emplace_back(job.job_id, p);
-        out.predicted.push_back(p);
-        out.actual.push_back(job.gpu_time());
-        pending.push(job, gpu[pos]);
-      }
-    });
+  std::vector<double> ml;
+  if (options.execution == common::ExecMode::kParallel) {
+    ml = service.ml_estimates(eval, gpu);
   }
-  parallel_run_tasks(std::move(tasks));
-
-  // The last window saw every observe the serial path applies, so its final
-  // state is exactly the one kSerial would leave behind.
-  service.rolling_ = std::move(snaps.back().rolling);
-
+  ReplayQueue pending;
   priorities_.reserve(gpu.size());
   predicted_.reserve(gpu.size());
   actual_.reserve(gpu.size());
-  for (auto& r : results) {
-    for (const auto& [id, p] : r.priorities) priorities_.emplace(id, p);
-    predicted_.insert(predicted_.end(), r.predicted.begin(), r.predicted.end());
-    actual_.insert(actual_.end(), r.actual.begin(), r.actual.end());
+  for (std::size_t pos = 0; pos < gpu.size(); ++pos) {
+    const JobRecord& job = jobs[gpu[pos]];
+    const double p = causal_step(
+        service, pending, eval, gpu[pos],
+        ml.empty() ? std::nullopt : std::optional<double>(ml[pos]));
+    priorities_.emplace(job.job_id, p);
+    predicted_.push_back(p);
+    actual_.push_back(job.gpu_time());
   }
 }
 

@@ -21,27 +21,29 @@
 // their inputs and the service's prior state — no wall clock, no unseeded
 // randomness. A price has one definition (one GBDT feature row, λ-merge and
 // GPU-time scaling), and causal_step() is the per-job drain -> price -> push
-// that the serial evaluator and svc::PredictionServer share.
-// OnlinePriorityEvaluator's chunked mode is bit-identical to the serial loop
-// for any window or thread count (test_prediction_parity), and a service
-// restored from save() (docs/FORMATS.md, "QSSF" frame) produces bit-identical
-// priorities and estimates (test_serialize) — including the dedupe keys, so
-// replaying an already-observed trace into a warm-restarted service still
-// cannot double-count.
+// that OnlinePriorityEvaluator and svc::PredictionServer share. The
+// evaluator's two modes differ only in where P_M comes from (one batched
+// predict_many pass or a per-row predict), and are bit-identical
+// (test_prediction_parity). A service restored from save()
+// (docs/FORMATS.md, "QSSF" frame) produces bit-identical priorities and
+// estimates (test_serialize) — including the dedupe keys, so replaying an
+// already-observed trace into a warm-restarted service still cannot
+// double-count.
 //
 // Thread-safety: QssfService and RollingEstimator are externally
 // synchronized — fit()/observe()/load() mutate and must be exclusive; the
 // const estimate/predict accessors are safe to share across threads between
 // mutations (predict-time name bucketing is memoized behind logical
 // constness, so even const use requires external synchronization if callers
-// race on previously-unseen job names). OnlinePriorityEvaluator
-// parallelizes internally on the shared global_pool() and is safe to read
-// from any thread once constructed.
+// race on previously-unseen job names). OnlinePriorityEvaluator's batched
+// GBDT pass is row-parallel on the shared global_pool(); the evaluator is
+// safe to read from any thread once constructed.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -86,16 +88,15 @@ struct QssfConfig {
 
 /// The rolling half of Algorithm 1: per-user duration history with
 /// Levenshtein name matching, plus cluster-wide fallbacks. Split out of the
-/// service as a copyable value so the windowed OnlinePriorityEvaluator can
-/// snapshot and replay it deterministically on the thread pool.
+/// service as a copyable value, so a svc snapshot can hold a query-only copy.
 ///
 /// Every finished job is folded in at most once, keyed by a hash of its
 /// identity content (job_id, submit time, duration, demand, user), so
 /// feeding an overlapping or cumulative trace cannot double-count history —
 /// and traces from a different lineage (ids restart at 0) still observe.
 ///
-/// Storage is flat, so a copy (each evaluator window, each svc snapshot
-/// publish) costs a few allocations per user, not one per remembered name:
+/// Storage is flat, so a copy (each svc snapshot publish, each service copy)
+/// costs a few allocations per user, not one per remembered name:
 /// a user's names live back to back in one char arena in entry order, and
 /// each per-GPU-demand sum table is a small vector sorted by demand. A copy
 /// is a plain value copy and shares nothing with its source.
@@ -197,8 +198,8 @@ class RollingEstimator {
   double global_duration_sum_ = 0.0;
   std::int64_t global_jobs_ = 0;
   std::uint64_t observe_counter_ = 0;
-  // Content-hash keys in one flat array, so copying the estimator (each
-  // evaluator window snapshot) copies the set in one piece.
+  // Content-hash keys in one flat array, so a full copy of the estimator
+  // (each QssfService copy) copies the set in one piece.
   common::FlatU64Set observed_ids_;
 };
 
@@ -230,13 +231,17 @@ class QssfService {
   /// Absorb a single finished job into the rolling estimator (no GBDT refit).
   void observe(const trace::Trace& t, const trace::JobRecord& job);
 
-  /// Expected duration (seconds) of an incoming job.
-  [[nodiscard]] double predict_duration(const trace::Trace& t,
-                                        const trace::JobRecord& job) const;
+  /// Expected duration (seconds) of an incoming job. `ml_duration`, when
+  /// given, is the job's P_M from ml_estimates() and replaces the per-row
+  /// ml_estimate() call (bitwise the same value).
+  [[nodiscard]] double predict_duration(
+      const trace::Trace& t, const trace::JobRecord& job,
+      std::optional<double> ml_duration = std::nullopt) const;
 
   /// Algorithm 1's Priority(): expected GPU time, lower first.
-  [[nodiscard]] double priority(const trace::Trace& t,
-                                const trace::JobRecord& job) const;
+  [[nodiscard]] double priority(
+      const trace::Trace& t, const trace::JobRecord& job,
+      std::optional<double> ml_duration = std::nullopt) const;
 
   /// GBDT estimate alone (the λ ablation; rolling().estimate() is P_R).
   [[nodiscard]] double ml_estimate(const trace::Trace& t,
@@ -256,8 +261,15 @@ class QssfService {
   }
 
   /// Encode the given jobs into a GBDT feature matrix, warming the name
-  /// buckets in job order (the same order the serial path would).
+  /// buckets in job order (the order per-row pricing would).
   [[nodiscard]] ml::Dataset encode_jobs(
+      const trace::Trace& t, std::span<const std::uint32_t> job_indices) const;
+
+  /// ml_estimate() of every given job from one encode_jobs() and one
+  /// row-parallel predict_many pass, bitwise the per-row values. Empty when
+  /// the model is untrained: P_M then falls back to the rolling estimate,
+  /// which moves with every observe.
+  [[nodiscard]] std::vector<double> ml_estimates(
       const trace::Trace& t, std::span<const std::uint32_t> job_indices) const;
 
   [[nodiscard]] const QssfConfig& config() const noexcept { return config_; }
@@ -281,8 +293,6 @@ class QssfService {
   void load(serialize::Reader& r);
 
  private:
-  friend class OnlinePriorityEvaluator;  // snapshots / adopts rolling_
-
   QssfConfig config_;
   // Immutable once built: fit() and load() build a new model, so copies of
   // the service (and their snapshots) share one.
@@ -293,10 +303,9 @@ class QssfService {
 
 /// Pending-finish replay queue: a min-heap of (finish, index) events, popped
 /// in (finish, then index) total order — identical however the heap was
-/// assembled. causal_step() is the one drain/push sequence the serial
-/// evaluator and the streaming svc::PredictionServer share; the chunked
-/// evaluator's windows replay the same sequence on rolling-estimator copies.
-/// Externally synchronized, like the estimators it feeds.
+/// assembled. causal_step() is the one drain/push sequence the evaluator and
+/// the streaming svc::PredictionServer share. Externally synchronized, like
+/// the estimators it feeds.
 class ReplayQueue {
  public:
   struct Entry {
@@ -344,46 +353,39 @@ class ReplayQueue {
 /// (approximately) finished by the job's submit time — queuing delay is
 /// unknown then, so submit + duration stands in for the termination feed —
 /// price the job, and queue its own finish. Returns the priority.
+/// `ml_duration` is the job's precomputed P_M, if any (QssfService::
+/// ml_estimates()); the GBDT reads no rolling state, so it may be batched.
 inline double causal_step(QssfService& service, ReplayQueue& pending,
-                          const trace::Trace& t, std::uint32_t index) {
+                          const trace::Trace& t, std::uint32_t index,
+                          std::optional<double> ml_duration = std::nullopt) {
   const trace::JobRecord& job = t.jobs()[index];
   pending.drain(job.submit_time, [&service, &t](std::uint32_t finished) {
     service.observe(t, t.jobs()[finished]);
   });
-  const double p = service.priority(t, job);
+  const double p = service.priority(t, job, ml_duration);
   pending.push(job, index);
   return p;
 }
 
 struct EvalOptions {
-  /// kParallel evaluates deterministic replay windows concurrently on the
-  /// shared pool, with the GBDT estimates batched through predict_many —
-  /// bit-identical to kSerial (the retained job-by-job loop) for any window
-  /// or thread count.
+  /// Where P_M comes from. kParallel batches it through one row-parallel
+  /// predict_many pass; kSerial, the reference twin, predicts per row.
+  /// Every other step is the same causal loop, so the two are bit-identical.
   common::ExecMode execution = common::ExecMode::kParallel;
-  /// Smallest window, in GPU jobs.
-  std::size_t min_window = 1024;
-  /// Cap on the window count; 0 = auto (the pool width). Tests force small
-  /// windows to exercise the replay machinery on any machine.
-  std::size_t max_windows = 0;
 };
 
 /// Evaluates QSSF priorities for a stream of jobs in submission order while
-/// honouring causality: a job is folded into the rolling estimator only once
-/// its (approximate) finish time submit+duration has passed. This mirrors
-/// the deployed Model Update Engine, which fine-tunes from jobs as they
-/// terminate. Returns a PriorityFn suitable for sim::SimConfig after
-/// precomputing priorities for every GPU job of `eval`.
+/// honouring causality: one causal_step() per GPU job, so a job is folded
+/// into the rolling estimator only once its (approximate) finish time
+/// submit+duration has passed. This mirrors the deployed Model Update
+/// Engine, which fine-tunes from jobs as they terminate, and leaves
+/// `service` in the state that feed produces. Returns a PriorityFn suitable
+/// for sim::SimConfig after precomputing priorities for every GPU job of
+/// `eval`.
 ///
-/// The chunked mode splits the stream into contiguous replay windows: a
-/// serial pre-pass replays only the (cheap) observe stream, snapshotting a
-/// plain copy of the RollingEstimator plus the pending-finish ReplayQueue at
-/// each window boundary (the last window takes the live state by move);
-/// windows then replay concurrently from their snapshots while the GBDT
-/// half of every priority comes from one batched predict_many pass. Because
-/// each window replays exactly the observes the serial path would apply,
-/// the result — and the service's final rolling state — is bit-identical to
-/// kSerial.
+/// Priorities are keyed by job_id, so GPU job ids must be unique: a repeated
+/// one throws std::invalid_argument naming the id and row, before `service`
+/// is touched.
 class OnlinePriorityEvaluator {
  public:
   OnlinePriorityEvaluator(QssfService& service, const trace::Trace& eval,
@@ -404,10 +406,6 @@ class OnlinePriorityEvaluator {
   }
 
  private:
-  void run_serial(QssfService& service, const trace::Trace& eval);
-  void run_chunked(QssfService& service, const trace::Trace& eval,
-                   const EvalOptions& options);
-
   std::unordered_map<std::uint64_t, double> priorities_;
   std::vector<double> predicted_;
   std::vector<double> actual_;

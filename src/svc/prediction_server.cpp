@@ -90,19 +90,22 @@ PredictionServer::PredictionServer(core::QssfService service,
       context_users_(stream_.users().size()),
       context_vcs_(stream_.vcs().size()),
       context_names_(stream_.names().size()),
-      snapshot_(
-          std::make_unique<std::atomic<std::shared_ptr<const Snapshot>>>()) {
+      snapshot_(std::make_unique<SnapshotSlot>()) {
   publish();
 }
 
 void PredictionServer::publish() {
-  // Only this (ingest) thread stores, so the loaded snapshot stays current
-  // until the store below replaces it.
-  const std::shared_ptr<const Snapshot> previous = snapshot();
-  snapshot_->store(
-      std::make_shared<const Snapshot>(service_, stream_, rows_ingested_,
-                                       gpu_jobs_ingested_, previous.get()),
-      std::memory_order_release);
+  // Only this (ingest) thread replaces the snapshot, so the one read here
+  // stays current while its successor is built outside the lock.
+  const std::shared_ptr<const Snapshot> replaced = snapshot();
+  auto fresh = std::make_shared<const Snapshot>(
+      service_, stream_, rows_ingested_, gpu_jobs_ingested_, replaced.get());
+  {
+    const std::lock_guard lock(snapshot_->mutex);
+    snapshot_->current.swap(fresh);
+  }
+  // `fresh` and `replaced` now both hold the old snapshot; it is freed here,
+  // outside the lock, once no reader holds it either.
 }
 
 std::size_t PredictionServer::ingest_csv(std::string_view csv_rows) {

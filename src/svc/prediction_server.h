@@ -3,13 +3,15 @@
 // The batch pipeline prices a finished trace after the fact; this subsystem
 // is the same predictor run as a long-lived server. One ingest thread tails
 // a growing trace CSV (svc::CsvTailer) and advances the online QSSF state
-// through core::causal_step — the per-job step of the serial
+// through core::causal_step — the per-job step of
 // core::OnlinePriorityEvaluator: drain the pending-finish core::ReplayQueue,
 // price, queue the job's own finish — logging each priority, and on a
 // cadence (a) checkpoints the whole server through
 // serialize::save_file and (b) publishes an immutable Snapshot. Any number
-// of query threads read the current snapshot through one atomic
-// shared_ptr load — RCU-style, no lock, no wait against the ingest side.
+// of query threads read the current snapshot by copying one shared_ptr
+// under a mutex that is held only for that copy (and for publish's pointer
+// swap), so a query never waits on a snapshot build, a checkpoint or a
+// snapshot's destruction.
 //
 // Determinism contract (gated by tests/test_svc_server.cpp and the
 // examples/serve_replay driver): fed the same rows in the same order —
@@ -29,9 +31,9 @@
 // QssfService's frozen, never-mutating accessors).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -173,7 +175,8 @@ class PredictionServer {
 
   /// -- query side (any thread) ---------------------------------------------
   [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const {
-    return snapshot_->load(std::memory_order_acquire);
+    const std::lock_guard lock(snapshot_->mutex);
+    return snapshot_->current;
   }
 
   /// -- introspection (ingest side) -----------------------------------------
@@ -217,9 +220,17 @@ class PredictionServer {
   std::uint64_t gpu_jobs_ingested_ = 0;
   std::uint64_t bytes_ingested_ = 0;
   std::uint64_t checkpoint_seq_ = 0;
-  // unique_ptr: std::atomic is neither movable nor copyable, and the server
+  /// The published snapshot. The mutex guards only the pointer: readers copy
+  /// it, publish() swaps it, and nothing else runs under the lock. (GCC 12's
+  /// std::atomic<std::shared_ptr> is not lock-free either, and hides its lock
+  /// from ThreadSanitizer.)
+  struct SnapshotSlot {
+    std::mutex mutex;
+    std::shared_ptr<const Snapshot> current;
+  };
+  // unique_ptr: std::mutex is neither movable nor copyable, and the server
   // itself should stay movable.
-  std::unique_ptr<std::atomic<std::shared_ptr<const Snapshot>>> snapshot_;
+  std::unique_ptr<SnapshotSlot> snapshot_;
 };
 
 }  // namespace helios::svc

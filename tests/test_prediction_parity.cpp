@@ -14,10 +14,10 @@
 //    widths 1 and 4.
 //  * predict_many (batched, binned, tree-at-a-time) must equal predict()
 //    per row, bitwise.
-//  * OnlinePriorityEvaluator's chunked replay-window mode must reproduce
-//    the serial reference — priorities, prediction-quality vectors, and the
-//    service's final rolling state down to its saved bytes — for any window
-//    count.
+//  * OnlinePriorityEvaluator's batched mode (P_M from one predict_many
+//    pass) must reproduce the per-row reference — priorities,
+//    prediction-quality vectors, and the service's final state down to its
+//    saved bytes — trained, untrained and without job names.
 //  * The AVX2 forest walk must be bit-identical to the scalar walk:
 //    predict_many and evaluator output are compared with the dispatch forced
 //    on vs off. Skipped (not silently passed) where the hardware or build
@@ -416,7 +416,7 @@ TEST(SimdParity, PredictManyBitIdenticalToScalar) {
 namespace helios::core {
 namespace {
 
-TEST(EvaluatorParity, ChunkedMatchesSerialBitwise) {
+TEST(EvaluatorParity, BatchedMatchesPerRowBitwise) {
   auto gen = trace::GeneratorConfig::helios(trace::helios_cluster("Venus"), 13,
                                             0.02);
   const trace::Trace t = trace::SyntheticTraceGenerator(gen).generate();
@@ -424,57 +424,55 @@ TEST(EvaluatorParity, ChunkedMatchesSerialBitwise) {
       t.between(trace::helios_trace_begin(), from_civil(2020, 9, 1));
   const auto eval = t.between(from_civil(2020, 9, 1), trace::helios_trace_end());
 
-  QssfConfig cfg;
-  cfg.gbdt.n_trees = 15;
   auto saved = [](const QssfService& svc) {
     serialize::Writer w;
     svc.save(w);
     return w.buffer();
   };
-  for (const bool trained : {true, false}) {
+  struct Case {
+    bool trained;
+    bool use_names;
+  };
+  for (const Case c : {Case{true, true}, Case{false, true}, Case{true, false}}) {
+    QssfConfig cfg;
+    cfg.gbdt.n_trees = 15;
+    cfg.use_names = c.use_names;
     QssfService serial_svc(cfg);
-    QssfService chunked_svc(cfg);
-    if (trained) {
+    QssfService batched_svc(cfg);
+    if (c.trained) {
       serial_svc.fit(train);
-      chunked_svc.fit(train);
+      batched_svc.fit(train);
     }
     EvalOptions serial_opts;
     serial_opts.execution = common::ExecMode::kSerial;
+    EvalOptions batched_opts;
+    batched_opts.execution = common::ExecMode::kParallel;
     OnlinePriorityEvaluator serial_eval(serial_svc, eval, serial_opts);
-
-    // Any window count must reproduce the serial result exactly, including
-    // windows far smaller than a thread would ever get.
-    for (const std::size_t windows : {1u, 3u, 8u}) {
-      QssfService svc(cfg);
-      if (trained) svc.fit(train);
-      EvalOptions opts;
-      opts.execution = common::ExecMode::kParallel;
-      opts.min_window = 1;
-      opts.max_windows = windows;
-      OnlinePriorityEvaluator chunked_eval(svc, eval, opts);
-      ASSERT_EQ(serial_eval.predicted_gpu_time(),
-                chunked_eval.predicted_gpu_time())
-          << "windows=" << windows << " trained=" << trained;
-      ASSERT_EQ(serial_eval.actual_gpu_time(), chunked_eval.actual_gpu_time());
-      for (const auto& j : eval.jobs()) {
-        if (!j.is_gpu_job()) continue;
-        ASSERT_EQ(serial_eval.priority_of(j), chunked_eval.priority_of(j))
-            << "job " << j.job_id << " windows=" << windows;
-        // The service's final rolling state must match the serial feed too.
-        ASSERT_EQ(serial_svc.rolling().estimate(eval, j),
-                  svc.rolling().estimate(eval, j))
-            << "job " << j.job_id << " windows=" << windows;
-      }
-      // ...down to the saved bytes: dedupe ids, the observe counter and the
-      // name-eviction clocks, which no estimate reads directly.
-      ASSERT_EQ(saved(serial_svc), saved(svc))
-          << "windows=" << windows << " trained=" << trained;
+    OnlinePriorityEvaluator batched_eval(batched_svc, eval, batched_opts);
+    const std::string config = "trained=" + std::to_string(c.trained) +
+                               " use_names=" + std::to_string(c.use_names);
+    ASSERT_EQ(serial_eval.predicted_gpu_time(),
+              batched_eval.predicted_gpu_time())
+        << config;
+    ASSERT_EQ(serial_eval.actual_gpu_time(), batched_eval.actual_gpu_time());
+    for (const auto& j : eval.jobs()) {
+      if (!j.is_gpu_job()) continue;
+      ASSERT_EQ(serial_eval.priority_of(j), batched_eval.priority_of(j))
+          << "job " << j.job_id << " " << config;
+      // The service's final rolling state must match the per-row feed too.
+      ASSERT_EQ(serial_svc.rolling().estimate(eval, j),
+                batched_svc.rolling().estimate(eval, j))
+          << "job " << j.job_id << " " << config;
     }
+    // ...down to the saved bytes: dedupe ids, the observe counter, the
+    // name-eviction clocks and the name buckets, which no estimate reads
+    // directly.
+    ASSERT_EQ(saved(serial_svc), saved(batched_svc)) << config;
   }
 }
 
 // End-to-end dispatch sweep: the whole evaluator pipeline (GBDT fit +
-// batched predict_many + windowed replay) must produce bit-identical
+// batched predict_many + the causal loop) must produce bit-identical
 // priorities and quality vectors with SIMD forced on vs forced off.
 TEST(EvaluatorParity, SimdDispatchBitIdentical) {
   {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/qssf_service.h"
+#include "serialize/binary.h"
 #include "sim/simulator.h"
 #include "stats/correlation.h"
 #include "trace/synthetic.h"
@@ -218,6 +221,43 @@ TEST(OnlinePriorityEvaluator, CausalAndComplete) {
   }
   EXPECT_EQ(evaluator.predicted_gpu_time().size(), gpu_jobs);
   EXPECT_EQ(evaluator.actual_gpu_time().size(), gpu_jobs);
+}
+
+TEST(OnlinePriorityEvaluator, DuplicateGpuJobIdThrowsBeforeTouchingService) {
+  // Two exports concatenated: the second restarts its ids at 0. A CPU-only
+  // job is never priced, so its repeated id is harmless.
+  Trace eval(small_spec());
+  const UnixTime at = from_civil(2020, 9, 1);
+  eval.add(at, 600, 1, 6, "alice", "vc0", "alice_train_bert",
+           JobState::kCompleted);
+  eval.add(at + 10, 600, 1, 6, "bob", "vc0", "bob_fresh_job",
+           JobState::kCompleted);
+  eval.add(at + 20, 30, 0, 4, "carol", "vc0", "prep", JobState::kCompleted)
+      .job_id = 1;
+  eval.add(at + 7200, 1200, 2, 6, "alice", "vc0", "alice_new_template",
+           JobState::kCompleted)
+      .job_id = 0;
+
+  for (const auto execution :
+       {common::ExecMode::kParallel, common::ExecMode::kSerial}) {
+    QssfService svc(fast_config());
+    svc.fit(make_history());
+    serialize::Writer before;
+    svc.save(before);
+    EvalOptions opts;
+    opts.execution = execution;
+    try {
+      OnlinePriorityEvaluator evaluator(svc, eval, opts);
+      ADD_FAILURE() << "duplicate GPU job_id accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("job_id 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("row 3"), std::string::npos) << what;
+    }
+    serialize::Writer after;
+    svc.save(after);
+    EXPECT_EQ(before.buffer(), after.buffer());
+  }
 }
 
 TEST(QssfEndToEnd, BeatsFifoAndApproachesSjf) {

@@ -315,7 +315,7 @@ std::vector<std::uint8_t> roll_bytes(const core::RollingEstimator& rolling) {
 }
 
 TEST(SerializeRoundTrip, RollingEstimatorCopyIsPointInTime) {
-  // An evaluator window or a svc snapshot holds a copy while the original
+  // A copied service or a svc snapshot holds a copy while the original
   // keeps observing: the copy must share nothing the original's growth,
   // name updates or evictions move. One user cycles through names far apart
   // (no two within the match threshold) past max_names_per_user = 4.
@@ -406,13 +406,10 @@ TEST(SerializeRoundTrip, QssfServiceWarmRestart) {
         << "job " << job.job_id;
   }
 
-  // The full windowed evaluation — including the rolling state both services
+  // The full causal evaluation — including the rolling state both services
   // end up with — must be indistinguishable from the original's.
-  core::EvalOptions opts;
-  opts.min_window = 1;
-  opts.max_windows = 5;
-  core::OnlinePriorityEvaluator orig_eval(service, eval, opts);
-  core::OnlinePriorityEvaluator loaded_eval(loaded, eval, opts);
+  core::OnlinePriorityEvaluator orig_eval(service, eval);
+  core::OnlinePriorityEvaluator loaded_eval(loaded, eval);
   ASSERT_EQ(orig_eval.predicted_gpu_time(), loaded_eval.predicted_gpu_time());
   ASSERT_EQ(orig_eval.actual_gpu_time(), loaded_eval.actual_gpu_time());
   for (const auto& job : eval.jobs()) {
