@@ -32,7 +32,9 @@
 #                      targets that still exist
 #   ./ci.sh asan       separate build-asan tree (warnings are errors) with
 #                      AddressSanitizer + UndefinedBehaviorSanitizer (abort
-#                      on first report),
+#                      on first report) plus float-cast-overflow, which
+#                      GCC's `undefined` group leaves out (a NaN or
+#                      out-of-range double cast to an integer aborts too),
 #                      running the fast suites (ctest -L smoke) with the SIMD
 #                      dispatch forced on (HELIOS_SIMD=1) so the sanitizers
 #                      sweep the AVX2 predict walk, gather tail pad included
@@ -179,8 +181,8 @@ if [ "$mode" = asan ]; then
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_COMPILE_WARNING_AS_ERROR=ON \
     -DHELIOS_BUILD_BENCH=OFF -DHELIOS_BUILD_EXAMPLES=ON \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
   cmake --build build-asan -j "$(nproc)"
   cd build-asan
   # Force the SIMD dispatch on: the AVX2 predict walk's gathers (including

@@ -6,10 +6,10 @@
 // shared process-wide via global_pool() so nested code reuses threads instead
 // of oversubscribing the (possibly small) machine.
 //
-// Every driver here (parallel_for*, parallel_run_chunks, parallel_run_tasks,
-// parallel_map_reduce) is a thin wrapper over one loop: the items go on a
-// shared index counter, up to thread_count() pool helpers are enqueued to
-// drain it, and the *calling thread drains it too*. The caller never waits
+// Every driver here (parallel_for*, parallel_run_chunks, parallel_run_tasks)
+// is a thin wrapper over one loop: the items go on a shared index counter,
+// up to thread_count() pool helpers are enqueued to drain it, and the
+// *calling thread drains it too*. The caller never waits
 // on an item it could run itself, so the drivers nest freely — a driver
 // called from inside a pool task finishes even when every other worker is
 // blocked (trace generation under the sweep engine, GBDT fits under the
@@ -22,18 +22,17 @@
 // themselves.
 //
 // Determinism: the drivers fix only *which* chunks exist ([begin, end) split
-// by grain/thread-count) and, for parallel_map_reduce, the left-to-right
-// merge order — chunk *scheduling* is nondeterministic. Callers that need
-// bit-identical results across thread counts therefore make each chunk's
-// work order-independent (integer sums, disjoint writes); see ml/gbdt.h and
-// sim/ for the contracts built on top.
+// by grain/thread-count) — chunk *scheduling* is nondeterministic. Callers
+// that need bit-identical results across thread counts therefore make each
+// chunk's work order-independent (integer sums, disjoint writes) and combine
+// per-chunk results in chunk order; see ml/gbdt.h and sim/ for the contracts
+// built on top.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <thread>
 #include <utility>
@@ -101,32 +100,5 @@ void parallel_run_chunks(
 /// shards are uneven and may themselves run under a parallel driver. The
 /// first exception propagates after all tasks have finished.
 void parallel_run_tasks(std::vector<std::function<void()>> tasks);
-
-/// Chunked map-reduce over [begin, end): `make(lo, hi)` produces one partial
-/// result per contiguous chunk on the pool; partials are then folded
-/// left-to-right in chunk order via `merge(acc, partial)`. Because the merge
-/// order is fixed, the reduction is deterministic for any thread count — and
-/// when the partials combine exactly (integer sums, bitwise-stable state) the
-/// result is identical to a serial left fold. Used by the GBDT histogram
-/// engine to merge per-chunk gradient histograms.
-template <typename T, typename MakeFn, typename MergeFn>
-[[nodiscard]] T parallel_map_reduce(std::size_t begin, std::size_t end,
-                                    std::size_t grain, MakeFn&& make,
-                                    MergeFn&& merge) {
-  const std::size_t threads = global_pool().thread_count();
-  const auto chunks =
-      chunk_ranges(begin, end, threads > 1 ? threads * 2 : 1, grain);
-  if (chunks.size() <= 1) return make(begin, end);
-  std::vector<std::optional<T>> partials(chunks.size());
-  parallel_run_chunks(chunks,
-                      [&](std::size_t i, std::size_t lo, std::size_t hi) {
-                        partials[i].emplace(make(lo, hi));
-                      });
-  T acc = std::move(*partials.front());
-  for (std::size_t i = 1; i < partials.size(); ++i) {
-    merge(acc, std::move(*partials[i]));
-  }
-  return acc;
-}
 
 }  // namespace helios

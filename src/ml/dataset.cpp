@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "serialize/binary.h"
@@ -110,6 +112,12 @@ void FeatureBinner::load(serialize::Reader& r) {
 }
 
 BinnedMatrix bin_dataset(const Dataset& data, const FeatureBinner& binner) {
+  if (data.features() != binner.features()) {
+    throw std::invalid_argument(
+        "bin_dataset: dataset has " + std::to_string(data.features()) +
+        " features, binner was fitted on " +
+        std::to_string(binner.features()));
+  }
   BinnedMatrix x;
   x.rows = data.rows();
   x.features = binner.features();

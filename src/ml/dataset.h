@@ -167,7 +167,8 @@ struct BinnedMatrix {
 };
 
 /// Bin every value of `data` with a fitted binner in one sequential pass over
-/// the dataset, parallel on the shared pool.
+/// the dataset, parallel on the shared pool. Throws std::invalid_argument
+/// when `data` is not exactly as wide as the binner.
 [[nodiscard]] BinnedMatrix bin_dataset(const Dataset& data,
                                        const FeatureBinner& binner);
 

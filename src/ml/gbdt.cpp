@@ -1,12 +1,12 @@
 #include "ml/gbdt.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -67,42 +67,17 @@ void QuantizedGradients::assign(std::span<const double> gradients,
 
 namespace {
 
-/// The histogram engine packs each bucket into one int64:
-/// (gradient_sum << 24) + row_count. Counts stay below 2^24 (nodes with more
-/// rows shard into sub-limit packed accumulations merged into a wide
-/// histogram, see NodeHist) and |gradient_sum| below 2^38 (enforced by the
-/// QuantizedGradients scale), so the fields cannot bleed into each other and
-/// a single integer add updates both at once.
+/// Within one chunk's accumulation the histogram kernel packs each bucket
+/// into one int64: (gradient_sum << 24) + row_count, so a single integer add
+/// updates both. A chunk has fewer than 2^24 rows (build_hist plans them so)
+/// and |gradient_sum| stays below 2^38 (the QuantizedGradients scale), so the
+/// fields cannot bleed into each other. Each packed partial is then unpacked
+/// into the node histogram's two planes.
 constexpr int kCountBits = 24;
-/// Row-chunk grain of the parallel histogram accumulation; build_hist's
-/// buffer-recycling test must match it.
+/// Row-chunk grain of the parallel histogram accumulation.
 constexpr std::size_t kHistGrain = 16384;
-constexpr std::size_t kPackedRowLimit = std::size_t{1} << kCountBits;
-
-/// Runtime-injectable packed limit (gbdt_set_packed_row_limit): tests drive
-/// the wide/sharded path at small n instead of needing a 16.7M-row fixture.
-std::atomic<std::size_t> g_packed_row_limit{kPackedRowLimit};
-std::atomic<std::uint64_t> g_wide_builds{0};
-
-constexpr std::int64_t packed_sum(std::int64_t pack) noexcept {
-  return pack >> kCountBits;  // arithmetic shift = floor division: exact
-}
-constexpr std::int64_t packed_count(std::int64_t pack) noexcept {
-  return pack & ((std::int64_t{1} << kCountBits) - 1);
-}
-
-/// One node's histogram in either representation. Packed (the common case):
-/// `buf` holds total_bins single-int64 buckets. Wide (row count at or above
-/// the packed limit): `buf` holds 2 * total_bins entries — unpacked gradient
-/// sums in [0, total_bins), row counts in [total_bins, 2 * total_bins) — so
-/// counts are full int64 and the 24-bit cap disappears. Both are exact
-/// integers, so subtraction and shard merges stay bit-exact, and
-/// best_split_scan sees identical (sum, count) streams either way.
-struct NodeHist {
-  std::vector<std::int64_t> buf;
-  bool wide = false;
-  [[nodiscard]] bool empty() const noexcept { return buf.empty(); }
-};
+/// Most rows one packed accumulation may hold.
+constexpr std::size_t kMaxChunkRows = (std::size_t{1} << kCountBits) - 1;
 
 struct SplitDecision {
   double gain = 0.0;
@@ -119,15 +94,13 @@ double leaf_value(std::int64_t total_q, std::int64_t total_cnt, double inv_scale
          (static_cast<double>(total_cnt) + cfg.lambda);
 }
 
-/// Best split for one feature from its gradient histogram, generic over the
-/// bucket representation: `bucket(b)` returns the exact (sum_q, count) of
-/// bin b. One implementation serves both histogram representations, so
-/// identical (exact) histograms give identical decisions by construction.
-template <typename BucketFn>
-SplitDecision best_split_scan(BucketFn&& bucket, int n_bins,
-                              std::int64_t total_q, std::int64_t total_cnt,
-                              double inv_scale, std::int32_t feature,
-                              const GBDTConfig& cfg) {
+/// Best split for one feature from its exact per-bin gradient sums and row
+/// counts.
+SplitDecision best_split(const std::int64_t* hist_sum,
+                         const std::int64_t* hist_cnt, int n_bins,
+                         std::int64_t total_q, std::int64_t total_cnt,
+                         double inv_scale, std::int32_t feature,
+                         const GBDTConfig& cfg) {
   SplitDecision best;
   const double total_sum = static_cast<double>(total_q) * inv_scale;
   const double parent_score =
@@ -135,9 +108,8 @@ SplitDecision best_split_scan(BucketFn&& bucket, int n_bins,
   std::int64_t left_q = 0;
   std::int64_t left_cnt = 0;
   for (int b = 0; b + 1 < n_bins; ++b) {
-    const auto [sum_q, count] = bucket(b);
-    left_q += sum_q;
-    left_cnt += count;
+    left_q += hist_sum[b];
+    left_cnt += hist_cnt[b];
     const std::int64_t right_cnt = total_cnt - left_cnt;
     if (left_cnt < cfg.min_samples_leaf) continue;
     if (right_cnt < cfg.min_samples_leaf) break;
@@ -158,34 +130,16 @@ SplitDecision best_split_scan(BucketFn&& bucket, int n_bins,
   return best;
 }
 
-/// Wide view: separate sum/count arrays.
-SplitDecision best_split_wide(const std::int64_t* hist_sum,
-                                     const std::int64_t* hist_cnt, int n_bins,
-                                     std::int64_t total_q, std::int64_t total_cnt,
-                                     double inv_scale, std::int32_t feature,
-                                     const GBDTConfig& cfg) {
-  return best_split_scan(
-      [&](int b) { return std::pair(hist_sum[b], hist_cnt[b]); }, n_bins,
-      total_q, total_cnt, inv_scale, feature, cfg);
-}
-
-/// Packed view: single-int64 buckets.
-SplitDecision best_split_packed(const std::int64_t* hist, int n_bins,
-                                std::int64_t total_q, std::int64_t total_cnt,
-                                double inv_scale, std::int32_t feature,
-                                const GBDTConfig& cfg) {
-  return best_split_scan(
-      [&](int b) { return std::pair(packed_sum(hist[b]), packed_count(hist[b])); },
-      n_bins, total_q, total_cnt, inv_scale, feature, cfg);
-}
-
 /// Tree builder: persistent row sets partitioned in place over a
 /// row-major binned matrix (a row's features are adjacent bytes, so each row
-/// costs 1-2 cache lines), packed single-int64 buckets, row-parallel
-/// accumulation into per-chunk buffers merged in chunk order on the shared
-/// pool, and the sibling-subtraction trick — only the smaller child scans
-/// its rows; the larger child's histogram is parent minus sibling, exact in
-/// int64.
+/// costs 1-2 cache lines), row-parallel accumulation into per-chunk buffers
+/// folded in chunk order on the shared pool, and the sibling-subtraction
+/// trick — only the smaller child scans its rows; the larger child's
+/// histogram is parent minus sibling, exact in int64.
+///
+/// A node histogram is one buffer of two int64 planes: gradient sums in
+/// [0, total_bins), row counts in [total_bins, 2 * total_bins). Both are
+/// exact integers, so chunk folds and subtraction are exact under any order.
 struct HistogramBuilder {
   const BinnedMatrix& x;
   const FeatureBinner& binner;
@@ -198,7 +152,6 @@ struct HistogramBuilder {
   std::size_t p = 0;
   int total_bins = 0;
   std::vector<int> offset{};           // per-feature slice into a histogram
-  std::size_t packed_limit = kPackedRowLimit;  // node rows >= this go wide
   // Freed node histograms for reuse (allocating + zeroing ~9KB per node adds
   // up over thousands of nodes per fit).
   std::vector<std::vector<std::int64_t>> hist_pool{};
@@ -211,8 +164,6 @@ struct HistogramBuilder {
       offset[f] = total_bins;
       total_bins += binner.bins(f);
     }
-    packed_limit = std::max<std::size_t>(
-        2, g_packed_row_limit.load(std::memory_order_relaxed));
   }
 
   [[nodiscard]] std::vector<std::int64_t> take_buffer(std::size_t size) {
@@ -226,101 +177,73 @@ struct HistogramBuilder {
     if (!h.empty()) hist_pool.push_back(std::move(h));
   }
 
-  /// Node histogram in whichever representation the row count dictates.
-  [[nodiscard]] NodeHist build_hist(std::span<const std::uint32_t> rows) {
-    if (rows.size() < packed_limit) return {build_hist_packed(rows), false};
-    return build_hist_wide(rows);
-  }
-
-  /// Wide path: shard the rows into sub-limit runs, accumulate each through
-  /// the (parallel) packed kernel, and merge the unpacked
-  /// (sum, count) fields into the two-field wide buffer. Every step is exact
-  /// int64 arithmetic, so the result equals what an unbounded packed
-  /// accumulation would hold — sharding cannot change a split decision.
-  [[nodiscard]] NodeHist build_hist_wide(std::span<const std::uint32_t> rows) {
+  /// Packed accumulation of rows[lo, hi) into `h` (2 * total_bins zeros),
+  /// then unpacked in place into the (sum, count) planes.
+  void accumulate(std::span<const std::uint32_t> rows, std::size_t lo,
+                  std::size_t hi, std::vector<std::int64_t>& h) const {
+    // Two arenas, alternating rows: consecutive rows that hit the same
+    // bucket would otherwise serialize on the store-to-load forward of one
+    // int64 — skewed (categorical-like) features do this constantly. The
+    // arenas merge exactly (integer adds), so parity is unaffected. The
+    // uint16 global plane folds the per-feature histogram offset into the
+    // matrix itself: one indexed add per cell.
     const auto nb = static_cast<std::size_t>(total_bins);
-    NodeHist out{take_buffer(2 * nb), /*wide=*/true};
-    const std::size_t shard = packed_limit - 1;  // counts stay below the cap
-    for (std::size_t s = 0; s < rows.size(); s += shard) {
-      const std::size_t len = std::min(shard, rows.size() - s);
-      std::vector<std::int64_t> part = build_hist_packed(rows.subspan(s, len));
-      for (std::size_t b = 0; b < nb; ++b) {
-        out.buf[b] += packed_sum(part[b]);
-        out.buf[nb + b] += packed_count(part[b]);
-      }
-      recycle(std::move(part));
-    }
-    g_wide_builds.fetch_add(1, std::memory_order_relaxed);
-    return out;
-  }
-
-  [[nodiscard]] std::vector<std::int64_t> build_hist_packed(
-      std::span<const std::uint32_t> rows) {
-    // Buffer recycling is only safe when accumulate runs on this thread: a
-    // 1-thread pool, or a node small enough that parallel_map_reduce stays
-    // single-chunk (rows <= grain) and therefore inline. Multi-threaded
-    // chunks allocate their own.
-    const bool pooled =
-        global_pool().thread_count() <= 1 || rows.size() <= kHistGrain;
-    const auto accumulate = [&](std::size_t lo, std::size_t hi) {
-      // Two arenas, alternating rows: consecutive rows that hit the same
-      // bucket would otherwise serialize on the store-to-load forward of one
-      // int64 — skewed (categorical-like) features do this constantly. The
-      // arenas merge exactly (integer adds), so parity is unaffected. The
-      // uint16 global plane folds the per-feature histogram offset into the
-      // matrix itself: one indexed add per cell.
-      const auto nb = static_cast<std::size_t>(total_bins);
-      std::vector<std::int64_t> h = pooled
-                                        ? take_buffer(2 * nb)
-                                        : std::vector<std::int64_t>(2 * nb, 0);
-      std::int64_t* h0 = h.data();
-      std::int64_t* h1 = h.data() + nb;
-      if (x.global.empty()) {
-        // Generic fallback (> 64k total bins): uint8 bins + explicit offsets.
-        const int* off = offset.data();
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::uint8_t* rb = x.bins.data() + rows[k] * p;
-          const std::int64_t gp =
+    std::int64_t* h0 = h.data();
+    std::int64_t* h1 = h.data() + nb;
+    if (x.global.empty()) {
+      // Generic fallback (> 64k total bins): uint8 bins + explicit offsets.
+      const int* off = offset.data();
+      for (std::size_t k = lo; k < hi; ++k) {
+        const std::uint8_t* rb = x.bins.data() + rows[k] * p;
+        const std::int64_t gp =
             (static_cast<std::int64_t>(grad[rows[k]]) << kCountBits) | 1;
-          for (std::size_t f = 0; f < p; ++f) {
-            h0[static_cast<std::size_t>(off[f]) + rb[f]] += gp;
-          }
+        for (std::size_t f = 0; f < p; ++f) {
+          h0[static_cast<std::size_t>(off[f]) + rb[f]] += gp;
         }
-        h.resize(nb);
-        return h;
       }
+    } else {
       kernels::hist_accumulate(x.global.data(), p, rows.data(), lo, hi,
                                grad.data(), h0, h1);
-      for (std::size_t b = 0; b < nb; ++b) h0[b] += h1[b];
-      h.resize(nb);
-      return h;
-    };
-    // int64 buckets merge exactly in any order, so per-chunk buffers built
-    // concurrently and folded in chunk order equal the serial accumulation.
-    return parallel_map_reduce<std::vector<std::int64_t>>(
-        0, rows.size(), kHistGrain, accumulate,
-        [](std::vector<std::int64_t>& acc, std::vector<std::int64_t>&& part) {
-          for (std::size_t b = 0; b < acc.size(); ++b) acc[b] += part[b];
-        });
-  }
-
-  /// Best split for feature f, reading whichever bucket view `hist` holds.
-  [[nodiscard]] SplitDecision split_feature(const NodeHist& hist, std::size_t f,
-                                            std::int64_t total_q,
-                                            std::int64_t total_cnt) const {
-    if (hist.wide) {
-      const auto nb = static_cast<std::size_t>(total_bins);
-      return best_split_wide(
-          hist.buf.data() + offset[f], hist.buf.data() + nb + offset[f],
-          binner.bins(f), total_q, total_cnt, inv_scale,
-          static_cast<std::int32_t>(f), cfg);
     }
-    return best_split_packed(hist.buf.data() + offset[f], binner.bins(f),
-                             total_q, total_cnt, inv_scale,
-                             static_cast<std::int32_t>(f), cfg);
+    for (std::size_t b = 0; b < nb; ++b) {
+      const std::int64_t pack = h0[b] + h1[b];
+      h0[b] = pack >> kCountBits;  // arithmetic shift = floor division: exact
+      h1[b] = pack & ((std::int64_t{1} << kCountBits) - 1);
+    }
   }
 
-  std::int32_t build(std::span<std::uint32_t> rows, NodeHist hist,
+  /// Node histogram of `rows` (non-empty). The chunk plan is the pool's
+  /// (one chunk on a 1-thread pool, up to 2 per thread otherwise) with
+  /// enough chunks that none reaches 2^24 rows; partials fold in chunk order.
+  [[nodiscard]] std::vector<std::int64_t> build_hist(
+      std::span<const std::uint32_t> rows) {
+    const std::size_t threads = global_pool().thread_count();
+    const std::size_t max_chunks = std::max<std::size_t>(
+        threads > 1 ? 2 * threads : 1,
+        (rows.size() + kMaxChunkRows - 1) / kMaxChunkRows);
+    const auto chunks = chunk_ranges(0, rows.size(), max_chunks, kHistGrain);
+    // The buffer pool is only safe when every chunk runs on this thread: a
+    // 1-thread pool, or a single chunk (which the driver runs inline).
+    // Concurrent chunks allocate their own.
+    const bool pooled = threads <= 1 || chunks.size() == 1;
+    const auto size = 2 * static_cast<std::size_t>(total_bins);
+    std::vector<std::vector<std::int64_t>> parts(chunks.size());
+    parallel_run_chunks(
+        chunks, [&](std::size_t i, std::size_t lo, std::size_t hi) {
+          parts[i] = pooled ? take_buffer(size)
+                            : std::vector<std::int64_t>(size, 0);
+          accumulate(rows, lo, hi, parts[i]);
+        });
+    std::vector<std::int64_t> hist = std::move(parts.front());
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      for (std::size_t b = 0; b < size; ++b) hist[b] += parts[i][b];
+      if (pooled) recycle(std::move(parts[i]));
+    }
+    return hist;
+  }
+
+  std::int32_t build(std::span<std::uint32_t> rows,
+                     std::vector<std::int64_t> hist,
                      std::int64_t total_q, int depth) {
     const auto node_id = static_cast<std::int32_t>(nodes.size());
     nodes.emplace_back();
@@ -335,17 +258,22 @@ struct HistogramBuilder {
 
     if (depth >= cfg.max_depth ||
         total_cnt < 2 * static_cast<std::int64_t>(cfg.min_samples_leaf)) {
-      recycle(std::move(hist.buf));
+      recycle(std::move(hist));
       return make_leaf();
     }
 
     SplitDecision best;
+    const std::int64_t* sums = hist.data();
+    const std::int64_t* counts = hist.data() + total_bins;
     for (std::size_t f = 0; f < p; ++f) {
-      const SplitDecision d = split_feature(hist, f, total_q, total_cnt);
+      const SplitDecision d =
+          best_split(sums + offset[f], counts + offset[f], binner.bins(f),
+                     total_q, total_cnt, inv_scale,
+                     static_cast<std::int32_t>(f), cfg);
       if (d.gain > best.gain) best = d;
     }
     if (best.feature < 0 || best.gain <= 1e-12) {
-      recycle(std::move(hist.buf));
+      recycle(std::move(hist));
       return make_leaf();
     }
 
@@ -354,7 +282,7 @@ struct HistogramBuilder {
     // min_samples_leaf == 0; it makes a leaf.)
     const std::size_t n_left = static_cast<std::size_t>(best.left_cnt);
     if (n_left == 0 || n_left == rows.size()) {
-      recycle(std::move(hist.buf));
+      recycle(std::move(hist));
       return make_leaf();
     }
 
@@ -400,13 +328,11 @@ struct HistogramBuilder {
              static_cast<std::int64_t>(n_rows) >=
                  2 * static_cast<std::int64_t>(cfg.min_samples_leaf);
     };
-    NodeHist left_hist;
-    NodeHist right_hist;
+    std::vector<std::int64_t> left_hist;
+    std::vector<std::int64_t> right_hist;
     if (will_split(left_rows.size()) || will_split(right_rows.size())) {
       // Build the smaller child's histogram; the larger child's is the
-      // parent's minus the sibling's, exact in int64. (A wide parent keeps
-      // its derived child wide even if that child's count re-fits the packed
-      // cap — the representations subtract exactly either way.)
+      // parent's minus the sibling's, exact in int64.
       if (left_rows.size() <= right_rows.size()) {
         left_hist = build_hist(left_rows);
         right_hist = std::move(hist);
@@ -417,7 +343,7 @@ struct HistogramBuilder {
         subtract(left_hist, right_hist);
       }
     } else {
-      recycle(std::move(hist.buf));
+      recycle(std::move(hist));
     }
     const std::int32_t left =
         build(left_rows, std::move(left_hist), best.left_q, depth + 1);
@@ -429,24 +355,9 @@ struct HistogramBuilder {
     return node_id;
   }
 
-  void subtract(NodeHist& parent, const NodeHist& child) const {
-    if (parent.wide == child.wide) {
-      // Same representation: elementwise over the whole buffer (for wide,
-      // that subtracts the sum and count halves in one sweep).
-      for (std::size_t b = 0; b < parent.buf.size(); ++b) {
-        parent.buf[b] -= child.buf[b];
-      }
-      return;
-    }
-    // Wide parent, packed child: unpack the child's fields into the two
-    // halves. (A packed parent cannot have a wide child — the child's rows
-    // are a subset of the parent's.)
-    assert(parent.wide && !child.wide);
-    const auto nb = static_cast<std::size_t>(total_bins);
-    for (std::size_t b = 0; b < nb; ++b) {
-      parent.buf[b] -= packed_sum(child.buf[b]);
-      parent.buf[nb + b] -= packed_count(child.buf[b]);
-    }
+  static void subtract(std::vector<std::int64_t>& parent,
+                       const std::vector<std::int64_t>& child) {
+    for (std::size_t b = 0; b < parent.size(); ++b) parent[b] -= child[b];
   }
 };
 
@@ -468,16 +379,14 @@ void RegressionTree::fit(const BinnedMatrix& x, const FeatureBinner& binner,
   const bool root_splits =
       cfg.max_depth > 0 &&
       rows.size() >= static_cast<std::size_t>(2 * cfg.min_samples_leaf);
-  NodeHist root_hist;
+  std::vector<std::int64_t> root_hist;
   if (root_splits) root_hist = builder.build_hist(rows);
   std::int64_t total_q = 0;
   if (!root_hist.empty() && builder.p > 0) {
     // Feature 0's slice counts every row exactly once: its bucket sums add
-    // up to the root gradient total, saving the row scan. (Wide buffers
-    // store sums unpacked in the first half.)
+    // up to the root gradient total, saving the row scan.
     for (int b = 0; b < binner.bins(0); ++b) {
-      const std::int64_t bucket = root_hist.buf[static_cast<std::size_t>(b)];
-      total_q += root_hist.wide ? bucket : packed_sum(bucket);
+      total_q += root_hist[static_cast<std::size_t>(b)];
     }
   } else {
     for (const std::uint32_t r : rows) total_q += grad.q[r];
@@ -512,6 +421,15 @@ std::int32_t RegressionTree::leaf_for_binned(const BinnedMatrix& x,
 // ---------------------------------------------------------------------------
 
 void GBDTRegressor::fit(const Dataset& full_data) {
+  // A NaN or infinite target would reach the int32 gradient quantization as
+  // a non-finite residual (undefined behaviour) and poison every tree.
+  for (std::size_t r = 0; r < full_data.rows(); ++r) {
+    if (!std::isfinite(full_data.target(r))) {
+      throw std::invalid_argument(
+          "GBDTRegressor::fit: target of row " + std::to_string(r) + " is " +
+          std::to_string(full_data.target(r)));
+    }
+  }
   trees_.clear();
   forest_ = PackedForest();
   train_rmse_.clear();
@@ -540,9 +458,6 @@ void GBDTRegressor::fit(const Dataset& full_data) {
   // guard the mean below would be 0/0 and every prediction NaN.
   if (n == 0) return;
 
-  // No fallback on size: nodes whose row count reaches the packed 24-bit
-  // limit build wide sharded histograms instead (NodeHist), so the trainer
-  // handles cluster-lifetime training sets directly.
   const GBDTConfig& cfg = config_;
 
   double mean = 0.0;
@@ -849,15 +764,6 @@ void GBDTRegressor::load(serialize::Reader& r) {
   binner_ = std::move(binner);
   trees_ = std::move(trees);
   forest_.build(trees_);
-}
-
-std::size_t gbdt_set_packed_row_limit(std::size_t limit) noexcept {
-  return g_packed_row_limit.exchange(limit == 0 ? kPackedRowLimit : limit,
-                                     std::memory_order_relaxed);
-}
-
-std::uint64_t gbdt_wide_histogram_builds() noexcept {
-  return g_wide_builds.load(std::memory_order_relaxed);
 }
 
 void PackedForest::build(std::span<const RegressionTree> trees) {

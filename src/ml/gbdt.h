@@ -26,10 +26,10 @@
 // bit-identical to the scalar walk (it performs the same mul/add per row), so
 // dispatch changes speed only. Training has a single scalar path.
 //
-// Training-set size is unbounded: nodes whose row count reaches the packed
-// 24-bit limit accumulate shard-by-shard into a wide two-field histogram
-// merged exactly in int64 (gbdt_set_packed_row_limit lets tests drive the
-// shard path at small n).
+// Training-set size is unbounded. Every node histogram has one layout, two
+// int64 planes (per-bin gradient sums and row counts); only one chunk's
+// accumulation packs (sum << 24) | count into a single int64, and the chunk
+// plan keeps every chunk below 2^24 rows, so nodes of any size fold exactly.
 //
 // Determinism: fit() is a pure function of (dataset, config) — the same
 // inputs produce the same trees bit-for-bit on any thread count
@@ -140,16 +140,6 @@ class RegressionTree {
   std::vector<Node> nodes_;
 };
 
-/// Test/bench hooks for the histogram sharding machinery. Node histograms
-/// with at least `limit` rows switch from packed single-int64 buckets to the
-/// wide (separate sum/count) representation built shard-by-shard; the default
-/// (and the cap restored by passing 0) is 2^24, the packed count width.
-/// Returns the previous limit. Not for concurrent use with a running fit().
-std::size_t gbdt_set_packed_row_limit(std::size_t limit) noexcept;
-/// Number of wide (sharded) histogram builds since process start — lets the
-/// shard-path tests prove the wide representation actually ran.
-[[nodiscard]] std::uint64_t gbdt_wide_histogram_builds() noexcept;
-
 /// Implicit-heap SoA layout of a fitted forest for the SIMD predict walk.
 ///
 /// Every tree is padded to the forest-wide depth `levels` (leaves shallower
@@ -183,12 +173,16 @@ class GBDTRegressor {
  public:
   explicit GBDTRegressor(GBDTConfig config = {}) : config_(config) {}
 
-  /// Train on the dataset; replaces any previous model.
+  /// Train on the dataset; replaces any previous model. Throws
+  /// std::invalid_argument, naming the row and leaving the model as it was,
+  /// when a target is NaN or infinite.
   void fit(const Dataset& data);
 
   [[nodiscard]] double predict(std::span<const double> features) const noexcept;
   /// Batched inference: bins `data` once and walks it tree-at-a-time,
-  /// row-parallel. Bitwise-identical to calling predict() per row.
+  /// row-parallel. Bitwise-identical to calling predict() per row. Throws
+  /// std::invalid_argument when a trained model gets a non-empty `data` of
+  /// another width.
   [[nodiscard]] std::vector<double> predict_many(const Dataset& data) const;
 
   /// Training RMSE after each boosting iteration (for convergence tests).

@@ -146,6 +146,32 @@ TEST(ThreadPool, EveryTaskRunsBeforeTheFirstExceptionPropagates) {
   EXPECT_EQ(ran.load(), 16);
 }
 
+// The GBDT trainer plans a node histogram of n rows as
+// chunk_ranges(0, n, max(c, ceil(n / (2^24 - 1))), 16384), with c = 1 on a
+// one-thread pool and 2 * threads otherwise. Its per-chunk row counts are
+// packed into 24 bits, so every chunk must stay below 2^24 rows; this checks
+// that plan at both pool widths for a node far above the limit (arithmetic
+// only: no rows are allocated).
+TEST(ThreadPool, TrainerChunkPlanStaysBelowThePackedCountLimit) {
+  constexpr std::size_t kLimit = std::size_t{1} << 24;
+  const std::size_t n = (std::size_t{1} << 26) + 5;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::size_t c = threads > 1 ? 2 * threads : 1;
+    const std::size_t max_chunks =
+        std::max(c, (n + (kLimit - 1) - 1) / (kLimit - 1));
+    const auto chunks = chunk_ranges(0, n, max_chunks, 16384);
+    ASSERT_FALSE(chunks.empty()) << threads << " threads";
+    std::size_t next = 0;
+    for (const auto& [lo, hi] : chunks) {
+      EXPECT_EQ(lo, next) << threads << " threads";
+      EXPECT_LT(lo, hi) << threads << " threads";
+      EXPECT_LT(hi - lo, kLimit) << threads << " threads";
+      next = hi;
+    }
+    EXPECT_EQ(next, n) << threads << " threads";
+  }
+}
+
 TEST(RadixSort, EqualsStdSortOnAdversarialKeys) {
   // 0 and UINT64_MAX, keys that differ in one byte only (every byte
   // position, so each pass both runs and is skipped somewhere), duplicates,

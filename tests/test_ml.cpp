@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "ml/dataset.h"
 #include "ml/gbdt.h"
@@ -269,6 +273,49 @@ TEST(Gbdt, DenormalTinyTargetsStayFinite) {
   EXPECT_TRUE(std::isfinite(model.predict(probe)));
   for (const double rmse : model.training_rmse()) {
     EXPECT_TRUE(std::isfinite(rmse));
+  }
+}
+
+TEST(Gbdt, NonFiniteTargetThrowsNamingTheRowAndKeepsTheModel) {
+  Rng rng(23);
+  const Dataset clean = make_linear_dataset(2000, 0.2, rng);
+  GBDTConfig cfg;
+  cfg.n_trees = 5;
+  GBDTRegressor model(cfg);
+  model.fit(clean);
+  const double probe[] = {2.0, 0.5, 0.0};
+  const double before = model.predict(probe);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Dataset d(clean.features());
+    for (std::size_t r = 0; r < clean.rows(); ++r) {
+      d.add_row(clean.row(r), r == 1234 ? bad : clean.target(r));
+    }
+    try {
+      model.fit(d);
+      ADD_FAILURE() << "fit accepted target " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 1234"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(model.predict(probe), before);
+  }
+}
+
+TEST(Gbdt, PredictManyRejectsADatasetOfAnotherWidth) {
+  Rng rng(29);
+  GBDTConfig cfg;
+  cfg.n_trees = 5;
+  GBDTRegressor model(cfg);
+  model.fit(make_linear_dataset(2000, 0.2, rng));
+  ASSERT_TRUE(model.trained());
+  for (const std::size_t width : {std::size_t{2}, std::size_t{4}}) {
+    Dataset other(width);
+    const std::vector<double> row(width, 0.5);
+    for (int i = 0; i < 100; ++i) other.add_row(row, 0.0);
+    EXPECT_THROW((void)model.predict_many(other), std::invalid_argument)
+        << width << " features";
   }
 }
 

@@ -1,17 +1,16 @@
 // Golden parity suite for the prediction layer (smoke):
 //
-//  * GBDT training (sibling-subtraction, row-parallel, packed buckets) must
-//    reproduce a from-scratch oracle trainer that lives only in this file —
-//    every tree's nodes (features, split bins, thresholds, links, leaf
+//  * GBDT training (sibling-subtraction, row-parallel, chunked histograms)
+//    must reproduce a from-scratch oracle trainer that lives only in this
+//    file — every tree's nodes (features, split bins, thresholds, links, leaf
 //    values, gains) and every row's leaf, boosting round by boosting round,
 //    and then the regressor's whole model and per-iteration training RMSE —
 //    across seeds and configs on trace::synthetic-derived data. Exactness is
 //    by construction (int64 quantized gradients), and this suite is the
 //    regression net for the row-set / subtraction / leaf-tracking machinery
-//    on top. Nodes at or above the packed 24-bit row cap shard into wide
-//    histograms; an injected tiny cap drives that path at test scale against
-//    the same oracle. CMakeLists.txt also runs the oracle cases at pool
-//    widths 1 and 4.
+//    on top. Every node runs the trainer's one histogram path (packed
+//    per-chunk partials folded into (sum, count) planes); CMakeLists.txt
+//    also runs the oracle cases at pool widths 1 and 4.
 //  * predict_many (batched, binned, tree-at-a-time) must equal predict()
 //    per row, bitwise.
 //  * OnlinePriorityEvaluator's batched mode (P_M from one predict_many
@@ -56,17 +55,6 @@ class ScopedSimd {
  private:
   bool prev_;
   bool active_;
-};
-
-/// Restores the injectable packed-row cap on scope exit.
-class ScopedPackedRowLimit {
- public:
-  explicit ScopedPackedRowLimit(std::size_t limit) {
-    helios::ml::gbdt_set_packed_row_limit(limit);
-  }
-  ~ScopedPackedRowLimit() { helios::ml::gbdt_set_packed_row_limit(0); }
-  ScopedPackedRowLimit(const ScopedPackedRowLimit&) = delete;
-  ScopedPackedRowLimit& operator=(const ScopedPackedRowLimit&) = delete;
 };
 
 }  // namespace
@@ -318,7 +306,7 @@ std::vector<GBDTConfig> oracle_configs(std::size_t rows, std::uint64_t seed) {
 /// regressor's own boosting loop reproduces the oracle's whole model. The
 /// largest trace has root nodes above the 16k-row histogram grain, so a
 /// multi-thread pool accumulates them in several chunks.
-void expect_matches_oracle() {
+TEST(GbdtOracle, MatchesAcrossSeedsAndConfigs) {
   const std::pair<std::uint64_t, double> traces[] = {
       {11, 0.02}, {29, 0.02}, {47, 0.2}};
   for (const auto& [seed, scale] : traces) {
@@ -346,20 +334,6 @@ void expect_matches_oracle() {
       }
     }
   }
-}
-
-TEST(GbdtOracle, MatchesAcrossSeedsAndConfigs) {
-  expect_matches_oracle();
-}
-
-// Lifted row cap: with the packed 24-bit limit injected down to toy scale,
-// nodes shard into wide histograms (observable via the build counter), and
-// every tree must still match the oracle — no fallback, no drift.
-TEST(GbdtOracle, WideShardedHistogramsMatch) {
-  ScopedPackedRowLimit cap(512);
-  const std::uint64_t wide_before = gbdt_wide_histogram_builds();
-  expect_matches_oracle();
-  EXPECT_GT(gbdt_wide_histogram_builds(), wide_before);
 }
 
 TEST(GbdtEngineParity, PredictManyMatchesPerRowBitwise) {
